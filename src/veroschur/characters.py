@@ -81,20 +81,6 @@ class WeightTable:
     def dimension(self) -> int:
         return sum(c * orbit_size(w) for w, c in self.entries.items())
 
-    def sub(self, other: "WeightTable") -> "WeightTable":
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValueError("incompatible tables")
-        out = dict(self.entries)
-        for w, c in other.entries.items():
-            r = out.get(w, 0) - c
-            if r < 0:
-                raise ValueError(f"negative multiplicity at {w}")
-            if r == 0:
-                out.pop(w, None)
-            else:
-                out[w] = r
-        return WeightTable(self.n, self.degree, out)
-
 
 @dataclass
 class SchurExpansion:

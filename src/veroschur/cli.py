@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from math import comb
 
 from veroschur.characters import (SchurExpansion, char_sym_sym, char_tensor_sym,
@@ -24,7 +25,7 @@ from veroschur.characters import (SchurExpansion, char_sym_sym, char_tensor_sym,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.cones import (content_cone_section, fit_leading_coefficient,
                              lattice_count, shape_cone_section)
-from veroschur.config import CapExceeded, RunConfig
+from veroschur.config import DEFAULT_CONFIG, FORMATS, CapExceeded, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import count_partitions
 from veroschur.verify import SUITES, run_suite
@@ -33,11 +34,10 @@ EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="pretty", help="output format")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: VEROSCHUR_THREADS or all cores)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--format", choices=FORMATS, default=None,
+                        help="output format (default: pretty)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="random seed (default: 0)")
     parser.add_argument("--max-entries", type=int, default=None,
                         help="cap on weight-table entries")
     parser.add_argument("--max-dim", type=int, default=None,
@@ -50,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """Defaults, then config-file keys, then the flags the user gave."""
+    values: dict = {}
     if args.config:
         with open(args.config) as fh:
             for line in fh:
@@ -60,23 +61,18 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
                 if key in ("max_table_entries", "max_matrix_dim",
-                           "max_enum_nodes", "threads", "seed"):
-                    setattr(cfg, key, int(value.strip()))
+                           "max_enum_nodes", "seed"):
+                    values[key] = int(value.strip())
                 elif key == "format":
-                    cfg.fmt = value.strip()
+                    values["fmt"] = value.strip()
                 else:
                     raise ValueError(f"unknown config key {key!r}")
-    if args.max_entries is not None:
-        cfg.max_table_entries = args.max_entries
-    if args.max_dim is not None:
-        cfg.max_matrix_dim = args.max_dim
-    if args.max_nodes is not None:
-        cfg.max_enum_nodes = args.max_nodes
-    if args.threads is not None:
-        cfg.threads = args.threads
-    cfg.seed = args.seed
-    cfg.fmt = args.format
-    return cfg
+    flags = {"max_table_entries": args.max_entries,
+             "max_matrix_dim": args.max_dim,
+             "max_enum_nodes": args.max_nodes,
+             "seed": args.seed, "fmt": args.format}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    return replace(DEFAULT_CONFIG, **values)
 
 
 def _expansion_payload(e: SchurExpansion) -> dict:

@@ -1,9 +1,10 @@
-"""Run configuration: resource caps, thread count, output options."""
+"""Run configuration: resource caps and output options."""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+FORMATS = ("json", "csv", "pretty")
 
 
 class CapExceeded(RuntimeError):
@@ -16,28 +17,22 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _default_threads() -> int:
-    env = os.environ.get("VEROSCHUR_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Caps are in units of table entries / matrix side / search nodes."""
 
     max_table_entries: int = 5_000_000
     max_matrix_dim: int = 100_000
     max_enum_nodes: int = 100_000_000
-    threads: int = field(default_factory=_default_threads)
     fmt: str = "pretty"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_table_entries", "max_matrix_dim", "max_enum_nodes", "threads"):
+        for name in ("max_table_entries", "max_matrix_dim", "max_enum_nodes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {', '.join(FORMATS)}")
 
     def check_table(self, needed: int) -> None:
         if needed > self.max_table_entries:

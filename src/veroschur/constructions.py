@@ -252,15 +252,17 @@ def h0_projective(n: int, e: int) -> int:
 
 
 def _integer_root(x: int, k: int) -> int:
-    """floor(x**(1/k)) for nonnegative integers."""
+    """floor(x**(1/k)) for nonnegative integers, by integer Newton steps."""
     if x < 0 or k < 1:
         raise ValueError("bad root")
-    r = round(x ** (1.0 / k))
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # 2**ceil(bits/k) exceeds the root
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def max_n_green(p: int, b: int, q: int, d: int) -> int:
@@ -617,19 +619,24 @@ def _experiment_registry() -> dict[str, Callable]:
             raise ValueError(f"unsupported mu {mu}; use (p), (1^p) or (2,1)")
         return num, nt
 
+    # name -> (counts at one d, theoretical limit, required parameters)
     return {
         "syzygy-share": (syzygy_share,
-                         lambda pr: Fraction(pr["p"], factorial(pr["p"] + 1))),
-        "sym-vs-wedge": (sym_vs_wedge, lambda pr: Fraction(1)),
+                         lambda pr: Fraction(pr["p"], factorial(pr["p"] + 1)),
+                         ("p",)),
+        "sym-vs-wedge": (sym_vs_wedge, lambda pr: Fraction(1), ("p",)),
         "twist-total": (lambda pr, d, c: twist(pr, d, c, total_multiplicity),
-                        lambda pr: Fraction(comb(pr["b"] + pr["p"], pr["p"]))),
+                        lambda pr: Fraction(comb(pr["b"] + pr["p"], pr["p"])),
+                        ("p", "b")),
         "twist-types": (lambda pr, d, c: twist(pr, d, c, complexity),
-                        lambda pr: Fraction(pr["b"] + 1)),
+                        lambda pr: Fraction(pr["b"] + 1), ("p", "b")),
         "wedge-tensor-share": (wedge_tensor_share,
-                               lambda pr: Fraction(1, factorial(pr["p"]))),
+                               lambda pr: Fraction(1, factorial(pr["p"])),
+                               ("p",)),
         "schur-share": (schur_share,
                         lambda pr: Fraction(sym_group_irrep_dim(pr["mu"]),
-                                            factorial(pr["p"]))),
+                                            factorial(pr["p"])),
+                        ("p", "mu")),
     }
 
 
@@ -648,7 +655,11 @@ def ratio_experiment(experiment: str, parameters: dict,
     if experiment not in registry:
         raise ValueError(f"unknown experiment {experiment!r}; "
                          f"choose from {', '.join(EXPERIMENTS)}")
-    fn, limit_fn = registry[experiment]
+    fn, limit_fn, required = registry[experiment]
+    missing = [key for key in required if key not in parameters]
+    if missing:
+        raise ValueError(f"experiment {experiment!r} needs parameter(s) "
+                         f"{', '.join(missing)}")
     rows = []
     for d in sorted(set(d_values)):
         num, den = fn(parameters, d, config)

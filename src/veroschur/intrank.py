@@ -1,9 +1,7 @@
 """Exact integer matrix rank via fraction-free elimination.
 
-Two routines: a dense Bareiss elimination (entries stay minors of the
-input, division by the previous pivot is exact) and a sparse column
-elimination using exact cross-multiplication with gcd reduction.  Both are
-unconditional; the sparse one is the production path for Koszul blocks.
+A sparse column elimination using exact cross-multiplication with gcd
+reduction; it is the rank routine for Koszul blocks.
 """
 
 from __future__ import annotations
@@ -11,42 +9,6 @@ from __future__ import annotations
 from math import gcd
 
 SparseCol = dict[int, int]
-
-
-def rank_dense(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; input is not modified."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    r = 0
-    cols = list(range(nc))
-    while r < nr:
-        # smallest nonzero pivot in the remaining block limits growth
-        best = None
-        for i in range(r, nr):
-            for cj in range(r, nc):
-                v = m[i][cols[cj]]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, cj)
-        if best is None:
-            break
-        _, pi, pj = best
-        m[r], m[pi] = m[pi], m[r]
-        cols[r], cols[pj] = cols[pj], cols[r]
-        piv = m[r][cols[r]]
-        for i in range(r + 1, nr):
-            vi = m[i][cols[r]]
-            row_i, row_r = m[i], m[r]
-            for cj in range(r + 1, nc):
-                c = cols[cj]
-                row_i[c] = (piv * row_i[c] - vi * row_r[c]) // prev
-            row_i[cols[r]] = 0
-        prev = piv
-        rank += 1
-        r += 1
-    return rank
 
 
 def _normalize(col: SparseCol) -> SparseCol:

@@ -9,22 +9,22 @@ with the convention that a negative exterior or symmetric degree gives the
 zero space.  The differential sends f_0 ^ ... ^ f_{k-1} (x) g to the
 alternating sum of f_0 ^ ... f_i-hat ... (x) f_i g.  Everything is graded
 by the torus, so cohomology is computed blockwise per dominant weight and
-assembled into a character.
+assembled into a character.  Each block's basis is enumerated directly at
+its weight; the dominant weights come from the partitions of the total
+degree with at most n parts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from operator import le, sub
 from typing import Iterator
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
-                                  char_sym_sym, is_dominant, monomials,
-                                  schur_decompose)
+                                  char_sym_sym, monomials, schur_decompose)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol, rank_sparse
-from veroschur.partitions import add
+from veroschur.partitions import add, partitions_of
 
 Element = tuple[tuple[Weight, ...], Weight]  # (wedge tuple, symmetric factor)
 
@@ -83,33 +83,6 @@ class SparseIntMatrix:
     def rank(self) -> int:
         return rank_sparse([dict(c) for c in self.cols])
 
-    def compose(self, inner: "SparseIntMatrix") -> "SparseIntMatrix":
-        """self @ inner (apply inner first)."""
-        if inner.nrows != self.ncols:
-            raise ValueError("shape mismatch")
-        out = []
-        for col in inner.cols:
-            acc: SparseCol = {}
-            for mid, v in col.items():
-                for r, w in self.cols[mid].items():
-                    nv = acc.get(r, 0) + v * w
-                    if nv:
-                        acc[r] = nv
-                    else:
-                        acc.pop(r, None)
-            out.append(acc)
-        return SparseIntMatrix(self.nrows, inner.ncols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
-    def dense(self) -> list[list[int]]:
-        m = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                m[i][j] = v
-        return m
-
 
 @dataclass
 class KoszulBlock:
@@ -127,51 +100,32 @@ class KoszulBlock:
         return dim
 
 
-def _term_elements_by_weight(k: int, e: int, d: int, n: int,
-                             config: RunConfig) -> dict[Weight, list[Element]]:
-    """Basis of wedge^k S^d (x) S^e bucketed by dominant weight."""
-    out: dict[Weight, list[Element]] = {}
-    if k < 0 or e < 0:
-        return out
-    monos = monomials(d, n)
-    if k > len(monos):
-        return out
-    symb = monomials(e, n)
-    count = 0
-    for wedge in combinations(monos, k):
-        base = (0,) * n
-        for m in wedge:
-            base = tuple(x + y for x, y in zip(base, m))
-        for g in symb:
-            w = tuple(x + y for x, y in zip(base, g))
-            if is_dominant(w):
-                out.setdefault(w, []).append((wedge, g))
-                count += 1
-                if count % 4096 == 0:
-                    config.check_table(count)
-    config.check_table(count)
-    return out
-
-
 def _elements_at_weight(k: int, e: int, d: int, n: int,
                         target: Weight) -> list[Element]:
-    """Basis elements of one (possibly non-dominant) weight."""
+    """Basis of wedge^k S^d (x) S^e at one (possibly non-dominant) weight.
+
+    A depth-first search over wedge tuples in monomial order, using only
+    the monomials that fit under target and pruning every prefix whose sum
+    exceeds target in some coordinate; the symmetric factor is what is left.
+    """
+    if k < 0 or e < 0 or min(target) < 0 or sum(target) != k * d + e:
+        return []
+    monos = [m for m in monomials(d, n) if all(map(le, m, target))]
     out: list[Element] = []
-    if k < 0 or e < 0:
-        return out
-    monos = monomials(d, n)
-    if k > len(monos):
-        return out
-    for wedge in combinations(monos, k):
-        g = list(target)
-        ok = True
-        for m in wedge:
-            for i, v in enumerate(m):
-                g[i] -= v
-        if any(v < 0 for v in g) or sum(g) != e:
-            ok = False
-        if ok:
-            out.append((wedge, tuple(g)))
+    wedge: list[Weight] = []
+
+    def extend(start: int, rest: Weight) -> None:
+        if len(wedge) == k:
+            out.append((tuple(wedge), rest))
+            return
+        for j in range(start, len(monos) - (k - len(wedge)) + 1):
+            m = monos[j]
+            if all(map(le, m, rest)):
+                wedge.append(m)
+                extend(j + 1, tuple(map(sub, rest, m)))
+                wedge.pop()
+
+    extend(0, tuple(target))
     return out
 
 
@@ -196,10 +150,8 @@ def _differential(sources: list[Element], targets: list[Element],
 def block_at_weight(spec: KoszulSpec, weight: Weight,
                     config: RunConfig = DEFAULT_CONFIG) -> KoszulBlock:
     """Single block of the complex at an arbitrary weight vector."""
-    (kl, el), (km, em), (kr, er) = spec.term_parameters()
-    left = _elements_at_weight(kl, el, spec.d, spec.n, weight)
-    mid = _elements_at_weight(km, em, spec.d, spec.n, weight)
-    right = _elements_at_weight(kr, er, spec.d, spec.n, weight)
+    left, mid, right = (_elements_at_weight(k, e, spec.d, spec.n, weight)
+                        for k, e in spec.term_parameters())
     return KoszulBlock(weight, (len(left), len(mid), len(right)),
                        _differential(left, mid, config),
                        _differential(mid, right, config))
@@ -207,31 +159,28 @@ def block_at_weight(spec: KoszulSpec, weight: Weight,
 
 def build_blocks(spec: KoszulSpec,
                  config: RunConfig = DEFAULT_CONFIG) -> Iterator[KoszulBlock]:
-    """One block per dominant weight of the middle term, decreasing lex."""
-    (kl, el), (km, em), (kr, er) = spec.term_parameters()
-    mid = _term_elements_by_weight(km, em, spec.d, spec.n, config)
-    left = _term_elements_by_weight(kl, el, spec.d, spec.n, config)
-    right = _term_elements_by_weight(kr, er, spec.d, spec.n, config)
-    for w in sorted(mid, reverse=True):
-        lw = left.get(w, [])
-        mw = mid[w]
-        rw = right.get(w, [])
-        yield KoszulBlock(w, (len(lw), len(mw), len(rw)),
-                          _differential(lw, mw, config),
-                          _differential(mw, rw, config))
+    """One block per dominant weight of the middle term, decreasing lex.
+
+    The running basis size of all three terms is checked against the
+    table-entry cap.
+    """
+    basis = 0
+    for lam in partitions_of(spec.total_degree, max_parts=spec.n):
+        block = block_at_weight(spec, lam + (0,) * (spec.n - len(lam)), config)
+        if block.dims[1]:
+            basis += sum(block.dims)
+            config.check_table(basis)
+            yield block
 
 
 def cohomology_table(spec: KoszulSpec,
                      config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
     """Character of the middle cohomology on dominant weights."""
-    blocks = build_blocks(spec, config)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda bl: (bl.weight, bl.cohomology_dim()),
-                                    blocks))
-    else:
-        results = [(bl.weight, bl.cohomology_dim()) for bl in blocks]
-    entries = {w: c for w, c in results if c}
+    entries = {}
+    for block in build_blocks(spec, config):
+        dim = block.cohomology_dim()
+        if dim:
+            entries[block.weight] = dim
     return WeightTable(spec.n, spec.total_degree, entries)
 
 

@@ -7,7 +7,6 @@ exact Python integers.
 
 from __future__ import annotations
 
-from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -122,14 +121,13 @@ def partitions_of(n: int, max_parts: int | None = None,
     yield from rec(n, first, max_parts, [])
 
 
-@cache
 def _count_with_max_part(n: int, k: int) -> int:
-    """Partitions of n with every part <= k."""
-    if n == 0:
-        return 1
-    if k <= 0:
-        return 0
-    return sum(_count_with_max_part(n - v, v) for v in range(min(k, n), 0, -1))
+    """Partitions of n with every part <= k, by a table over part sizes."""
+    ways = [1] + [0] * n
+    for v in range(1, min(k, n) + 1):
+        for total in range(v, n + 1):
+            ways[total] += ways[total - v]
+    return ways[n]
 
 
 def count_partitions(n: int, max_parts: int | None = None) -> int:

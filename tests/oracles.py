@@ -1,0 +1,147 @@
+"""Reference routes and helpers that only the tests use.
+
+The production code keeps one route per quantity; the routes it replaced
+live here as oracles for property tests, next to small matrix and table
+helpers that the program itself never needs.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from veroschur.characters import Weight, WeightTable, is_dominant, monomials
+from veroschur.config import DEFAULT_CONFIG
+from veroschur.intrank import SparseCol
+from veroschur.koszul import (Element, KoszulBlock, KoszulSpec,
+                              SparseIntMatrix, _differential)
+
+
+# ---------------------------------------------------------------------------
+# Koszul blocks from the whole product space
+
+def term_elements_by_weight(k: int, e: int, d: int,
+                            n: int) -> dict[Weight, list[Element]]:
+    """Basis of wedge^k S^d (x) S^e bucketed by dominant weight, built by
+    running over the whole product and dropping non-dominant weights."""
+    out: dict[Weight, list[Element]] = {}
+    if k < 0 or e < 0:
+        return out
+    monos = monomials(d, n)
+    if k > len(monos):
+        return out
+    symb = monomials(e, n)
+    for wedge in combinations(monos, k):
+        base = (0,) * n
+        for m in wedge:
+            base = tuple(x + y for x, y in zip(base, m))
+        for g in symb:
+            w = tuple(x + y for x, y in zip(base, g))
+            if is_dominant(w):
+                out.setdefault(w, []).append((wedge, g))
+    return out
+
+
+def blocks_by_product(spec: KoszulSpec) -> list[KoszulBlock]:
+    """Every dominant block of the complex, decreasing lex, via the whole
+    product space of each term."""
+    left, mid, right = (term_elements_by_weight(k, e, spec.d, spec.n)
+                        for k, e in spec.term_parameters())
+    out = []
+    for w in sorted(mid, reverse=True):
+        lw, mw, rw = left.get(w, []), mid[w], right.get(w, [])
+        out.append(KoszulBlock(w, (len(lw), len(mw), len(rw)),
+                               _differential(lw, mw, DEFAULT_CONFIG),
+                               _differential(mw, rw, DEFAULT_CONFIG)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices
+
+def compose(outer: SparseIntMatrix, inner: SparseIntMatrix) -> SparseIntMatrix:
+    """outer @ inner (apply inner first)."""
+    if inner.nrows != outer.ncols:
+        raise ValueError("shape mismatch")
+    out = []
+    for col in inner.cols:
+        acc: SparseCol = {}
+        for mid, v in col.items():
+            for r, w in outer.cols[mid].items():
+                nv = acc.get(r, 0) + v * w
+                if nv:
+                    acc[r] = nv
+                else:
+                    acc.pop(r, None)
+        out.append(acc)
+    return SparseIntMatrix(outer.nrows, inner.ncols, tuple(out))
+
+
+def is_zero(m: SparseIntMatrix) -> bool:
+    return all(not c for c in m.cols)
+
+
+def dense(m: SparseIntMatrix) -> list[list[int]]:
+    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    for j, col in enumerate(m.cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+def rank_dense(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free elimination; input is not modified.
+
+    Entries stay minors of the input, so division by the previous pivot
+    is exact.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    prev = 1
+    r = 0
+    cols = list(range(nc))
+    while r < nr:
+        # smallest nonzero pivot in the remaining block limits growth
+        best = None
+        for i in range(r, nr):
+            for cj in range(r, nc):
+                v = m[i][cols[cj]]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, cj)
+        if best is None:
+            break
+        _, pi, pj = best
+        m[r], m[pi] = m[pi], m[r]
+        cols[r], cols[pj] = cols[pj], cols[r]
+        piv = m[r][cols[r]]
+        for i in range(r + 1, nr):
+            vi = m[i][cols[r]]
+            row_i, row_r = m[i], m[r]
+            for cj in range(r + 1, nc):
+                c = cols[cj]
+                row_i[c] = (piv * row_i[c] - vi * row_r[c]) // prev
+            row_i[cols[r]] = 0
+        prev = piv
+        rank += 1
+        r += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+def sub(table: WeightTable, other: WeightTable) -> WeightTable:
+    """table - other; every multiplicity must stay nonnegative."""
+    if (table.n, table.degree) != (other.n, other.degree):
+        raise ValueError("incompatible tables")
+    out = dict(table.entries)
+    for w, c in other.entries.items():
+        r = out.get(w, 0) - c
+        if r < 0:
+            raise ValueError(f"negative multiplicity at {w}")
+        if r == 0:
+            out.pop(w, None)
+        else:
+            out[w] = r
+    return WeightTable(table.n, table.degree, out)

@@ -12,6 +12,8 @@ from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 from veroschur.tableaux import kostka
 
+from oracles import sub
+
 
 def brute_tensor_table(p, d, n):
     """Oracle: enumerate ordered tuples of degree-d exponent vectors."""
@@ -112,7 +114,7 @@ def test_functorial_sum_p2():
         t = char_tensor_sym(2, d, 2)
         s = char_sym_sym(2, d, 2)
         w = char_wedge_sym(2, d, 2)
-        assert t.sub(s).entries == w.entries
+        assert sub(t, s).entries == w.entries
 
 
 def test_functorial_sum_p3():
@@ -121,7 +123,7 @@ def test_functorial_sum_p3():
         t = char_tensor_sym(3, d, 3)
         s = char_sym_sym(3, d, 3)
         w = char_wedge_sym(3, d, 3)
-        mixed2 = t.sub(s).sub(w)
+        mixed2 = sub(sub(t, s), w)
         assert all(v % 2 == 0 for v in mixed2.entries.values())
         mixed = WeightTable(3, 3 * d,
                             {k: v // 2 for k, v in mixed2.entries.items()})

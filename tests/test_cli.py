@@ -97,6 +97,16 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "bogus", "-p", "1", "-d", "1"])
     assert exc.value.code == 2
+    # an invalid cap is a usage error, not a tripped cap
+    code, _, err = run_cli(capsys, "decompose", "tensor", "-p", "2", "-d", "4",
+                           "--max-entries", "-5")
+    assert code == 2
+    assert "max_table_entries must be positive" in err
+    # the cap bounds the Koszul basis too
+    code, _, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "1", "-d", "3",
+                           "--max-entries", "50")
+    assert code == 3
+    assert "resource cap exceeded" in err
 
 
 def test_out_file(tmp_path, capsys):
@@ -114,6 +124,20 @@ def test_config_file(tmp_path, capsys):
                            "--config", str(cfg))
     assert code == 3
     assert "cap" in err
+    # format and seed from the file apply unless a flag overrides them
+    cfg.write_text("format=json\nseed=7\n")
+    code, out, _ = run_cli(capsys, "verify", "newell", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+    code, out, _ = run_cli(capsys, "verify", "newell", "--config", str(cfg),
+                           "--seed", "3")
+    assert json.loads(out)["seed"] == 3
+    code, out, _ = run_cli(capsys, "verify", "newell", "--config", str(cfg),
+                           "--format", "pretty")
+    assert out.startswith("# suite newell")
+    cfg.write_text("format=xml\n")
+    code, _, err = run_cli(capsys, "verify", "newell", "--config", str(cfg))
+    assert code == 2
 
 
 def test_pretty_output(capsys):
@@ -134,11 +158,31 @@ def test_verify_targeted_ratio(capsys):
     code, _, err = run_cli(capsys, "verify", "newell", "--theorem",
                            "syzygy-share")
     assert code == 2
+    # a missing experiment parameter is a usage error naming the key
+    code, _, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "schur-share", "-p", "4")
+    assert code == 2
+    assert "mu" in err and "Traceback" not in err
+    code, _, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "twist-total", "-p", "2")
+    assert code == 2
+    assert "needs parameter(s) b" in err
 
 
-def test_thread_env_fallback(monkeypatch):
-    from veroschur.config import RunConfig
+def test_threads_option_removed(monkeypatch, tmp_path, capsys):
+    # the run is single-threaded: no flag, config key or environment
+    # variable selects a worker count
+    with pytest.raises(SystemExit) as exc:
+        main(["syzygy", "-p", "1", "-q", "1", "-d", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    code, _, err = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
+                           "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'threads'" in err
     monkeypatch.setenv("VEROSCHUR_THREADS", "2")
-    assert RunConfig().threads == 2
-    monkeypatch.delenv("VEROSCHUR_THREADS")
-    assert RunConfig().threads >= 1
+    code, out, _ = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
+                           "-n", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"lambda": [2, 2], "mult": "1"}]

@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from veroschur.characters import schur_decompose, char_tensor_sym, total_multiplicity
-from veroschur.constructions import (almost_triplet_census,
+from veroschur.constructions import (_integer_root, almost_triplet_census,
                                      doubled_plethysm_check, h0_projective,
                                      has_twin_pattern, max_n_green, mold,
                                      newell_check, ratio_experiment,
@@ -131,6 +132,17 @@ def test_h0_and_max_n_green():
     assert max_n_green(3, 1, 1, 12) == 2
     with pytest.raises(ValueError):
         max_n_green(1, 2, 1, 5)
+
+
+@given(x=st.integers(0, 10 ** 500), k=st.integers(1, 12))
+def test_integer_root_is_exact_floor(x, k):
+    r = _integer_root(x, k)
+    assert r ** k <= x < (r + 1) ** k
+
+
+def test_integer_root_beyond_float_range():
+    r = _integer_root(10 ** 400, 3)
+    assert r ** 3 <= 10 ** 400 < (r + 1) ** 3
 
 
 def test_twin_pattern_predicate_and_expand():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from veroschur.intrank import rank_dense, rank_sparse
+from veroschur.intrank import rank_sparse
+
+from oracles import rank_dense
 
 
 def rank_fraction_oracle(rows):

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from veroschur.characters import (char_sym_sym, schur_decompose,
                                   total_multiplicity)
@@ -9,6 +11,9 @@ from veroschur.koszul import (KoszulSpec, block_at_weight, build_blocks,
                               cohomology_table, green_vanishing_predicted,
                               green_vanishing_predicted_twisted,
                               raicu_predicted_kp0, syzygy_decompose)
+from veroschur.partitions import partitions_of
+
+from oracles import blocks_by_product, compose, dense, is_zero, rank_dense
 
 
 def all_weights(degree, n):
@@ -53,7 +58,7 @@ def test_complex_property_all_blocks():
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 2),
                  KoszulSpec(2, 2, 0, 3, 3)):
         for block in build_blocks(spec):
-            assert block.d_out.compose(block.d_in).is_zero()
+            assert is_zero(compose(block.d_out, block.d_in))
 
 
 def test_elementary_vanishing():
@@ -187,17 +192,57 @@ def test_degree_one_embedding_has_no_syzygies():
 def test_block_ranks_sparse_vs_dense():
     # the production sparse elimination agrees with dense Bareiss on the
     # actual differentials
-    from veroschur.intrank import rank_dense
     for spec in (KoszulSpec(1, 1, 0, 3, 2), KoszulSpec(2, 1, 0, 2, 3),
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 3)):
         for block in build_blocks(spec):
             for mat in (block.d_in, block.d_out):
                 if mat.nrows and mat.ncols:
-                    assert mat.rank() == rank_dense(mat.dense())
+                    assert mat.rank() == rank_dense(dense(mat))
 
 
-def test_threaded_matches_sequential():
+def test_cohomology_table_matches_single_blocks():
+    # the table assembled from build_blocks agrees with computing each
+    # dominant weight on its own through block_at_weight
     spec = KoszulSpec(2, 1, 0, 3, 3)
-    seq = cohomology_table(spec, RunConfig(threads=1))
-    par = cohomology_table(spec, RunConfig(threads=4))
-    assert seq.entries == par.entries
+    expected = {}
+    for lam in partitions_of(spec.total_degree, max_parts=spec.n):
+        w = lam + (0,) * (spec.n - len(lam))
+        dim = block_at_weight(spec, w).cohomology_dim()
+        if dim:
+            expected[w] = dim
+    assert cohomology_table(spec).entries == expected
+
+
+def test_basis_cap():
+    spec = KoszulSpec(2, 1, 0, 3, 3)
+    total = sum(sum(block.dims) for block in build_blocks(spec))
+    list(build_blocks(spec, RunConfig(max_table_entries=total)))
+    with pytest.raises(CapExceeded):
+        list(build_blocks(spec, RunConfig(max_table_entries=total - 1)))
+
+
+def test_negative_weight_has_no_basis():
+    spec = KoszulSpec(0, 1, 1, 2, 2)
+    assert block_at_weight(spec, (4, -1)).dims == (0, 0, 0)
+
+
+def _product_space(p, q, b, d, n):
+    monos = comb(d + n - 1, n - 1)
+    return sum(comb(monos, k) * comb(e + n - 1, n - 1)
+               for k, e in ((p + 1, (q - 1) * d + b), (p, q * d + b),
+                            (p - 1, (q + 1) * d + b))
+               if k >= 0 and e >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(0, 3), q=st.integers(0, 2), b=st.integers(0, 2),
+       d=st.integers(1, 3), n=st.integers(1, 4))
+def test_build_blocks_matches_product_route(p, q, b, d, n):
+    # the per-weight enumerator gives the same blocks, in the same order
+    # and with the same matrices, as bucketing the whole product space
+    assume(_product_space(p, q, b, d, n) <= 20_000)
+    spec = KoszulSpec(p, q, b, d, n)
+    got = [(bl.weight, bl.dims, bl.d_in, bl.d_out) for bl in build_blocks(spec)]
+    ref = [(bl.weight, bl.dims, bl.d_in, bl.d_out)
+           for bl in blocks_by_product(spec)]
+    assert got == ref

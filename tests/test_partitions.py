@@ -120,6 +120,14 @@ def test_count_partitions():
                 sum(1 for _ in partitions_of(n, max_parts=m))
 
 
+def test_count_partitions_deep():
+    # far beyond the interpreter's recursion limit; checked against the
+    # closed forms for at most two and three parts and the classical p(1000)
+    assert count_partitions(1200, 2) == 1200 // 2 + 1
+    assert count_partitions(5000, 3) == round((5000 + 3) ** 2 / 12)
+    assert count_partitions(1000) == 24061467864032622473692149727991
+
+
 def test_partitions_of_order_and_bounds():
     assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                       (1, 1, 1, 1)]
