@@ -4,13 +4,18 @@ Characters are stored on dominant weights only (full Weyl orbits are
 redundant by symmetry); Weyl-orbit sizes are used whenever a dimension is
 needed.  The fixed monomial order everywhere is decreasing lexicographic
 on exponent vectors, shared with the Koszul module.
+
+Symmetric and exterior plethysms are built as weight tables by a monomial
+DP and decomposed by the alternant formula; tensor powers of Sym^d never
+need a table, being repeated horizontal-strip (Pieri) products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import factorial
+from math import factorial, prod
+from operator import add
 from typing import Mapping, Sequence
 
 from veroschur.config import DEFAULT_CONFIG, RunConfig
@@ -124,24 +129,6 @@ def _dominant_restrict(full: Mapping[Weight, int], n: int, degree: int) -> Weigh
     return WeightTable(n, degree, entries)
 
 
-def char_tensor_sym(p: int, d: int, n: int,
-                    config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
-    """Character of the p-th tensor power of Sym^d(C^n)."""
-    if p < 1 or d < 1 or n < 1:
-        raise ValueError("p, d, n must be positive")
-    monos = monomials(d, n)
-    table: dict[Weight, int] = {(0,) * n: 1}
-    for _ in range(p):
-        new: dict[Weight, int] = {}
-        for w, c in table.items():
-            for m in monos:
-                key = _vec_add(w, m)
-                new[key] = new.get(key, 0) + c
-        config.check_table(len(new))
-        table = new
-    return _dominant_restrict(table, n, p * d)
-
-
 def _char_power(p: int, d: int, n: int, wedge: bool, config: RunConfig) -> WeightTable:
     monos = monomials(d, n)
     if wedge and p > len(monos):
@@ -183,45 +170,87 @@ def _pad(lam: Partition, n: int) -> Weight:
     return lam + (0,) * (n - len(lam))
 
 
-def schur_decompose(w: WeightTable, check_dimension: bool = True) -> SchurExpansion:
-    """Decompose a character into Schur functors by repeated subtraction.
+def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:
+    """(sigma(i) - i for each i, sgn sigma) for every permutation sigma of
+    range(len(bounds)) with sigma(i) >= i - bounds[i].
 
-    Takes the lexicographically greatest dominant weight with nonzero
-    remaining count, records it, and subtracts that multiple of the
-    corresponding Kostka column; the Kostka matrix is unitriangular with
-    respect to dominance, so this terminates with the unique expansion.
-    Raises NotACharacter if a remainder would go negative.
+    Positions are assigned from the last to the first; a value already
+    used below the one chosen sits at a later position, so it is an
+    inversion.
     """
-    remaining = dict(w.entries)
-    candidates = [_pad(mu, w.n) for mu in partitions_of(w.degree, max_parts=w.n)]
+    n = len(bounds)
+    partial: list[tuple[Weight, int, int]] = [((), 0, 1)]
+    for i in range(n - 1, -1, -1):
+        grown = []
+        for offsets, used, sign in partial:
+            for j in range(i - bounds[i], n):
+                bit = 1 << j
+                if used & bit:
+                    continue
+                flip = bin(used & (bit - 1)).count("1") % 2
+                grown.append(((j - i,) + offsets, used | bit,
+                              -sign if flip else sign))
+        partial = grown
+    return [(offsets, sign) for offsets, _, sign in partial]
+
+
+def schur_decompose(w: WeightTable,
+                    config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Decompose a character into Schur functors by the alternant formula.
+
+    Multiplying the character by the Vandermonde alternant a_delta gives
+    the sum of mult(lam) * a_{lam + delta}, so reading off the coefficient
+    of x^{lam + delta} yields
+
+        mult(lam) = sum over sigma of sgn(sigma) * m(lam + delta - sigma(delta)),
+
+    with delta = (n-1, ..., 0) and m the weight multiplicity, zero on
+    weights with a negative entry (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3).  Only weights of the table can be highest weights.
+    The number of signed terms, prod_i (1 + min(lam_i, i)) per weight, is
+    checked against max_enum_nodes before any is evaluated.  Raises
+    NotACharacter on a negative multiplicity or a dimension mismatch.
+    """
+    # row i of lam + delta - sigma(delta) stays nonnegative iff
+    # sigma(i) >= i - lam_i; rows past the length of lam are then fixed
+    bounds = {lam: tuple(min(v, i) for i, v in enumerate(lam) if v)
+              for lam in w.entries}
+    config.check_nodes(sum(prod(v + 1 for v in b) for b in bounds.values()))
+    shifts: dict[tuple[int, ...], list[tuple[Weight, int]]] = {}
     terms: dict[Partition, int] = {}
-    while remaining:
-        top = max(remaining)
-        mult = remaining[top]
+    for lam, b in bounds.items():
+        if b not in shifts:
+            shifts[b] = _signed_offsets(b)
+        head, tail = lam[:len(b)], lam[len(b):]
+        mult = 0
+        for offsets, sign in shifts[b]:
+            mu = tuple(sorted(map(add, head, offsets), reverse=True)) + tail
+            mult += sign * w.entries.get(mu, 0)
         if mult < 0:
-            raise NotACharacter(f"negative remainder {mult} at weight {top}")
-        lam = normalize(top)
-        terms[lam] = mult
-        for mu in candidates:
-            if mu > top:
-                continue
-            mu_part = normalize(mu)
-            if not dominates(lam, mu_part):
-                continue
-            k = kostka(lam, mu_part)
-            if k == 0:
-                continue
-            r = remaining.get(mu, 0) - mult * k
-            if r < 0:
-                raise NotACharacter(f"negative remainder {r} at weight {mu}")
-            if r == 0:
-                remaining.pop(mu, None)
-            else:
-                remaining[mu] = r
+            raise NotACharacter(f"negative multiplicity {mult} at {lam}")
+        if mult:
+            terms[head] = mult
     out = SchurExpansion(w.n, w.degree, terms)
-    if check_dimension and out.dimension() != w.dimension():
+    if out.dimension() != w.dimension():
         raise NotACharacter("dimension mismatch after decomposition")
     return out
+
+
+def tensor_power_sym(p: int, d: int, n: int,
+                     config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Schur decomposition of the p-th tensor power of Sym^d(C^n).
+
+    Starts from Sym^d and tensors with Sym^d p - 1 times by the
+    horizontal-strip rule, so terms longer than n are dropped as they
+    appear; no weight table is built.
+    """
+    if p < 1 or d < 1 or n < 1:
+        raise ValueError("p, d, n must be positive")
+    e = SchurExpansion(n, d, {(d,): 1})
+    for _ in range(p - 1):
+        e = tensor_with_sym(e, d)
+        config.check_table(len(e.terms))
+    return e
 
 
 def tensor_with_sym(e: SchurExpansion, b: int) -> SchurExpansion:

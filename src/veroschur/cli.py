@@ -7,7 +7,7 @@ configuration: JSON keys are sorted, counts are decimal strings, and no
 timestamps are emitted.
 
 Exit codes: 0 success, 1 check failure, 2 invalid arguments, 3 resource
-cap exceeded.
+cap exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import sys
 from dataclasses import replace
 from math import comb
 
-from veroschur.characters import (SchurExpansion, char_sym_sym, char_tensor_sym,
-                                  char_wedge_sym, complexity, schur_decompose,
+from veroschur.characters import (SchurExpansion, char_sym_sym, char_wedge_sym,
+                                  complexity, schur_decompose, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.cones import (content_cone_section, fit_leading_coefficient,
                              lattice_count, shape_cone_section)
@@ -30,7 +30,7 @@ from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import count_partitions
 from veroschur.verify import SUITES, run_suite
 
-EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -144,12 +144,35 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _variables(args: argparse.Namespace, default: int) -> int:
+    """The -n value if one was given, else the default."""
+    if args.n is None:
+        return default
+    if args.n < 1:
+        raise ValueError(f"-n must be at least 1, got {args.n}")
+    return args.n
+
+
+def _parse_partition(text: str) -> tuple[int, ...]:
+    """A partition written as comma-separated parts, e.g. '2,1'."""
+    try:
+        parts = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--mu must be comma-separated integers, "
+                         f"got {text!r}") from None
+    if any(v < 1 for v in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError(f"--mu must have positive, weakly decreasing parts, "
+                         f"got {text!r}")
+    return parts
+
+
 def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
-    n = args.n or (args.p + (1 if args.tensor_sym else 0))
-    chars = {"tensor": char_tensor_sym, "sym": char_sym_sym,
-             "wedge": char_wedge_sym}
-    table = chars[args.kind](args.p, args.d, n, cfg)
-    e = schur_decompose(table)
+    n = _variables(args, args.p + (1 if args.tensor_sym else 0))
+    if args.kind == "tensor":
+        e = tensor_power_sym(args.p, args.d, n, cfg)
+    else:
+        chars = {"sym": char_sym_sym, "wedge": char_wedge_sym}
+        e = schur_decompose(chars[args.kind](args.p, args.d, n, cfg), cfg)
     if args.tensor_sym:
         e = tensor_with_sym(e, args.tensor_sym)
     payload = {"command": "decompose", "kind": args.kind,
@@ -161,7 +184,8 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
-    spec = KoszulSpec(args.p, args.q, args.b, args.d, args.n or 0)
+    # n = 0 lets KoszulSpec pick its faithful default p + q + 1
+    spec = KoszulSpec(args.p, args.q, args.b, args.d, _variables(args, 0))
     e = syzygy_decompose(spec, cfg)
     payload = {"command": "syzygy",
                "parameters": {"p": spec.p, "q": spec.q, "b": spec.b,
@@ -174,6 +198,8 @@ def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
     p = args.p
+    if args.d_step < 1:
+        raise ValueError(f"--d-step must be at least 1, got {args.d_step}")
     ds = list(range(args.d_min, args.d_max + 1, args.d_step))
     if not ds:
         raise ValueError("empty d range")
@@ -182,7 +208,7 @@ def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = []
     mismatch = False
     for d in ds:
-        e = schur_decompose(char_tensor_sym(p, d, p, cfg))
+        e = tensor_power_sym(p, d, p, cfg)
         shape_count = lattice_count(shapes, d, cfg)
         content_count = lattice_count(contents, d, cfg)
         c_ok = shape_count == complexity(e) == count_partitions(p * d, p)
@@ -220,6 +246,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         params["p"] = args.p
     if args.b is not None:
         params["b"] = args.b
+    if args.mu is not None:
+        params["mu"] = _parse_partition(args.mu)
     payload = run_suite(args.suite, cfg, theorem=args.theorem,
                         parameters=params or None, d_max=args.d_max)
     _emit(payload, cfg.fmt, args.out)
@@ -270,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ratios suite: outer power for --theorem")
     p_ver.add_argument("-b", type=int, default=None,
                        help="ratios suite: twist degree for --theorem")
+    p_ver.add_argument("--mu", default=None, metavar="PARTS",
+                       help="ratios suite: partition for --theorem "
+                            "schur-share, comma-separated (e.g. 2,1)")
     p_ver.add_argument("--d-max", type=int, default=None,
                        help="ratios suite: largest level for --theorem")
     _add_common(p_ver)
@@ -289,6 +320,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # exit 1 is reserved for a failed check, so a crash gets its own
+        # code and a one-line message
+        first = str(exc).splitlines()[0] if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}: {first}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

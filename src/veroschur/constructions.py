@@ -17,8 +17,8 @@ from itertools import combinations
 from math import ceil, comb, factorial, floor
 from typing import Callable, Sequence
 
-from veroschur.characters import (SchurExpansion, char_sym_sym, char_tensor_sym,
-                                  char_wedge_sym, complexity, schur_decompose,
+from veroschur.characters import (SchurExpansion, char_sym_sym, char_wedge_sym,
+                                  complexity, schur_decompose, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
@@ -48,11 +48,11 @@ def newell_check(p: int, d: int, n: int,
     failures = []
     pairs = [
         ("wedge(d+1) vs sym(d)",
-         schur_decompose(char_wedge_sym(p, d + 1, n, config)),
-         schur_decompose(char_sym_sym(p, d, n, config))),
+         schur_decompose(char_wedge_sym(p, d + 1, n, config), config),
+         schur_decompose(char_sym_sym(p, d, n, config), config)),
         ("sym(d+1) vs wedge(d)",
-         schur_decompose(char_sym_sym(p, d + 1, n, config)),
-         schur_decompose(char_wedge_sym(p, d, n, config))),
+         schur_decompose(char_sym_sym(p, d + 1, n, config), config),
+         schur_decompose(char_wedge_sym(p, d, n, config), config)),
     ]
     for name, shifted_side, base_side in pairs:
         lams = set(base_side.terms)
@@ -75,10 +75,10 @@ def doubled_plethysm_check(p: int, d: int, n: int,
         raise ValueError("need n >= p")
     column = (1,) * p
     row = (p,)
-    sym_2d = schur_decompose(char_sym_sym(p, 2 * d, n, config))
-    sym_2d1 = schur_decompose(char_sym_sym(p, 2 * d + 1, n, config))
-    wedge_2d1 = schur_decompose(char_wedge_sym(p, 2 * d + 1, n, config))
-    wedge_2d2 = schur_decompose(char_wedge_sym(p, 2 * d + 2, n, config))
+    sym_2d = schur_decompose(char_sym_sym(p, 2 * d, n, config), config)
+    sym_2d1 = schur_decompose(char_sym_sym(p, 2 * d + 1, n, config), config)
+    wedge_2d1 = schur_decompose(char_wedge_sym(p, 2 * d + 1, n, config), config)
+    wedge_2d2 = schur_decompose(char_wedge_sym(p, 2 * d + 2, n, config), config)
     failures = []
     for lam in partitions_of(p * d, max_parts=p):
         dbl = tuple(2 * v for v in lam)
@@ -569,7 +569,7 @@ class RatioTable:
 
 
 def _n_tensor(p: int, d: int, config: RunConfig) -> SchurExpansion:
-    return schur_decompose(char_tensor_sym(p, d, p, config))
+    return tensor_power_sym(p, d, p, config)
 
 
 def _experiment_registry() -> dict[str, Callable]:
@@ -582,8 +582,10 @@ def _experiment_registry() -> dict[str, Callable]:
 
     def sym_vs_wedge(params, d, config):
         p = params["p"]
-        num = total_multiplicity(schur_decompose(char_sym_sym(p, d, p, config)))
-        den = total_multiplicity(schur_decompose(char_wedge_sym(p, d, p, config)))
+        num = total_multiplicity(
+            schur_decompose(char_sym_sym(p, d, p, config), config))
+        den = total_multiplicity(
+            schur_decompose(char_wedge_sym(p, d, p, config), config))
         return num, den
 
     def twist(params, d, config, stat):
@@ -594,7 +596,7 @@ def _experiment_registry() -> dict[str, Callable]:
 
     def wedge_tensor_share(params, d, config):
         p = params["p"]
-        w = schur_decompose(char_wedge_sym(p, d, p, config)).with_n(p + 1)
+        w = schur_decompose(char_wedge_sym(p, d, p, config), config).with_n(p + 1)
         num = total_multiplicity(tensor_with_sym(w, d))
         den = total_multiplicity(_n_tensor(p + 1, d, config))
         return num, den
@@ -605,12 +607,16 @@ def _experiment_registry() -> dict[str, Callable]:
             raise ValueError("mu must be a partition of p")
         nt = total_multiplicity(_n_tensor(p, d, config))
         if mu == (p,):
-            num = total_multiplicity(schur_decompose(char_sym_sym(p, d, p, config)))
+            num = total_multiplicity(
+                schur_decompose(char_sym_sym(p, d, p, config), config))
         elif mu == (1,) * p:
-            num = total_multiplicity(schur_decompose(char_wedge_sym(p, d, p, config)))
+            num = total_multiplicity(
+                schur_decompose(char_wedge_sym(p, d, p, config), config))
         elif mu == (2, 1):
-            ns = total_multiplicity(schur_decompose(char_sym_sym(3, d, 3, config)))
-            nw = total_multiplicity(schur_decompose(char_wedge_sym(3, d, 3, config)))
+            ns = total_multiplicity(
+                schur_decompose(char_sym_sym(3, d, 3, config), config))
+            nw = total_multiplicity(
+                schur_decompose(char_wedge_sym(3, d, 3, config), config))
             rem = nt - ns - nw
             if rem % 2:
                 raise AssertionError("mixed component multiplicity not even")

@@ -187,7 +187,7 @@ def cohomology_table(spec: KoszulSpec,
 def syzygy_decompose(spec: KoszulSpec,
                      config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
     """Schur decomposition of the middle Koszul cohomology for spec."""
-    return schur_decompose(cohomology_table(spec, config))
+    return schur_decompose(cohomology_table(spec, config), config)
 
 
 def green_vanishing_predicted(p: int, q: int, b: int, d: int) -> bool:
@@ -216,7 +216,7 @@ def raicu_predicted_kp0(p: int, d: int, n: int,
         raise ValueError(f"need n >= {p + 2} to hold the shifted terms")
     if d < 2:
         raise ValueError("need d >= 2")
-    base = schur_decompose(char_sym_sym(p + 1, d - 1, n, config))
+    base = schur_decompose(char_sym_sym(p + 1, d - 1, n, config), config)
     column = (1,) * (p + 2)
     shifted = {add(lam, column): c for lam, c in base.terms.items()}
     return SchurExpansion(n, (p + 1) * d + 1, shifted)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from veroschur.characters import (char_tensor_sym, char_wedge_sym, complexity,
-                                  schur_decompose, tensor_with_sym,
+from veroschur.characters import (char_wedge_sym, complexity, schur_decompose,
+                                  tensor_power_sym, tensor_with_sym,
                                   total_multiplicity)
 from veroschur.cones import (content_cone_section, content_points_as_matrices,
                              lattice_count, moment_map, shape_cone_section)
@@ -95,7 +95,8 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     # horizontal-strip prediction from the exterior square
     for d in (2, 3, 4, 5, 6):
         direct = syzygy_decompose(KoszulSpec(2, 0, 1, d, 3), config)
-        wedge = schur_decompose(char_wedge_sym(2, d, 2, config)).with_n(3)
+        wedge = schur_decompose(char_wedge_sym(2, d, 2, config),
+                                config).with_n(3)
         strip = tensor_with_sym(wedge, 1)
         want = {lam: c for lam, c in strip.terms.items() if len(lam) == 3}
         got = {lam: c for lam, c in direct.terms.items() if len(lam) == 3}
@@ -140,7 +141,7 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
         ok = True
         details = []
         for d in range(1, 7):
-            e = schur_decompose(char_tensor_sym(p, d, p, config))
+            e = tensor_power_sym(p, d, p, config)
             c_cone = lattice_count(shapes, d, config)
             n_cone = lattice_count(contents, d, config)
             if not (c_cone == complexity(e) == count_partitions(p * d, p)):

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from veroschur.characters import Weight, WeightTable, is_dominant, monomials
-from veroschur.config import DEFAULT_CONFIG
+from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
+                                  WeightTable, is_dominant, monomials)
+from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol
 from veroschur.koszul import (Element, KoszulBlock, KoszulSpec,
                               SparseIntMatrix, _differential)
+from veroschur.partitions import Partition, dominates, normalize, partitions_of
+from veroschur.tableaux import kostka
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,67 @@ def rank_dense(rows: list[list[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # characters
+
+def char_tensor_sym(p: int, d: int, n: int,
+                    config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
+    """Character of the p-th tensor power of Sym^d(C^n), by a monomial DP
+    over all weights restricted to the dominant ones at the end."""
+    if p < 1 or d < 1 or n < 1:
+        raise ValueError("p, d, n must be positive")
+    monos = monomials(d, n)
+    table: dict[Weight, int] = {(0,) * n: 1}
+    for _ in range(p):
+        new: dict[Weight, int] = {}
+        for w, c in table.items():
+            for m in monos:
+                key = tuple(x + y for x, y in zip(w, m))
+                new[key] = new.get(key, 0) + c
+        config.check_table(len(new))
+        table = new
+    return WeightTable(n, p * d,
+                       {w: c for w, c in table.items() if is_dominant(w)})
+
+
+def oracle_decompose(w: WeightTable) -> SchurExpansion:
+    """Decompose a character by repeated Kostka-column subtraction.
+
+    Takes the lexicographically greatest dominant weight with nonzero
+    remaining count, records it, and subtracts that multiple of the
+    corresponding Kostka column; the Kostka matrix is unitriangular with
+    respect to dominance, so this ends with the unique expansion.
+    """
+    remaining = dict(w.entries)
+    candidates = [mu + (0,) * (w.n - len(mu))
+                  for mu in partitions_of(w.degree, max_parts=w.n)]
+    terms: dict[Partition, int] = {}
+    while remaining:
+        top = max(remaining)
+        mult = remaining[top]
+        if mult < 0:
+            raise NotACharacter(f"negative remainder {mult} at weight {top}")
+        lam = normalize(top)
+        terms[lam] = mult
+        for mu in candidates:
+            if mu > top:
+                continue
+            mu_part = normalize(mu)
+            if not dominates(lam, mu_part):
+                continue
+            k = kostka(lam, mu_part)
+            if k == 0:
+                continue
+            r = remaining.get(mu, 0) - mult * k
+            if r < 0:
+                raise NotACharacter(f"negative remainder {r} at weight {mu}")
+            if r == 0:
+                remaining.pop(mu, None)
+            else:
+                remaining[mu] = r
+    out = SchurExpansion(w.n, w.degree, terms)
+    if out.dimension() != w.dimension():
+        raise NotACharacter("dimension mismatch after decomposition")
+    return out
+
 
 def sub(table: WeightTable, other: WeightTable) -> WeightTable:
     """table - other; every multiplicity must stay nonnegative."""

@@ -8,8 +8,8 @@ calibration.
 import json
 from fractions import Fraction
 
-from veroschur.characters import (char_tensor_sym, char_wedge_sym, complexity,
-                                  schur_decompose, tensor_with_sym,
+from veroschur.characters import (char_wedge_sym, complexity, schur_decompose,
+                                  tensor_power_sym, tensor_with_sym,
                                   total_multiplicity)
 from veroschur.cones import (content_cone_section, content_points_as_matrices,
                              enumerate_slice, lattice_count, moment_map,
@@ -38,7 +38,7 @@ def test_criterion_01_kostka_cone_duality():
         shapes = shape_cone_section(p)
         contents = content_cone_section(p)
         for d in range(1, 7):
-            e = schur_decompose(char_tensor_sym(p, d, p))
+            e = tensor_power_sym(p, d, p)
             assert lattice_count(shapes, d) == complexity(e) \
                 == count_partitions(p * d, p), (p, d)
             assert lattice_count(contents, d) == total_multiplicity(e), (p, d)
@@ -93,7 +93,7 @@ def test_criterion_05_raicu_shift():
 
 def _syzygy_share(p: int, n: int, d: int) -> Fraction:
     num = total_multiplicity(syzygy_decompose(KoszulSpec(p, 1, 0, d, n)))
-    den = total_multiplicity(schur_decompose(char_tensor_sym(p + 1, d, p + 1)))
+    den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1))
     return Fraction(num, den)
 
 

@@ -2,17 +2,20 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
-                                  char_sym_sym, char_tensor_sym, char_wedge_sym,
-                                  complexity, is_dominant, monomials, orbit_size,
+                                  char_sym_sym, char_wedge_sym, complexity,
+                                  is_dominant, monomials, orbit_size,
                                   schur_character, schur_decompose,
-                                  tensor_with_sym, total_multiplicity)
+                                  tensor_power_sym, tensor_with_sym,
+                                  total_multiplicity)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 from veroschur.tableaux import kostka
 
-from oracles import sub
+from oracles import char_tensor_sym, oracle_decompose, sub
 
 
 def brute_tensor_table(p, d, n):
@@ -140,6 +143,11 @@ def test_schur_decompose_rejects_non_characters():
     bad = WeightTable(2, 2, {(2, 0): 1})
     with pytest.raises(NotACharacter):
         schur_decompose(bad)
+    # two copies of S_(2) need weight (1,1) twice, the table has it once:
+    # the alternating sum at (1,1) is 1 - 2
+    bad = WeightTable(2, 2, {(2, 0): 2, (1, 1): 1})
+    with pytest.raises(NotACharacter, match="negative"):
+        schur_decompose(bad)
 
 
 def test_schur_character_matches_kostka():
@@ -180,7 +188,7 @@ def test_orbit_size():
 def test_caps_are_loud():
     tiny = RunConfig(max_table_entries=5)
     with pytest.raises(CapExceeded):
-        char_tensor_sym(3, 4, 3, tiny)
+        tensor_power_sym(3, 4, 3, tiny)
 
 
 def test_weight_table_validation():
@@ -197,3 +205,44 @@ def test_expansion_dimension():
     assert e.dimension() == comb(2 + 2, 2) ** 3
     assert e.dimension() == sum(c * gl_dimension(lam, 3)
                                 for lam, c in e.terms.items())
+
+
+def _table_size(kind, p, d, n):
+    """Monomial tuples the character DP for (kind, p, d, n) runs over."""
+    dim_s = comb(d + n - 1, n - 1)
+    if kind == "tensor":
+        return dim_s ** p
+    if kind == "sym":
+        return comb(dim_s + p - 1, p)
+    return comb(dim_s, p)
+
+
+CHARS = {"sym": char_sym_sym, "wedge": char_wedge_sym,
+         "tensor": char_tensor_sym}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(CHARS)), p=st.integers(1, 5),
+       d=st.integers(1, 4), n=st.integers(1, 8))
+def test_alternant_matches_kostka_subtraction(kind, p, d, n):
+    assume(_table_size(kind, p, d, n) <= 5_000)
+    table = CHARS[kind](p, d, n)
+    assert schur_decompose(table).terms == oracle_decompose(table).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 5), d=st.integers(1, 4), n=st.integers(1, 8))
+def test_pieri_tensor_power_matches_character(p, d, n):
+    # n < p truncates: terms longer than n are dropped on both routes
+    assume(_table_size("tensor", p, d, n) <= 5_000)
+    got = tensor_power_sym(p, d, n)
+    assert (got.n, got.degree) == (n, p * d)
+    assert got.terms == oracle_decompose(char_tensor_sym(p, d, n)).terms
+
+
+def test_alternant_search_cap():
+    table = char_sym_sym(2, 2, 2)  # weights (4,0), (3,1), (2,2): 1 + 2 + 2 terms
+    with pytest.raises(CapExceeded, match="enumeration nodes"):
+        schur_decompose(table, RunConfig(max_enum_nodes=4))
+    assert schur_decompose(table, RunConfig(max_enum_nodes=5)).terms == \
+        {(4,): 1, (2, 2): 1}

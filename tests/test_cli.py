@@ -107,6 +107,20 @@ def test_exit_codes(capsys):
                            "--max-entries", "50")
     assert code == 3
     assert "resource cap exceeded" in err
+    code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
+                           "--d-max", "3", "--d-step", "0")
+    assert code == 2
+    assert err == "error: --d-step must be at least 1, got 0\n"
+
+
+def test_zero_variables_rejected(capsys):
+    # -n 0 is an invalid count of variables, not a request for the default
+    for argv in (("decompose", "sym", "-p", "2", "-d", "2", "-n", "0"),
+                 ("decompose", "tensor", "-p", "2", "-d", "2", "-n", "-1"),
+                 ("syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: -n must be at least 1")
 
 
 def test_out_file(tmp_path, capsys):
@@ -167,6 +181,37 @@ def test_verify_targeted_ratio(capsys):
                            "twist-total", "-p", "2")
     assert code == 2
     assert "needs parameter(s) b" in err
+
+
+def test_verify_schur_share_mu(capsys):
+    code, out, _ = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "schur-share", "-p", "3", "--mu", "2,1",
+                           "--d-max", "12", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"]
+    assert "vs limit 1/3" in payload["checks"][0]["detail"]
+    for bad in ("2,x", "", "1,2", "2,0,1", "2,,1"):
+        code, out, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                                 "schur-share", "-p", "3", "--mu", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --mu must")
+    # a well-formed mu of the wrong size is the experiment's own usage error
+    code, _, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "schur-share", "-p", "4", "--mu", "2,1")
+    assert code == 2
+    assert "mu must be a partition of p" in err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args, cfg):
+        raise RuntimeError("lost state\nsecond line")
+
+    monkeypatch.setattr("veroschur.cli.cmd_decompose", broken)
+    code, out, err = run_cli(capsys, "decompose", "sym", "-p", "1", "-d", "1")
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: lost state\n"
+    assert "Traceback" not in err
 
 
 def test_threads_option_removed(monkeypatch, tmp_path, capsys):

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from veroschur.characters import (char_tensor_sym, complexity, schur_decompose,
-                                  total_multiplicity)
+from veroschur.characters import complexity, schur_decompose, total_multiplicity
 from veroschur.cones import (content_cone_section,
                              content_points_as_matrices, enumerate_slice,
                              fit_leading_coefficient, lattice_count,
@@ -12,6 +11,8 @@ from veroschur.cones import (content_cone_section,
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import count_partitions, normalize, partitions_of
 from veroschur.tableaux import kostka, matrix_to_tableau
+
+from oracles import char_tensor_sym
 
 
 def test_shape_cone_small():

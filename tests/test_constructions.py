@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from veroschur.characters import schur_decompose, char_tensor_sym, total_multiplicity
+from veroschur.characters import schur_decompose, total_multiplicity
 from veroschur.constructions import (_integer_root, almost_triplet_census,
                                      doubled_plethysm_check, h0_projective,
                                      has_twin_pattern, max_n_green, mold,
@@ -17,6 +17,8 @@ from veroschur.constructions import (_integer_root, almost_triplet_census,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
 from veroschur.tableaux import kostka
+
+from oracles import char_tensor_sym
 
 
 def test_newell_small():
