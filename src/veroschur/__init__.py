@@ -7,7 +7,8 @@ entry points are:
   powers of symmetric powers and their Schur decompositions,
 * :mod:`veroschur.koszul` -- syzygy functors via per-weight Koszul ranks,
 * :mod:`veroschur.cones` -- lattice-point counts on the two cone sections
-  that govern complexity and total multiplicity,
+  that govern complexity and total multiplicity (integer inequalities with
+  closed-form slice bounds, no linear programming),
 * :mod:`veroschur.constructions` -- explicit subfunctor constructions and
   the ratio experiment harness,
 * :mod:`veroschur.cli` -- the command line interface.

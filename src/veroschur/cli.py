@@ -23,11 +23,9 @@ from math import comb
 from veroschur.characters import (SchurExpansion, char_sym_sym, char_wedge_sym,
                                   complexity, schur_decompose, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity)
-from veroschur.cones import (content_cone_section, fit_leading_coefficient,
-                             lattice_count, shape_cone_section)
+from veroschur.cones import duality_rows, fit_leading_coefficient
 from veroschur.config import DEFAULT_CONFIG, FORMATS, CapExceeded, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
-from veroschur.partitions import count_partitions
 from veroschur.verify import SUITES, run_suite
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -203,20 +201,12 @@ def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds = list(range(args.d_min, args.d_max + 1, args.d_step))
     if not ds:
         raise ValueError("empty d range")
-    shapes = shape_cone_section(p)
-    contents = content_cone_section(p)
-    rows = []
-    mismatch = False
-    for d in ds:
-        e = tensor_power_sym(p, d, p, cfg)
-        shape_count = lattice_count(shapes, d, cfg)
-        content_count = lattice_count(contents, d, cfg)
-        c_ok = shape_count == complexity(e) == count_partitions(p * d, p)
-        n_ok = content_count == total_multiplicity(e)
-        mismatch = mismatch or not (c_ok and n_ok)
-        rows.append({"d": d, "shape_count": str(shape_count),
-                     "content_count": str(content_count),
-                     "types_check": c_ok, "multiplicity_check": n_ok})
+    rows = [{"d": r.d, "shape_count": str(r.shape_count),
+             "content_count": str(r.content_count),
+             "types_check": r.types_ok, "multiplicity_check": r.multiplicity_ok}
+            for r in duality_rows(p, ds, cfg)]
+    mismatch = not all(r["types_check"] and r["multiplicity_check"]
+                       for r in rows)
     fits = {}
     if len(ds) >= 2:
         for label, deg, key in (("types", p - 1, "shape_count"),
@@ -241,6 +231,13 @@ def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.theorem is None:
+        given = [flag for flag, value in (("-p", args.p), ("-b", args.b),
+                                          ("--mu", args.mu),
+                                          ("--d-max", args.d_max))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: requires --theorem")
     params = {}
     if args.p is not None:
         params["p"] = args.p

@@ -7,30 +7,38 @@ section lives on the strictly-upper entries of a row-content matrix and
 its level-d lattice points are in bijection with weight-(d^p) tableaux,
 i.e. they count total multiplicity.  The moment map projects the second
 cone onto the first.
+
+Both sections are written as integer inequalities, and their
+per-coordinate maxima have closed forms (p/k for lam_k, 1 for every
+content entry), so building a section solves no linear program.
+`duality_rows` compares both lattice counts with the Pieri decomposition
+of the tensor power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, gcd
-from typing import Iterator, Sequence
+from math import ceil, comb, floor
+from typing import Iterable, Iterator, Sequence
 
-from veroschur import ratlp
+from veroschur.characters import complexity, tensor_power_sym, total_multiplicity
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import Partition, normalize, partitions_of
+from veroschur.partitions import (Partition, count_partitions, normalize,
+                                  partitions_of)
 from veroschur.tableaux import RowContentMatrix, kostka, offdiag_pairs
 
-Functional = tuple[tuple[Fraction, ...], Fraction]  # coeffs . x + const >= 0
+Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
 
 @dataclass(frozen=True)
 class ConeCrossSection:
-    """Level-1 slice of a rational cone, with boundedness certificates.
+    """Level-1 slice of a rational cone as integer inequalities.
 
-    upper_bounds are exact per-coordinate maxima over the slice (so the
-    slice is bounded); interior_point satisfies every inequality strictly,
-    certifying that the slice has full ambient dimension.
+    upper_bounds are the exact per-coordinate maxima over the slice, in
+    closed form (so the slice is bounded); interior_point satisfies every
+    inequality strictly, certifying that the slice has full ambient
+    dimension.
     """
 
     label: str
@@ -44,28 +52,13 @@ class ConeCrossSection:
                 for coeffs, const in self.inequalities]
 
 
-def _certify(label: str, dim: int, ineqs: list[Functional],
-             interior: tuple[Fraction, ...]) -> ConeCrossSection:
-    strict = [sum(c * v for c, v in zip(coeffs, interior)) + const
-              for coeffs, const in ineqs]
-    if any(s <= 0 for s in strict):
+def _section(label: str, dim: int, ineqs: list[Functional],
+             interior: tuple[Fraction, ...],
+             bounds: tuple[Fraction, ...]) -> ConeCrossSection:
+    cone = ConeCrossSection(label, dim, tuple(ineqs), interior, bounds)
+    if any(s <= 0 for s in cone.evaluate(interior)):
         raise ValueError(f"interior point fails strictly for {label}")
-    # boundedness: maximize each coordinate over the slice by exact LP
-    lhs, rhs = [], []
-    for coeffs, const in ineqs:
-        if const < 0:
-            raise ValueError(f"{label}: slice constants must be nonnegative")
-        lhs.append([-c for c in coeffs])
-        rhs.append(const)
-    bounds = []
-    for j in range(dim):
-        obj = [Fraction(int(i == j)) for i in range(dim)]
-        try:
-            val, _ = ratlp.simplex_max(obj, lhs, rhs)
-        except ratlp.Unbounded as exc:
-            raise ValueError(f"{label}: coordinate {j} unbounded on slice") from exc
-        bounds.append(val)
-    return ConeCrossSection(label, dim, tuple(ineqs), interior, tuple(bounds))
+    return cone
 
 
 def shape_cone_section(p: int) -> ConeCrossSection:
@@ -75,23 +68,19 @@ def shape_cone_section(p: int) -> ConeCrossSection:
         raise ValueError("p must be positive")
     dim = p - 1
     ineqs: list[Functional] = []
-    zero = [Fraction(0)] * dim
-    # lam_1 - lam_2 >= 0 with lam_1 substituted
     if dim:
-        coeffs = zero[:]
-        for k in range(dim):
-            coeffs[k] = Fraction(-1)
-        coeffs[0] -= 1
-        ineqs.append((tuple(coeffs), Fraction(p)))
+        # lam_1 - lam_2 >= 0 with lam_1 substituted
+        ineqs.append((tuple([-2] + [-1] * (dim - 1)), p))
         for i in range(dim - 1):
-            coeffs = zero[:]
-            coeffs[i], coeffs[i + 1] = Fraction(1), Fraction(-1)
-            ineqs.append((tuple(coeffs), Fraction(0)))
-        coeffs = zero[:]
-        coeffs[dim - 1] = Fraction(1)
-        ineqs.append((tuple(coeffs), Fraction(0)))
+            coeffs = [0] * dim
+            coeffs[i], coeffs[i + 1] = 1, -1
+            ineqs.append((tuple(coeffs), 0))
+        ineqs.append((tuple([0] * (dim - 1) + [1]), 0))
     interior = tuple(Fraction(p + 1 - i, p + 2) for i in range(2, p + 1))
-    return _certify(f"shapes(p={p})", dim, ineqs, interior)
+    # lam_k <= (lam_1 + ... + lam_k)/k <= p/k, attained at
+    # lam_1 = ... = lam_k = p/k
+    bounds = tuple(Fraction(p, k) for k in range(2, p + 1))
+    return _section(f"shapes(p={p})", dim, ineqs, interior, bounds)
 
 
 def content_cone_section(p: int) -> ConeCrossSection:
@@ -102,27 +91,26 @@ def content_cone_section(p: int) -> ConeCrossSection:
     pairs = offdiag_pairs(p)
     dim = len(pairs)
     col = {pair: idx for idx, pair in enumerate(pairs)}
-    zero = [Fraction(0)] * dim
 
-    def diagonal(i: int) -> tuple[list[Fraction], Fraction]:
+    def diagonal(i: int) -> tuple[list[int], int]:
         """t_ii = 1 - sum_{k<i} t_ki as (coeffs, const) at level 1."""
-        coeffs = zero[:]
+        coeffs = [0] * dim
         for k in range(i):
             coeffs[col[(k, i)]] -= 1
-        return coeffs, Fraction(1)
+        return coeffs, 1
 
     ineqs: list[Functional] = []
     for i, j in pairs:
-        coeffs = zero[:]
-        coeffs[col[(i, j)]] = Fraction(1)
-        ineqs.append((tuple(coeffs), Fraction(0)))
+        coeffs = [0] * dim
+        coeffs[col[(i, j)]] = 1
+        ineqs.append((tuple(coeffs), 0))
     for i in range(p):
         coeffs, const = diagonal(i)
         ineqs.append((tuple(coeffs), const))
     # tableau condition; rows with j <= i are vacuous (empty sums)
     for i in range(p - 1):
         for j in range(i + 1, p):
-            coeffs, const = zero[:], Fraction(0)
+            coeffs, const = [0] * dim, 0
             for k in range(i, j):
                 if k == i:
                     dc, dconst = diagonal(i)
@@ -143,17 +131,10 @@ def content_cone_section(p: int) -> ConeCrossSection:
     # for row values a_i decreasing in i
     eps = Fraction(1, p ** (p + 2)) if p > 1 else Fraction(1)
     interior = tuple(Fraction(1, p ** (i + 1)) * eps for i, j in pairs)
-    return _certify(f"contents(p={p})", dim, ineqs, interior)
-
-
-def _integerized(cone: ConeCrossSection) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for coeffs, const in cone.inequalities:
-        denom = const.denominator
-        for c in coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        out.append((tuple(int(c * denom) for c in coeffs), int(const * denom)))
-    return out
+    # t_kj >= 0 and t_jj = 1 - sum_{k<j} t_kj >= 0 give t_kj <= 1,
+    # attained by the standard tableau whose first column is 0, ..., k-1, j
+    bounds = (Fraction(1),) * dim
+    return _section(f"contents(p={p})", dim, ineqs, interior, bounds)
 
 
 def enumerate_slice(cone: ConeCrossSection, level: int,
@@ -165,7 +146,7 @@ def enumerate_slice(cone: ConeCrossSection, level: int,
     if dim == 0:
         yield ()
         return
-    ineqs = _integerized(cone)
+    ineqs = cone.inequalities
     caps = [int(floor(u * level)) for u in cone.upper_bounds]
     # suffix[f][k]: max possible contribution of coordinates >= k to f
     suffix = []
@@ -210,6 +191,37 @@ def lattice_count(cone: ConeCrossSection, level: int,
                   config: RunConfig = DEFAULT_CONFIG) -> int:
     """Exact number of integer points on the level-d slice."""
     return sum(1 for _ in enumerate_slice(cone, level, config))
+
+
+@dataclass(frozen=True)
+class DualityRow:
+    """Both lattice counts at one level and whether each matches the Pieri
+    decomposition of the p-th tensor power of Sym^d."""
+
+    d: int
+    shape_count: int
+    content_count: int
+    types_ok: bool
+    multiplicity_ok: bool
+
+
+def duality_rows(p: int, levels: Iterable[int],
+                 config: RunConfig = DEFAULT_CONFIG) -> list[DualityRow]:
+    """Count both slices at each level and compare them with the type count
+    and total multiplicity of (Sym^d)^{(x)p}; the two routes are independent,
+    so a wrong slice bound or inequality shows as a mismatch."""
+    shapes = shape_cone_section(p)
+    contents = content_cone_section(p)
+    rows = []
+    for d in levels:
+        e = tensor_power_sym(p, d, p, config)
+        shape_count = lattice_count(shapes, d, config)
+        content_count = lattice_count(contents, d, config)
+        rows.append(DualityRow(
+            d, shape_count, content_count,
+            shape_count == complexity(e) == count_partitions(p * d, p),
+            content_count == total_multiplicity(e)))
+    return rows
 
 
 def moment_map(m: RowContentMatrix) -> tuple[int, ...]:
@@ -259,12 +271,11 @@ def max_multiplicity_report(p: int, d: int) -> MaxMultiplicityReport:
     if exponent == 0:
         bound = 1
         return MaxMultiplicityReport(best, arg, 1, bound, best <= bound, None)
+    # box constant: the largest |t_kj|, k >= 1, over the slice; the
+    # coordinates are nonnegative, so that is the largest upper bound
     cone = content_cone_section(p)
-    verts = ratlp.polytope_vertices(cone.inequalities, cone.ambient_dim)
-    pairs = offdiag_pairs(p)
-    box_cols = [idx for idx, (i, j) in enumerate(pairs) if i >= 1]
-    box = max(abs(v[idx]) for v in verts for idx in box_cols)
-    l = int(ceil(box))
+    l = int(ceil(max(cone.upper_bounds[idx]
+                     for idx, (i, _) in enumerate(offdiag_pairs(p)) if i >= 1)))
     bound = (3 * l) ** exponent * max(1, d ** exponent)
     return MaxMultiplicityReport(best, arg, l, bound, best <= bound, None)
 

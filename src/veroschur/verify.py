@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from veroschur.characters import (char_wedge_sym, complexity, schur_decompose,
-                                  tensor_power_sym, tensor_with_sym,
-                                  total_multiplicity)
-from veroschur.cones import (content_cone_section, content_points_as_matrices,
-                             lattice_count, moment_map, shape_cone_section)
+from veroschur.characters import char_wedge_sym, schur_decompose, tensor_with_sym
+from veroschur.cones import (content_points_as_matrices, duality_rows,
+                             enumerate_slice, moment_map, shape_cone_section)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.constructions import (almost_triplet_census, doubled_plethysm_check,
                                      newell_check, ratio_experiment,
@@ -23,7 +21,7 @@ from veroschur.constructions import (almost_triplet_census, doubled_plethysm_che
                                      twin_pattern_enumerate)
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
-from veroschur.partitions import count_partitions, normalize
+from veroschur.partitions import normalize
 from veroschur.tableaux import kostka
 
 
@@ -136,23 +134,16 @@ def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
 def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
     for p in (1, 2, 3, 4):
-        shapes = shape_cone_section(p)
-        contents = content_cone_section(p)
-        ok = True
         details = []
-        for d in range(1, 7):
-            e = tensor_power_sym(p, d, p, config)
-            c_cone = lattice_count(shapes, d, config)
-            n_cone = lattice_count(contents, d, config)
-            if not (c_cone == complexity(e) == count_partitions(p * d, p)):
-                ok = False
-                details.append(f"d={d} type count {c_cone}")
-            if n_cone != total_multiplicity(e):
-                ok = False
-                details.append(f"d={d} multiplicity {n_cone}")
-        out.append(Check(f"cone duality p={p} d<=6", ok,
+        for r in duality_rows(p, range(1, 7), config):
+            if not r.types_ok:
+                details.append(f"d={r.d} type count {r.shape_count}")
+            if not r.multiplicity_ok:
+                details.append(f"d={r.d} multiplicity {r.content_count}")
+        out.append(Check(f"cone duality p={p} d<=6", not details,
                          "; ".join(details) or "lattice counts match characters"))
     for p in (1, 2, 3):
+        shapes = shape_cone_section(p)
         ok = True
         details = []
         for d in range(1, 6):
@@ -160,9 +151,8 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
             for m in content_points_as_matrices(p, d, config):
                 key = moment_map(m)
                 fibers[key] = fibers.get(key, 0) + 1
-            shape_points = set()
-            for pt in _shape_points(p, d, config):
-                shape_points.add(pt)
+            shape_points = {pt + (d,)
+                            for pt in enumerate_slice(shapes, d, config)}
             if set(fibers) != shape_points:
                 ok = False
                 details.append(f"d={d} image mismatch")
@@ -174,13 +164,6 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
         out.append(Check(f"moment fibers p={p} d<=5", ok,
                          "; ".join(details) or "fibers are Kostka numbers"))
     return out
-
-
-def _shape_points(p: int, d: int, config: RunConfig):
-    from veroschur.cones import enumerate_slice
-    cone = shape_cone_section(p)
-    for pt in enumerate_slice(cone, d, config):
-        yield pt + (d,)
 
 
 def suite_ratios(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:

@@ -7,10 +7,13 @@ helpers that the program itself never needs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant, monomials)
+from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol
 from veroschur.koszul import (Element, KoszulBlock, KoszulSpec,
@@ -209,3 +212,67 @@ def sub(table: WeightTable, other: WeightTable) -> WeightTable:
         else:
             out[w] = r
     return WeightTable(table.n, table.degree, out)
+
+
+# ---------------------------------------------------------------------------
+# cone slices by exact linear programming
+
+class Unbounded(Exception):
+    """The linear program has unbounded objective."""
+
+
+def simplex_max(objective: Sequence[Fraction],
+                lhs: Sequence[Sequence[Fraction]],
+                rhs: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Maximize objective . x subject to lhs x <= rhs, x >= 0, rhs >= 0,
+    by Fraction simplex with Bland's rule (so it terminates).
+
+    The slack basis is feasible because rhs >= 0.  Returns (optimum,
+    maximizer); raises Unbounded.
+    """
+    m, n = len(lhs), len(objective)
+    if any(r < 0 for r in rhs):
+        raise ValueError("needs rhs >= 0")
+    # tableau rows: constraints with slack identity, last row = -objective
+    tab = [[Fraction(v) for v in row] +
+           [Fraction(int(i == j)) for j in range(m)] +
+           [Fraction(rhs[i])] for i, row in enumerate(lhs)]
+    tab.append([-Fraction(v) for v in objective] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    total = n + m
+    while True:
+        enter = next((j for j in range(total) if tab[m][j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise Unbounded()
+        _, leave = best
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m + 1):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][total]
+    return tab[m][total], tuple(x)
+
+
+def slice_maxima(cone: ConeCrossSection) -> tuple[Fraction, ...]:
+    """Per-coordinate maxima of a level-1 cone slice, one LP each; every
+    slice coordinate is nonnegative, so the LP's x >= 0 adds nothing."""
+    lhs = [[-c for c in coeffs] for coeffs, _ in cone.inequalities]
+    rhs = [const for _, const in cone.inequalities]
+    dim = cone.ambient_dim
+    return tuple(simplex_max([int(i == j) for i in range(dim)], lhs, rhs)[0]
+                 for j in range(dim))

@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from veroschur.cli import main
+from veroschur.cli import build_parser, main
+from veroschur.constructions import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +118,14 @@ def test_exit_codes(capsys):
                            "--d-max", "3", "--d-step", "0")
     assert code == 2
     assert err == "error: --d-step must be at least 1, got 0\n"
+    # experiment parameters without --theorem are an error, not ignored
+    code, out, err = run_cli(capsys, "verify", "newell", "-p", "7", "-b", "3",
+                             "--mu", "5")
+    assert code == 2 and out == ""
+    assert err == "error: -p, -b, --mu: requires --theorem\n"
+    code, _, err = run_cli(capsys, "verify", "ratios", "--d-max", "5")
+    assert code == 2
+    assert err == "error: --d-max: requires --theorem\n"
 
 
 def test_zero_variables_rejected(capsys):
@@ -231,3 +246,69 @@ def test_threads_option_removed(monkeypatch, tmp_path, capsys):
                            "-n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["terms"] == [{"lambda": [2, 2], "mult": "1"}]
+
+
+def _argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:
+    """Random argv built from the real parser: a subcommand, values for its
+    positionals, its required options and up to four more, in random order,
+    with integers in -2..4.  One run in ten loses a token, which argparse
+    must reject."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    special = {
+        "theorem": st.sampled_from(EXPERIMENTS + ("bogus",)),
+        "mu": st.sampled_from(["2,1", "1", "3", "1,1,1", "1,2", "x", ""]),
+        "config": st.sampled_from([str(tmp / name) for name in
+                                   ("good.cfg", "bad.cfg", "missing.cfg")]),
+        "out": st.just(str(tmp / "out.txt")),
+    }
+
+    def value(action: argparse.Action) -> st.SearchStrategy[str]:
+        if action.dest in special:
+            return special[action.dest]
+        if action.choices:
+            return st.sampled_from(sorted(action.choices))
+        return st.integers(-2, 4).map(str)
+
+    @st.composite
+    def argv(draw) -> list[str]:
+        name = draw(st.sampled_from(sorted(commands)))
+        actions = [a for a in commands[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        out = [name] + [draw(value(a)) for a in actions
+                        if not a.option_strings]
+        options = [a for a in actions if a.option_strings]
+        chosen = [a for a in options if a.required]
+        chosen += draw(st.lists(st.sampled_from(
+            [a for a in options if not a.required]), unique=True, max_size=4))
+        for a in draw(st.permutations(chosen)):
+            out += [a.option_strings[0], draw(value(a))]
+        if draw(st.integers(0, 9)) == 0:
+            del out[draw(st.integers(0, len(out) - 1))]
+        return out
+
+    return argv()
+
+
+def test_argv_fuzz(tmp_path):
+    (tmp_path / "good.cfg").write_text("max_enum_nodes=5000\nseed=3\n")
+    (tmp_path / "bad.cfg").write_text("threads=2\n")
+    # small caps keep every run cheap; drawn caps (at most 4) override them
+    caps = ["--max-entries", "2000", "--max-dim", "200", "--max-nodes", "20000"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_argv_strategy(tmp_path))
+    def run(argv):
+        argv = argv[:1] + caps + argv[1:]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = 2
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+
+    run()

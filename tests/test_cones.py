@@ -1,18 +1,21 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from veroschur import cones
 from veroschur.characters import complexity, schur_decompose, total_multiplicity
-from veroschur.cones import (content_cone_section,
-                             content_points_as_matrices, enumerate_slice,
-                             fit_leading_coefficient, lattice_count,
-                             max_multiplicity, max_multiplicity_report,
-                             moment_map, shape_cone_section)
+from veroschur.cones import (_section, content_cone_section,
+                             content_points_as_matrices, duality_rows,
+                             enumerate_slice, fit_leading_coefficient,
+                             lattice_count, max_multiplicity,
+                             max_multiplicity_report, moment_map,
+                             shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import count_partitions, normalize, partitions_of
 from veroschur.tableaux import kostka, matrix_to_tableau
 
-from oracles import char_tensor_sym
+from oracles import Unbounded, char_tensor_sym, simplex_max, slice_maxima
 
 
 def test_shape_cone_small():
@@ -39,12 +42,33 @@ def test_interior_points_are_strict():
         for cone in (shape_cone_section(p), content_cone_section(p)):
             slacks = cone.evaluate(cone.interior_point)
             assert all(s > 0 for s in slacks), cone.label
+    # a point on the boundary certifies nothing
+    with pytest.raises(ValueError, match="interior point fails"):
+        _section("ray", 1, [((1,), 0)], (Fraction(0),), (Fraction(1),))
+
+
+def test_inequalities_are_integers():
+    for p in (1, 2, 3, 4):
+        for cone in (shape_cone_section(p), content_cone_section(p)):
+            for coeffs, const in cone.inequalities:
+                assert all(type(c) is int for c in coeffs + (const,))
+
+
+def test_closed_form_bounds_match_lp():
+    for p in range(1, 7):
+        shapes = shape_cone_section(p)
+        assert shapes.upper_bounds == slice_maxima(shapes)
+        assert shapes.upper_bounds == tuple(Fraction(p, k)
+                                            for k in range(2, p + 1))
+        contents = content_cone_section(p)
+        assert contents.upper_bounds == slice_maxima(contents)
+        assert set(contents.upper_bounds) <= {1}
 
 
 def test_unbounded_system_rejected():
-    from veroschur.cones import _certify
-    with pytest.raises(ValueError, match="unbounded"):
-        _certify("open ray", 1, [((Fraction(1),), Fraction(0))], (Fraction(1),))
+    # maximize x over the open ray x >= 0
+    with pytest.raises(Unbounded):
+        simplex_max([1], [[-1]], [0])
 
 
 def test_duality_with_characters():
@@ -56,6 +80,24 @@ def test_duality_with_characters():
             assert lattice_count(shapes, d) == complexity(e) \
                 == count_partitions(p * d, p)
             assert lattice_count(contents, d) == total_multiplicity(e)
+
+
+def test_duality_rows_catch_a_wrong_cap(monkeypatch):
+    rows = duality_rows(3, range(1, 5))
+    assert [r.d for r in rows] == [1, 2, 3, 4]
+    assert all(r.types_ok and r.multiplicity_ok for r in rows)
+    assert [r.shape_count for r in rows] == \
+        [count_partitions(3 * d, 3) for d in range(1, 5)]
+    right = cones.content_cone_section
+
+    def halved(p):
+        cone = right(p)
+        return replace(cone, upper_bounds=tuple(u / 2 for u in cone.upper_bounds))
+
+    monkeypatch.setattr(cones, "content_cone_section", halved)
+    rows = duality_rows(3, range(1, 5))
+    assert all(r.types_ok for r in rows)
+    assert not any(r.multiplicity_ok for r in rows)
 
 
 def test_moment_map_examples():
