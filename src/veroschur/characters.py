@@ -244,9 +244,9 @@ def tensor_power_sym(p: int, d: int, n: int,
     horizontal-strip rule, so terms longer than n are dropped as they
     appear; no weight table is built.
     """
-    if p < 1 or d < 1 or n < 1:
-        raise ValueError("p, d, n must be positive")
-    e = SchurExpansion(n, d, {(d,): 1})
+    if p < 1 or d < 0 or n < 1:
+        raise ValueError("need p, n >= 1 and d >= 0")
+    e = SchurExpansion(n, d, {normalize((d,)): 1})
     for _ in range(p - 1):
         e = tensor_with_sym(e, d)
         config.check_table(len(e.terms))

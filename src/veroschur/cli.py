@@ -196,6 +196,8 @@ def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
     p = args.p
+    if args.d_min < 0:
+        raise ValueError(f"--d-min must be at least 0, got {args.d_min}")
     if args.d_step < 1:
         raise ValueError(f"--d-step must be at least 1, got {args.d_step}")
     ds = list(range(args.d_min, args.d_max + 1, args.d_step))

@@ -2,9 +2,11 @@
 
 Covers the duality between symmetric and exterior plethysms, positivity of
 doubled partitions in even plethysms, the staircase-exponent membership
-construction behind the twisted linear strand, the twin and almost-triplet
-pattern censuses used for counting distinct Schur types, and exact ratio
-tables with their theoretical limits.
+construction behind the twisted linear strand (its witness is the first
+tableaux.strip_chains chain), the twin and almost-triplet pattern censuses
+used for counting distinct Schur types, and exact ratio tables with their
+theoretical limits.  The almost-triplet census picks its construction from
+its inputs: single-wedge where that applies, blocked otherwise.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from itertools import combinations
 from math import ceil, comb, factorial, floor
 from typing import Callable, Sequence
 
-from veroschur.characters import (SchurExpansion, char_sym_sym, char_wedge_sym,
-                                  complexity, schur_decompose, tensor_power_sym,
+from veroschur.characters import (char_sym_sym, char_wedge_sym, complexity,
+                                  schur_decompose, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import (Partition, add, conjugate, dominates, length,
                                   normalize, part, partitions_of,
                                   sym_group_irrep_dim)
-from veroschur.tableaux import horizontal_strips_down
+from veroschur.tableaux import strip_chains
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +160,6 @@ class MembershipResult:
     chain: tuple[Partition, ...]
 
 
-def _strip_chain(lam: Partition, sizes: Sequence[int]) -> tuple[Partition, ...] | None:
-    """A chain () -> lam adding horizontal strips of the given sizes, or
-    None; prunes with the dominance criterion so the search is guided."""
-    if sum(sizes) != sum(lam):
-        return None
-
-    def feasible(shape: Partition, k: int) -> bool:
-        rest = sorted(sizes[:k], reverse=True)
-        if sum(rest) != sum(shape):
-            return False
-        return dominates(shape, tuple(rest))
-
-    def descend(shape: Partition, k: int) -> list[Partition] | None:
-        if k == 0:
-            return [] if not shape else None
-        for nu in horizontal_strips_down(shape, sizes[k - 1]):
-            if feasible(nu, k - 1):
-                tail = descend(nu, k - 1)
-                if tail is not None:
-                    return tail + [shape]
-        return None
-
-    chain = descend(lam, len(sizes))
-    return None if chain is None else tuple(chain)
-
-
 def staircase_membership(lam: Sequence[int], b: int, p: int, d: int,
                          n: int) -> MembershipResult:
     """Decide whether lam is reachable as a Schur type of the product of
@@ -211,7 +187,7 @@ def staircase_membership(lam: Sequence[int], b: int, p: int, d: int,
         return MembershipResult(
             "conditions-fail", witness, f"e_0 = {es[0]} exceeds d-1 = {d-1}", ())
     sizes = [e for e in (b + 1,) + es if e > 0]
-    chain = _strip_chain(lam, sizes)
+    chain = next(strip_chains(lam, sizes), None)
     if chain is None:
         return MembershipResult("pieri-fail", witness,
                                 "no horizontal-strip chain found", ())
@@ -302,30 +278,6 @@ class PatternReport:
     molds: int | None = None
 
 
-def has_twin_pattern(lam: Sequence[int], n: int) -> bool:
-    """Pairs of equal parts, with a final triple when n - 1 is odd."""
-    lam = normalize(lam)
-    if len(lam) != n - 1:
-        return False
-    for i in range(0, (n - 1) // 2):
-        if lam[2 * i] != lam[2 * i + 1]:
-            return False
-    if (n - 1) % 2 == 1 and lam[n - 2] != lam[n - 3]:
-        return False
-    return True
-
-
-def twin_expand(lam1: int, frees: Sequence[int], n: int) -> Partition:
-    """Twin-pattern partition of length n-1 from its free values."""
-    vals = [lam1] + list(frees)
-    out = []
-    for v in vals:
-        out.extend([v, v])
-    if (n - 1) % 2 == 1:
-        out.append(vals[-1])
-    return normalize(tuple(out[:n - 1]))
-
-
 def _twin_bounds(p: int, b: int, d: int, n: int):
     B = max(Fraction(b + 2), Fraction(p * (p + 1) // 2 + b + 1, n - 1))
     lam1_lo = int(ceil(B))
@@ -397,14 +349,13 @@ def _restriction_types(p: int, b: int, d: int, n: int) -> set[Partition]:
     return types
 
 
-def twin_pattern_census(p: int, b: int, d: int,
-                        sample_checks: int = 25) -> PatternReport:
+def twin_pattern_census(p: int, b: int, d: int) -> PatternReport:
     """Count the twin-pattern partitions used to certify many distinct
     Schur types in the twisted linear strand.
 
-    For n >= 5 this is the closed-form count over the free values with a
-    sampled pattern-predicate verification; for n in {2, 3, 4} it reduces
-    to direct enumeration of the restriction types.
+    For n >= 5 this is the closed-form count over the free values; for
+    n in {2, 3, 4} it reduces to direct enumeration of the restriction
+    types.
     """
     if not (p >= b + 1 >= 2):
         raise ValueError("census requires p >= b+1 >= 2")
@@ -415,28 +366,10 @@ def twin_pattern_census(p: int, b: int, d: int,
                              {"p": p, "b": b, "d": d, "B": None,
                               "lam1_range": None, "path": "direct"})
     count, meta = twin_pattern_count_closed(p, b, d)
-    B, lo, hi, upper = _twin_bounds(p, b, d, n)
-    rng = random.Random(0)
-    checked = 0
-    for _ in range(sample_checks):
-        if hi < lo:
-            break
-        lam1 = rng.randint(lo, hi)
-        top = min(upper(lam1), lam1)
-        if top < lo:
-            continue
-        frees = sorted((rng.randint(lo, top) for _ in range((n - 3) // 2)),
-                       reverse=True)
-        lam = twin_expand(lam1, frees, n)
-        if not has_twin_pattern(lam, n):
-            raise AssertionError(f"sampled census member {lam} fails predicate")
-        if part(lam, n - 2) < B or (frees and not lo <= frees[0] <= top):
-            raise AssertionError(f"sampled census member {lam} out of bounds")
-        checked += 1
     return PatternReport(n, "twin", count,
                          {"p": p, "b": b, "d": d, "B": meta["B"],
                           "lam1_range": meta["lam1_range"],
-                          "sampled_ok": checked, "path": "closed-form"})
+                          "path": "closed-form"})
 
 
 def mold(lam: Sequence[int]) -> Partition:
@@ -464,58 +397,30 @@ def _triple_expand(mu: Partition, copies: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def almost_triplet_census(p: int, b: int, n: int, d: int,
-                          multi_wedge: bool = False) -> PatternReport:
-    """Construct the almost-triplet family and count its distinct molds.
-
-    Single-wedge path (default) requires d >= p + 2; the blocked multi
-    wedge construction behind multi_wedge handles smaller d at the price
-    of extra bookkeeping.
-    """
-    if n > p + 1:
-        raise ValueError("requires n <= p + 1")
-    if n < 4:
-        raise ValueError("requires n >= 4 for triple groups")
-    if d < 3 * ((p + 1) // (n - 3)) + 3:
-        raise ValueError(f"requires d >= {3 * ((p + 1) // (n - 3)) + 3}")
-    if multi_wedge:
-        return _almost_triplet_multi(p, b, n, d)
-    if d < p + 2:
-        raise ValueError("single-wedge path requires d >= p + 2; "
-                         "set multi_wedge=True")
+def _single_wedge(p: int, b: int, n: int, d: int):
+    """Size s, offsets and parameters of the single-wedge construction, or
+    None unless d >= p + 2 and 6 | (n-1)(d-r-1-eps)."""
     r = next(r for r in (1, 2, 3) if (d - r) % 3 == 1)
     eps = (d - r - 1) % 2
     raw = (n - 1) * (d - r - 1 - eps)
-    if raw % 6:
-        raise ValueError("triple size not integral here; need 3 | n-1 "
-                         "when d - r - 1 is odd")
-    s, copies = raw // 6, (n - 1) // 3
+    if d < p + 2 or raw % 6:
+        return None
+    s = raw // 6
     extra = sum(d - r - 1 - k for k in range(p - n + 2)) + b + 1
-    molds: set[Partition] = set()
-    count = 0
-    for mu in partitions_of(s, max_parts=copies):
-        core = [1 + 2 * v for v in _triple_expand(mu, copies)]
-        core += [1] * (n - 1 - len(core))
-        core[0] += eps * (n - 1) + extra
-        lam = normalize(tuple(core))
-        molds.add(mold(lam))
-        count += 1
-    if len(molds) != count:
-        raise AssertionError("distinct inputs produced colliding molds")
-    return PatternReport(n, "almost-triplet", count,
-                         {"p": p, "b": b, "d": d, "r": r, "epsilon": eps,
-                          "mu_size": s, "path": "single-wedge"},
-                         molds=len(molds))
+    offsets = [eps * (n - 1) + extra] + [0] * (n - 2)
+    return s, offsets, {"p": p, "b": b, "d": d, "r": r, "epsilon": eps,
+                        "mu_size": s, "path": "single-wedge"}
 
 
-def _almost_triplet_multi(p: int, b: int, n: int, d: int) -> PatternReport:
-    """Blocked variant: one wedge block of size n-1 carrying the triple
-    family, the rest covered by odd-degree rectangles of height 3 and
-    single rows, all at distinct degrees."""
+def _blocked(p: int, b: int, n: int, d: int):
+    """Size s, offsets and parameters of the blocked construction: one
+    wedge block of size n-1 carrying the triple family, the rest covered by
+    odd-degree rectangles of height 3 and single rows, all at distinct
+    degrees."""
     d1 = next((v for v in range(d - 1, 0, -1) if v % 6 == 1), None)
     if d1 is None or d1 < 2:
         raise ValueError("no usable leading degree below d")
-    s, copies = (n - 1) * (d1 - 1) // 6, (n - 1) // 3
+    s = (n - 1) * (d1 - 1) // 6
     rest = p + 1 - (n - 1)
     heights = [3] * (rest // 3) + [1] * (rest % 3)
     degrees = []
@@ -532,20 +437,38 @@ def _almost_triplet_multi(p: int, b: int, n: int, d: int) -> PatternReport:
         for i in range(h):
             offsets[i] += deg
     offsets[0] += b + 1
+    return s, offsets, {"p": p, "b": b, "d": d, "d1": d1, "mu_size": s,
+                        "heights": tuple(heights), "degrees": tuple(degrees),
+                        "path": "multi-wedge"}
+
+
+def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
+    """Construct the almost-triplet family and count its distinct molds.
+
+    The route is chosen from the inputs: the single-wedge construction
+    when d >= p + 2 and its triple size (n-1)(d-r-1-eps)/6 is an integer,
+    otherwise the blocked multi-wedge construction.  Either one fixes a
+    size s and an offsets vector; each partition mu of s with at most
+    (n-1)/3 parts then gives one member 1 + 2*(mu tripled) + offsets.
+    """
+    if n > p + 1:
+        raise ValueError("requires n <= p + 1")
+    if n < 4:
+        raise ValueError("requires n >= 4 for triple groups")
+    if d < 3 * ((p + 1) // (n - 3)) + 3:
+        raise ValueError(f"requires d >= {3 * ((p + 1) // (n - 3)) + 3}")
+    s, offsets, parameters = _single_wedge(p, b, n, d) or _blocked(p, b, n, d)
+    copies = (n - 1) // 3
     molds: set[Partition] = set()
     count = 0
     for mu in partitions_of(s, max_parts=copies):
         core = [1 + 2 * v for v in _triple_expand(mu, copies)]
         core += [1] * (n - 1 - len(core))
-        lam = normalize(tuple(c + o for c, o in zip(core, offsets)))
-        molds.add(mold(lam))
+        molds.add(mold(normalize(tuple(c + o for c, o in zip(core, offsets)))))
         count += 1
     if len(molds) != count:
         raise AssertionError("distinct inputs produced colliding molds")
-    return PatternReport(n, "almost-triplet", count,
-                         {"p": p, "b": b, "d": d, "d1": d1, "mu_size": s,
-                          "heights": tuple(heights), "degrees": tuple(degrees),
-                          "path": "multi-wedge"},
+    return PatternReport(n, "almost-triplet", count, parameters,
                          molds=len(molds))
 
 
@@ -568,16 +491,12 @@ class RatioTable:
     rows: tuple[RatioRow, ...]
 
 
-def _n_tensor(p: int, d: int, config: RunConfig) -> SchurExpansion:
-    return tensor_power_sym(p, d, p, config)
-
-
 def _experiment_registry() -> dict[str, Callable]:
     def syzygy_share(params, d, config):
         p = params["p"]
         num = total_multiplicity(syzygy_decompose(KoszulSpec(p, 1, 0, d, p + 1),
                                                   config))
-        den = total_multiplicity(_n_tensor(p + 1, d, config))
+        den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
         return num, den
 
     def sym_vs_wedge(params, d, config):
@@ -590,7 +509,7 @@ def _experiment_registry() -> dict[str, Callable]:
 
     def twist(params, d, config, stat):
         p, b = params["p"], params["b"]
-        base = _n_tensor(p, d, config)
+        base = tensor_power_sym(p, d, p, config)
         twisted = tensor_with_sym(base.with_n(p + 1), b)
         return stat(twisted), stat(base)
 
@@ -598,14 +517,14 @@ def _experiment_registry() -> dict[str, Callable]:
         p = params["p"]
         w = schur_decompose(char_wedge_sym(p, d, p, config), config).with_n(p + 1)
         num = total_multiplicity(tensor_with_sym(w, d))
-        den = total_multiplicity(_n_tensor(p + 1, d, config))
+        den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
         return num, den
 
     def schur_share(params, d, config):
         p, mu = params["p"], normalize(params["mu"])
         if sum(mu) != p:
             raise ValueError("mu must be a partition of p")
-        nt = total_multiplicity(_n_tensor(p, d, config))
+        nt = total_multiplicity(tensor_power_sym(p, d, p, config))
         if mu == (p,):
             num = total_multiplicity(
                 schur_decompose(char_sym_sym(p, d, p, config), config))

@@ -26,10 +26,6 @@ def normalize(parts: Sequence[int]) -> Partition:
     return p
 
 
-def size(lam: Sequence[int]) -> int:
-    return sum(lam)
-
-
 def length(lam: Sequence[int]) -> int:
     """Number of nonzero parts."""
     return len(normalize(lam))
@@ -99,12 +95,10 @@ def pieri(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_of(n: int, max_parts: int | None = None,
-                  max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of n, in decreasing lexicographic order."""
     if n < 0:
         return
-    first = n if max_part is None else min(max_part, n)
 
     def rec(remaining: int, bound: int, slots: int | None, built: list[int]):
         if remaining == 0:
@@ -118,26 +112,21 @@ def partitions_of(n: int, max_parts: int | None = None,
                            None if slots is None else slots - 1, built)
             built.pop()
 
-    yield from rec(n, first, max_parts, [])
-
-
-def _count_with_max_part(n: int, k: int) -> int:
-    """Partitions of n with every part <= k, by a table over part sizes."""
-    ways = [1] + [0] * n
-    for v in range(1, min(k, n) + 1):
-        for total in range(v, n + 1):
-            ways[total] += ways[total - v]
-    return ways[n]
+    yield from rec(n, n, max_parts, [])
 
 
 def count_partitions(n: int, max_parts: int | None = None) -> int:
     """Exact partition count, optionally with at most max_parts parts."""
     if n < 0:
         return 0
-    if max_parts is None:
-        return _count_with_max_part(n, n)
-    # conjugation swaps "at most m parts" with "parts <= m"
-    return _count_with_max_part(n, max_parts)
+    # conjugation swaps "at most k parts" with "parts <= k"; count the
+    # latter by a table over part sizes
+    k = n if max_parts is None else min(max_parts, n)
+    ways = [1] + [0] * n
+    for v in range(1, k + 1):
+        for total in range(v, n + 1):
+            ways[total] += ways[total - v]
+    return ways[n]
 
 
 def sym_group_irrep_dim(mu: Sequence[int]) -> int:

@@ -1,5 +1,9 @@
 """Semistandard Young tableaux, Kostka numbers, and row-content matrices.
 
+A tableau of shape lam and weight mu is a chain of shapes growing by one
+horizontal strip per label; strip_chains is the one search over such
+chains, used for enumeration and for the staircase membership witness.
+
 A tableau of weight (d, ..., d) with p rows is encoded by the p x p
 upper-triangular matrix t where t[i][j] counts the labels j+1 in row i+1;
 the diagonal is forced by the weight and the off-diagonal entries are the
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from veroschur.partitions import Partition, normalize, part
+from veroschur.partitions import Partition, dominates, normalize, part
 
 
 def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -95,9 +99,6 @@ class RowContentMatrix:
             t[j][j] = d - sum(t[k][j] for k in range(j))
         return cls(p, d, tuple(tuple(row) for row in t))
 
-    def offdiag(self) -> tuple[int, ...]:
-        return tuple(self.t[i][j] for i, j in offdiag_pairs(self.p))
-
     def shape(self) -> Partition:
         return normalize(tuple(sum(self.t[i][i:]) for i in range(self.p)))
 
@@ -165,31 +166,43 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     return _kostka(lam, mu)
 
 
-def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
-    """All SSYT of shape lam and weight mu, each exactly once.
+def strip_chains(lam: Sequence[int],
+                 mu: Sequence[int]) -> Iterator[tuple[Partition, ...]]:
+    """Chains () < nu_1 < ... < nu_k = lam in which nu_i / nu_{i-1} is a
+    horizontal strip of mu[i-1] boxes, returned without the leading ().
 
-    Deterministic order: chains of intermediate shapes are explored with the
-    label-k strip chosen in decreasing lexicographic shape order.
+    These are the SSYT of shape lam and weight mu, one chain each.  Strips
+    are tried in horizontal_strips_down order, and a shape nu is entered
+    only if nu dominates sorted(mu[:i]): that is Kostka positivity, so the
+    prune drops dead ends only.  mu may contain zeros; a negative entry or
+    a size other than |lam| raises ValueError.
     """
     lam = normalize(lam)
     mu = tuple(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != sum{mu}")
+    floors = [tuple(sorted(mu[:i], reverse=True)) for i in range(len(mu) + 1)]
 
     def chains(shape: Partition, k: int) -> Iterator[tuple[Partition, ...]]:
+        if not dominates(shape, floors[k]):
+            return
         if k == 0:
-            if not shape:
-                yield ()
+            yield ()
             return
         for nu in horizontal_strips_down(shape, mu[k - 1]):
             for chain in chains(nu, k - 1):
                 yield chain + (shape,)
 
-    for chain in chains(lam, len(mu)):
+    yield from chains(lam, len(mu))
+
+
+def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
+    """All SSYT of shape lam and weight mu, each exactly once, in
+    strip_chains order."""
+    lam = normalize(lam)
+    for chain in strip_chains(lam, mu):
         full = ((),) + chain
         nrows = len(lam)
         rows: list[list[int]] = [[] for _ in range(nrows)]
-        for label in range(1, len(mu) + 1):
+        for label in range(1, len(full)):
             prev, cur = full[label - 1], full[label]
             for i in range(nrows):
                 rows[i].extend([label] * (part(cur, i) - part(prev, i)))

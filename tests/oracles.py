@@ -19,7 +19,7 @@ from veroschur.intrank import SparseCol
 from veroschur.koszul import (Element, KoszulBlock, KoszulSpec,
                               SparseIntMatrix, _differential)
 from veroschur.partitions import Partition, dominates, normalize, partitions_of
-from veroschur.tableaux import kostka
+from veroschur.tableaux import horizontal_strips_down, kostka
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +276,56 @@ def slice_maxima(cone: ConeCrossSection) -> tuple[Fraction, ...]:
     dim = cone.ambient_dim
     return tuple(simplex_max([int(i == j) for i in range(dim)], lhs, rhs)[0]
                  for j in range(dim))
+
+
+# ---------------------------------------------------------------------------
+# staircase membership and twin patterns
+
+def strip_chain(lam: Partition, sizes: Sequence[int]) -> tuple[Partition, ...] | None:
+    """A chain () -> lam adding horizontal strips of the given sizes, or
+    None; prunes with the dominance criterion so the search is guided."""
+    if sum(sizes) != sum(lam):
+        return None
+
+    def feasible(shape: Partition, k: int) -> bool:
+        rest = sorted(sizes[:k], reverse=True)
+        if sum(rest) != sum(shape):
+            return False
+        return dominates(shape, tuple(rest))
+
+    def descend(shape: Partition, k: int) -> list[Partition] | None:
+        if k == 0:
+            return [] if not shape else None
+        for nu in horizontal_strips_down(shape, sizes[k - 1]):
+            if feasible(nu, k - 1):
+                tail = descend(nu, k - 1)
+                if tail is not None:
+                    return tail + [shape]
+        return None
+
+    chain = descend(lam, len(sizes))
+    return None if chain is None else tuple(chain)
+
+
+def has_twin_pattern(lam: Sequence[int], n: int) -> bool:
+    """Pairs of equal parts, with a final triple when n - 1 is odd."""
+    lam = normalize(lam)
+    if len(lam) != n - 1:
+        return False
+    for i in range(0, (n - 1) // 2):
+        if lam[2 * i] != lam[2 * i + 1]:
+            return False
+    if (n - 1) % 2 == 1 and lam[n - 2] != lam[n - 3]:
+        return False
+    return True
+
+
+def twin_expand(lam1: int, frees: Sequence[int], n: int) -> Partition:
+    """Twin-pattern partition of length n-1 from its free values."""
+    vals = [lam1] + list(frees)
+    out = []
+    for v in vals:
+        out.extend([v, v])
+    if (n - 1) % 2 == 1:
+        out.append(vals[-1])
+    return normalize(tuple(out[:n - 1]))

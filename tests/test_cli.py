@@ -81,6 +81,17 @@ def test_json_outputs_validate_against_schema(capsys, schema):
         jsonschema.validate(json.loads(out), schema)
 
 
+def test_decompose_tensor_degree_zero(capsys, schema):
+    # (Sym^0)^{(x)3} is the trivial representation
+    code, out, _ = run_cli(capsys, "decompose", "tensor", "-p", "3", "-d", "0",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    assert payload["terms"] == [{"lambda": [], "mult": "1"}]
+    assert payload["degree"] == 0
+
+
 def test_cones_csv_and_consistency(capsys):
     code, out, _ = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
                            "--d-max", "5", "--format", "csv")
@@ -118,6 +129,15 @@ def test_exit_codes(capsys):
                            "--d-max", "3", "--d-step", "0")
     assert code == 2
     assert err == "error: --d-step must be at least 1, got 0\n"
+    # level 0 is a valid slice; a negative level is a usage error
+    code, out, _ = run_cli(capsys, "cones", "-p", "2", "--d-min", "0",
+                           "--d-max", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "0,1,1,true,true"
+    code, out, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "-1",
+                             "--d-max", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --d-min must be at least 0, got -1\n"
     # experiment parameters without --theorem are an error, not ignored
     code, out, err = run_cli(capsys, "verify", "newell", "-p", "7", "-b", "3",
                              "--mu", "5")

@@ -7,18 +7,17 @@ from hypothesis import given, strategies as st
 from veroschur.characters import schur_decompose, total_multiplicity
 from veroschur.constructions import (_integer_root, almost_triplet_census,
                                      doubled_plethysm_check, h0_projective,
-                                     has_twin_pattern, max_n_green, mold,
-                                     newell_check, ratio_experiment,
-                                     remove_visible_boxes,
+                                     max_n_green, mold, newell_check,
+                                     ratio_experiment, remove_visible_boxes,
                                      sample_staircase_inputs,
                                      staircase_exponents, staircase_membership,
-                                     twin_expand, twin_pattern_census,
+                                     twin_pattern_census,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
 from veroschur.tableaux import kostka
 
-from oracles import char_tensor_sym
+from oracles import char_tensor_sym, has_twin_pattern, twin_expand
 
 
 def test_newell_small():
@@ -202,9 +201,34 @@ def test_almost_triplet_census():
 
 
 def test_almost_triplet_multi_wedge():
-    rep = almost_triplet_census(9, 1, 10, 11, multi_wedge=True)
-    assert rep.parameters["path"] == "multi-wedge"
-    assert rep.molds == rep.partitions > 0
+    # d < p + 2, and d >= p + 2 with a non-integral triple size: both reach
+    # the blocked construction from the inputs alone
+    for args in ((9, 1, 10, 10), (4, 1, 5, 11)):
+        rep = almost_triplet_census(*args)
+        assert rep.parameters["path"] == "multi-wedge", args
+        assert rep.molds == rep.partitions > 0
+
+
+def test_almost_triplet_route_follows_applicability():
+    # single-wedge exactly when d >= p + 2 and 6 | (n-1)(d-r-1-eps)
+    routes = set()
+    for p in range(4, 10):
+        for n in range(4, p + 2):
+            for d in range(3 * ((p + 1) // (n - 3)) + 3, 24):
+                r = next(r for r in (1, 2, 3) if (d - r) % 3 == 1)
+                eps = (d - r - 1) % 2
+                single = d >= p + 2 and (n - 1) * (d - r - 1 - eps) % 6 == 0
+                try:
+                    rep = almost_triplet_census(p, 1, n, d)
+                except ValueError:
+                    assert not single, (p, n, d)
+                    continue
+                path = rep.parameters["path"]
+                assert path == ("single-wedge" if single else "multi-wedge"), \
+                    (p, n, d)
+                assert rep.molds == rep.partitions
+                routes.add(path)
+    assert routes == {"single-wedge", "multi-wedge"}
 
 
 def test_twin_patterns_separate_in_columns():

@@ -1,12 +1,16 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veroschur.partitions import dominates, partitions_of
 from veroschur.tableaux import (RowContentMatrix, Tableau, enumerate_ssyt,
                                 horizontal_strips_down, kostka,
                                 matrix_to_tableau, offdiag_pairs,
-                                tableau_to_matrix)
+                                strip_chains, tableau_to_matrix)
+
+from oracles import strip_chain
 
 
 def brute_kostka(shape, weight):
@@ -164,3 +168,25 @@ def test_horizontal_strips_down():
     assert list(horizontal_strips_down((3, 1), 2)) == [(2,), (1, 1)]
     assert list(horizontal_strips_down((2, 2), 1)) == [(2, 1)]
     assert list(horizontal_strips_down((2,), 0)) == [(2,)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6), st.data())
+def test_first_strip_chain_matches_oracle(weight, data):
+    # zero parts allowed; the first chain is the one staircase membership
+    # reports, and there is none exactly when the Kostka number vanishes
+    lam = data.draw(st.sampled_from(list(partitions_of(sum(weight)))))
+    first = next(strip_chains(lam, weight), None)
+    assert first == strip_chain(lam, tuple(weight))
+    assert (first is None) == (kostka(lam, weight) == 0)
+
+
+def test_strip_chains_examples():
+    assert list(strip_chains((2, 1), (1, 1, 1))) == \
+        [((1,), (2,), (2, 1)), ((1,), (1, 1), (2, 1))]
+    assert list(strip_chains((2,), (0, 2, 0))) == [((), (2,), (2,))]
+    assert list(strip_chains((1, 1), (2,))) == []
+    with pytest.raises(ValueError):
+        next(strip_chains((2,), (3,)))
+    with pytest.raises(ValueError):
+        next(strip_chains((1,), (2, -1)))
