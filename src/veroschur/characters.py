@@ -5,18 +5,35 @@ redundant by symmetry); Weyl-orbit sizes are used whenever a dimension is
 needed.  The fixed monomial order everywhere is decreasing lexicographic
 on exponent vectors, shared with the Koszul module.
 
-Symmetric and exterior plethysms are built as weight tables by a monomial
-DP and decomposed by the alternant formula; tensor powers of Sym^d never
-need a table, being repeated horizontal-strip (Pieri) products.
+Symmetric and exterior plethysms are built as dominant weight tables and
+decomposed by the alternant formula; tensor powers of Sym^d never need a
+table, being repeated horizontal-strip (Pieri) products.  The route for a
+plethysm table follows from (p, n):
+
+* n >= p: the cycle-index expansion (Macdonald, Symmetric Functions and
+  Hall Polynomials, I.8)
+
+      h_p[h_d] = sum over nu |- p of z_nu^-1 p_nu[h_d],
+      e_p[h_d] = sum over nu |- p of eps_nu z_nu^-1 p_nu[h_d],
+
+  with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  The weight
+  multiplicity at a dominant mu is sum_nu eps_nu (p!/z_nu) T_nu(mu) / p!,
+  where T_nu(mu) counts the tuples of degree-d exponent vectors a_i with
+  sum_i nu_i a_i = mu.  Only dominant mu are visited, and the division by
+  p! is checked to be exact.
+* n < p: a monomial DP over (multi)sets of degree-d monomials, which
+  builds every weight and keeps the dominant ones; with few variables the
+  full table is small and this is the faster route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations_with_replacement
 from math import factorial, prod
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.partitions import (Partition, dominates, gl_dimension, normalize,
@@ -124,12 +141,15 @@ def complexity(e: SchurExpansion) -> int:
     return len(e.terms)
 
 
-def _dominant_restrict(full: Mapping[Weight, int], n: int, degree: int) -> WeightTable:
-    entries = {w: c for w, c in full.items() if is_dominant(w)}
-    return WeightTable(n, degree, entries)
+def _check_power_args(p: int, d: int, n: int) -> None:
+    if p < 1 or d < 0 or n < 1:
+        raise ValueError("need p, n >= 1 and d >= 0")
 
 
 def _char_power(p: int, d: int, n: int, wedge: bool, config: RunConfig) -> WeightTable:
+    """Monomial DP: level k holds the weights of k-element (multi)sets of
+    degree-d monomials, so every weight is built and only the dominant
+    ones are kept at the end."""
     monos = monomials(d, n)
     if wedge and p > len(monos):
         return WeightTable(n, p * d, {})
@@ -143,27 +163,178 @@ def _char_power(p: int, d: int, n: int, wedge: bool, config: RunConfig) -> Weigh
                 key = _vec_add(w, m)
                 target[key] = target.get(key, 0) + c
         config.check_table(sum(len(t) for t in levels))
-    return _dominant_restrict(levels[p], n, p * d)
+    return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
+
+
+def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
+    """(nu, eps_nu * p!/z_nu) for every partition nu of p: the signed size
+    of the conjugacy class of S_p with cycle type nu, with
+    eps_nu = (-1)^(p - len(nu)) for the exterior power and 1 otherwise."""
+    out = []
+    for nu in partitions_of(p):
+        z = 1
+        for k in set(nu):
+            m = nu.count(k)
+            z *= k ** m * factorial(m)
+        sign = -1 if wedge and (p - len(nu)) % 2 else 1
+        out.append((nu, sign * factorial(p) // z))
+    return out
+
+
+def _run_moves(run: tuple[int, ...], lo: int,
+               hi: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """Ways to take between lo and hi in total out of rows of equal nu_i
+    whose residuals are run (weakly decreasing), one entry per row:
+    (residuals left, sorted; amount taken) -> number of row-by-row
+    choices.  Rows of equal residual are interchangeable, so each multiset
+    of takes counts with its multinomial coefficient."""
+    partial: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    room = sum(run)
+    i = 0
+    while i < len(run):
+        r, c = run[i], run.count(run[i])
+        i += c
+        room -= r * c
+        grown: dict[tuple[tuple[int, ...], int], int] = {}
+        for takes in combinations_with_replacement(range(r + 1), c):
+            weight = factorial(c)
+            for t in set(takes):
+                weight //= factorial(takes.count(t))
+            gone = sum(takes)
+            rest = tuple(r - t for t in takes)
+            for (left, taken), w in partial.items():
+                if lo <= taken + gone + room and taken + gone <= hi:
+                    key = (left + rest, taken + gone)
+                    grown[key] = grown.get(key, 0) + w * weight
+        partial = grown
+    out: dict[tuple[tuple[int, ...], int], int] = {}
+    for (left, taken), w in partial.items():
+        key = (tuple(sorted(left, reverse=True)), taken)
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def _knapsack(rows: Sequence[tuple[int, int]]) -> list[int]:
+    """Coefficients of prod (1 + x^v + ... + x^(v r)) over rows (v, r):
+    entry s counts the vectors 0 <= a_i <= r_i with sum v_i a_i = s."""
+    poly = [1]
+    for v, r in rows:
+        if not r:
+            continue
+        span = v * (r + 1)
+        grown = [0] * (len(poly) + v * r)
+        for t in range(len(grown)):
+            acc = poly[t] if t < len(poly) else 0
+            if t >= v:
+                acc += grown[t - v]
+            if span <= t < span + len(poly):
+                acc -= poly[t - span]
+            grown[t] = acc
+        poly = grown
+    return poly
+
+
+def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
+                       out: dict[Weight, int], config: RunConfig) -> None:
+    """Add coef * T_nu(mu) to out[mu] for every dominant mu of length n.
+
+    T_nu(mu) counts the tables a_ij >= 0 with row sums d and column sums
+    sum_i nu_i a_ij = mu_j.  Columns are filled left to right; a state is
+    the row residuals, sorted within each run of equal nu_i, and maps each
+    dominant prefix of mu to its count.  A column may take s only if
+    s <= the previous column and the rest fits in the columns left at
+    most s each.  The last two columns are one bounded-knapsack count.
+    """
+    values = sorted(set(nu), reverse=True)
+    if n == 1:
+        out[(sum(nu) * d,)] = out.get((sum(nu) * d,), 0) + coef
+        return
+    level: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {
+        tuple((d,) * nu.count(v) for v in values): {(): coef}}
+    for columns_left in range(n - 1, 1, -1):
+        grown: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {}
+        for state, prefixes in level.items():
+            total = sum(v * sum(run) for v, run in zip(values, state))
+            # the column takes at most the previous one and at least what
+            # spreads the rest over the columns after it
+            hi = max(prefix[-1] if prefix else total for prefix in prefixes)
+            lo = -(-total // (columns_left + 1))
+            moves: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
+            for v, run in zip(values, state):
+                other = total - v * sum(run)
+                run_moves = _run_moves(run, -(-(lo - other) // v), hi // v)
+                moves = {(left + (rest,), s + v * taken): w * ways
+                         for (left, s), w in moves.items()
+                         for (rest, taken), ways in run_moves.items()}
+            ordered = sorted((s, left, w) for (left, s), w in moves.items()
+                             if lo <= s <= hi)
+            for prefix, count in prefixes.items():
+                last = prefix[-1] if prefix else total
+                for s, left, w in ordered:
+                    if s > last:
+                        break
+                    row = grown.setdefault(left, {})
+                    key = prefix + (s,)
+                    row[key] = row.get(key, 0) + count * w
+        config.check_table(sum(len(row) for row in grown.values()))
+        level = grown
+    for state, prefixes in level.items():
+        total = sum(v * sum(run) for v, run in zip(values, state))
+        poly = _knapsack([(v, r) for v, run in zip(values, state) for r in run])
+        for prefix, count in prefixes.items():
+            last = prefix[-1] if prefix else total
+            for s in range((total + 1) // 2, min(last, total) + 1):
+                if poly[s]:
+                    mu = prefix + (s, total - s)
+                    out[mu] = out.get(mu, 0) + count * poly[s]
+
+
+def _char_cycle_index(p: int, d: int, n: int, wedge: bool,
+                      config: RunConfig) -> WeightTable:
+    """Dominant weight multiplicities by the cycle-index expansion
+    m(mu) = sum over nu of eps_nu (p!/z_nu) T_nu(mu) / p!, integer only."""
+    signed: dict[Weight, int] = {}
+    for nu, coef in _cycle_types(p, wedge):
+        _add_column_counts(nu, coef, d, n, signed, config)
+    entries: dict[Weight, int] = {}
+    for mu, c in signed.items():
+        mult, rest = divmod(c, factorial(p))
+        if rest or mult < 0:
+            raise NotACharacter(f"cycle-index sum {c} at {mu} is not a "
+                                f"nonnegative multiple of {p}!")
+        if mult:
+            entries[mu] = mult
+    return WeightTable(n, p * d, entries)
+
+
+def _char_plethysm(p: int, d: int, n: int, wedge: bool,
+                   config: RunConfig) -> WeightTable:
+    _check_power_args(p, d, n)
+    if n < p:
+        return _char_power(p, d, n, wedge, config)
+    return _char_cycle_index(p, d, n, wedge, config)
 
 
 def char_wedge_sym(p: int, d: int, n: int,
                    config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
-    """Character of the p-th exterior power of Sym^d(C^n).
+    """Character of the p-th exterior power of Sym^d(C^n), d >= 0.
 
     Coefficient of z^p in the product of (1 + z x^m) over degree-d
-    monomials m; empty when p exceeds the number of monomials.
+    monomials m, equal to e_p[h_d]; empty when p exceeds the number of
+    monomials.  Built by the cycle-index route when n >= p and by the
+    monomial DP otherwise (see the module docstring).
     """
-    if p < 1 or d < 1 or n < 1:
-        raise ValueError("p, d, n must be positive")
-    return _char_power(p, d, n, wedge=True, config=config)
+    return _char_plethysm(p, d, n, True, config)
 
 
 def char_sym_sym(p: int, d: int, n: int,
                  config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
-    """Character of the p-th symmetric power of Sym^d(C^n)."""
-    if p < 1 or d < 1 or n < 1:
-        raise ValueError("p, d, n must be positive")
-    return _char_power(p, d, n, wedge=False, config=config)
+    """Character of the p-th symmetric power of Sym^d(C^n), d >= 0.
+
+    Equal to h_p[h_d]; built by the cycle-index route when n >= p and by
+    the monomial DP otherwise (see the module docstring).
+    """
+    return _char_plethysm(p, d, n, False, config)
 
 
 def _pad(lam: Partition, n: int) -> Weight:
@@ -244,8 +415,7 @@ def tensor_power_sym(p: int, d: int, n: int,
     horizontal-strip rule, so terms longer than n are dropped as they
     appear; no weight table is built.
     """
-    if p < 1 or d < 0 or n < 1:
-        raise ValueError("need p, n >= 1 and d >= 0")
+    _check_power_args(p, d, n)
     e = SchurExpansion(n, d, {normalize((d,)): 1})
     for _ in range(p - 1):
         e = tensor_with_sym(e, d)

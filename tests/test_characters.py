@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
+                                  _char_cycle_index, _char_power,
                                   char_sym_sym, char_wedge_sym, complexity,
                                   is_dominant, monomials, orbit_size,
                                   schur_character, schur_decompose,
@@ -77,6 +78,16 @@ def test_char_dimensions():
 
 def test_wedge_beyond_dimension_empty():
     assert char_wedge_sym(4, 1, 2).entries == {}  # dim Sym^1 C^2 = 2 < 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])  # both sides of n = p
+def test_degree_zero_powers(n):
+    # Sym^0 is the trivial line
+    assert char_sym_sym(3, 0, n).entries == {(0,) * n: 1}
+    assert char_wedge_sym(1, 0, n).entries == {(0,) * n: 1}
+    assert char_wedge_sym(3, 0, n).entries == {}
+    with pytest.raises(ValueError, match="d >= 0"):
+        char_sym_sym(3, -1, n)
 
 
 def test_schur_decompose_examples():
@@ -189,6 +200,11 @@ def test_caps_are_loud():
     tiny = RunConfig(max_table_entries=5)
     with pytest.raises(CapExceeded):
         tensor_power_sym(3, 4, 3, tiny)
+    # both table routes count their entries against the same cap
+    for p, n in [(6, 9), (6, 3)]:
+        with pytest.raises(CapExceeded) as exc:
+            char_sym_sym(p, 2, n, RunConfig(max_table_entries=10))
+        assert exc.value.what == "weight table entries"
 
 
 def test_weight_table_validation():
@@ -246,3 +262,16 @@ def test_alternant_search_cap():
         schur_decompose(table, RunConfig(max_enum_nodes=4))
     assert schur_decompose(table, RunConfig(max_enum_nodes=5)).terms == \
         {(4,): 1, (2, 2): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["sym", "wedge"]), p=st.integers(1, 6),
+       d=st.integers(0, 5), n=st.integers(1, 9))
+def test_cycle_index_matches_monomial_dp(kind, p, d, n):
+    # production takes the cycle-index route only when n >= p; it is
+    # exact on both sides, so draws on either side compare the two routes
+    assume(_table_size(kind, p, d, n) <= 20_000)
+    wedge = kind == "wedge"
+    want = _char_power(p, d, n, wedge, RunConfig())
+    assert _char_cycle_index(p, d, n, wedge, RunConfig()).entries == want.entries
+    assert CHARS[kind](p, d, n).entries == want.entries

@@ -82,14 +82,18 @@ def test_json_outputs_validate_against_schema(capsys, schema):
 
 
 def test_decompose_tensor_degree_zero(capsys, schema):
-    # (Sym^0)^{(x)3} is the trivial representation
-    code, out, _ = run_cli(capsys, "decompose", "tensor", "-p", "3", "-d", "0",
-                           "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, schema)
-    assert payload["terms"] == [{"lambda": [], "mult": "1"}]
-    assert payload["degree"] == 0
+    # Sym^0 is the trivial line: its tensor and symmetric powers are trivial,
+    # its exterior powers beyond the first vanish
+    trivial = [{"lambda": [], "mult": "1"}]
+    for kind, p, terms in [("tensor", 3, trivial), ("sym", 3, trivial),
+                           ("wedge", 1, trivial), ("wedge", 3, [])]:
+        code, out, _ = run_cli(capsys, "decompose", kind, "-p", str(p),
+                               "-d", "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["terms"] == terms
+        assert payload["degree"] == 0
 
 
 def test_cones_csv_and_consistency(capsys):
@@ -112,6 +116,10 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decompose", "tensor", "-p", "2", "-d", "4",
                            "--max-entries", "3")
     assert code == 3
+    code, _, err = run_cli(capsys, "decompose", "sym", "-p", "6", "-d", "2",
+                           "-n", "9", "--max-entries", "10")
+    assert code == 3
+    assert "weight table entries" in err
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "bogus", "-p", "1", "-d", "1"])
     assert exc.value.code == 2

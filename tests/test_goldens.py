@@ -1,9 +1,11 @@
-"""Byte-for-byte goldens for the verify suites that perfbench does not run.
+"""Byte-for-byte goldens for commands that perfbench does not run.
 
-Each hash is the SHA-256 of the JSON that `verify SUITE --format json`
+Each suite hash is the SHA-256 of the JSON that `verify SUITE --format json`
 printed before the constructions layer was reduced to one strip-chain
-search and one almost-triplet builder; a refactor that changes any
-answer, label or key order changes the hash.
+search and one almost-triplet builder.  The decompose hashes were taken
+from the monomial-DP weight tables, before the cycle-index route took over
+for n >= p; they sit on both sides of that switch.  A refactor that
+changes any answer, label or key order changes the hash.
 """
 
 import hashlib
@@ -22,6 +24,14 @@ GOLDENS = {
     "kostka-cone": "9e763369cea781409e497ae1614486dee4c9c677510b1a922caaf7ed1d05ee66",
 }
 
+DECOMPOSE_GOLDENS = {
+    "sym -p 7 -d 2 -n 6": "197696d9b173946088edfb85663aaf33b25465179ea7587af5b7d624a37c7b0c",
+    "sym -p 7 -d 2 -n 7": "6b4ae5a6025c73f5a5a8a17c95520841d18108c913d5f8cee5e0b42638642d5a",
+    "wedge -p 6 -d 3 -n 5": "3e5cf4d88a02b64caa2dd8f4aa239e4e32b1859cd4d0725a9aaf05375a572ede",
+    "wedge -p 6 -d 3 -n 6": "f42d286104f296909704d3585b05b2d4f8b2f56e032560811e2648ac627823e6",
+    "sym -p 5 -d 5": "26075fde98636e1dc03d2c0d570ab80721a29bd61ee4899f6337de23300c77a8",
+}
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDENS))
 def test_verify_suite_output_is_unchanged(suite, capsys):
@@ -29,3 +39,11 @@ def test_verify_suite_output_is_unchanged(suite, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[suite]
+
+
+@pytest.mark.parametrize("args", sorted(DECOMPOSE_GOLDENS))
+def test_decompose_output_is_unchanged(args, capsys):
+    code = main(["decompose", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_GOLDENS[args]
