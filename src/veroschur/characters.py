@@ -7,23 +7,18 @@ on exponent vectors, shared with the Koszul module.
 
 Symmetric and exterior plethysms are built as dominant weight tables and
 decomposed by the alternant formula; tensor powers of Sym^d never need a
-table, being repeated horizontal-strip (Pieri) products.  The route for a
-plethysm table follows from (p, n):
+table, being repeated horizontal-strip (Pieri) products.  A plethysm
+table comes from the cycle-index expansion (Macdonald, Symmetric
+Functions and Hall Polynomials, I.8)
 
-* n >= p: the cycle-index expansion (Macdonald, Symmetric Functions and
-  Hall Polynomials, I.8)
+    h_p[h_d] = sum over nu |- p of z_nu^-1 p_nu[h_d],
+    e_p[h_d] = sum over nu |- p of eps_nu z_nu^-1 p_nu[h_d],
 
-      h_p[h_d] = sum over nu |- p of z_nu^-1 p_nu[h_d],
-      e_p[h_d] = sum over nu |- p of eps_nu z_nu^-1 p_nu[h_d],
-
-  with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  The weight
-  multiplicity at a dominant mu is sum_nu eps_nu (p!/z_nu) T_nu(mu) / p!,
-  where T_nu(mu) counts the tuples of degree-d exponent vectors a_i with
-  sum_i nu_i a_i = mu.  Only dominant mu are visited, and the division by
-  p! is checked to be exact.
-* n < p: a monomial DP over (multi)sets of degree-d monomials, which
-  builds every weight and keeps the dominant ones; with few variables the
-  full table is small and this is the faster route.
+with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  The weight
+multiplicity at a dominant mu is sum_nu eps_nu (p!/z_nu) T_nu(mu) / p!,
+where T_nu(mu) counts the tuples of degree-d exponent vectors a_i with
+sum_i nu_i a_i = mu.  Only dominant mu are visited, and the division by
+p! is checked to be exact.
 """
 
 from __future__ import annotations
@@ -75,10 +70,6 @@ def orbit_size(w: Sequence[int]) -> int:
     for c in runs.values():
         size //= factorial(c)
     return size
-
-
-def _vec_add(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass
@@ -146,26 +137,6 @@ def _check_power_args(p: int, d: int, n: int) -> None:
         raise ValueError("need p, n >= 1 and d >= 0")
 
 
-def _char_power(p: int, d: int, n: int, wedge: bool, config: RunConfig) -> WeightTable:
-    """Monomial DP: level k holds the weights of k-element (multi)sets of
-    degree-d monomials, so every weight is built and only the dominant
-    ones are kept at the end."""
-    monos = monomials(d, n)
-    if wedge and p > len(monos):
-        return WeightTable(n, p * d, {})
-    levels: list[dict[Weight, int]] = [{(0,) * n: 1}] + [{} for _ in range(p)]
-    for m in monos:
-        ks = range(p, 0, -1) if wedge else range(1, p + 1)
-        for k in ks:
-            below = levels[k - 1]
-            target = levels[k]
-            for w, c in list(below.items()):
-                key = _vec_add(w, m)
-                target[key] = target.get(key, 0) + c
-        config.check_table(sum(len(t) for t in levels))
-    return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
-
-
 def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
     """(nu, eps_nu * p!/z_nu) for every partition nu of p: the signed size
     of the conjugacy class of S_p with cycle type nu, with
@@ -181,13 +152,15 @@ def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
     return out
 
 
-def _run_moves(run: tuple[int, ...], lo: int,
-               hi: int) -> dict[tuple[tuple[int, ...], int], int]:
+def _run_moves(run: tuple[int, ...], lo: int, hi: int, held: int,
+               config: RunConfig) -> dict[tuple[tuple[int, ...], int], int]:
     """Ways to take between lo and hi in total out of rows of equal nu_i
     whose residuals are run (weakly decreasing), one entry per row:
     (residuals left, sorted; amount taken) -> number of row-by-row
     choices.  Rows of equal residual are interchangeable, so each multiset
-    of takes counts with its multinomial coefficient."""
+    of takes counts with its multinomial coefficient.  The partial table,
+    on top of the held entries, is checked against the cap after each
+    group of equal residuals."""
     partial: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
     room = sum(run)
     i = 0
@@ -206,6 +179,7 @@ def _run_moves(run: tuple[int, ...], lo: int,
                 if lo <= taken + gone + room and taken + gone <= hi:
                     key = (left + rest, taken + gone)
                     grown[key] = grown.get(key, 0) + w * weight
+        config.check_table(held + len(grown))
         partial = grown
     out: dict[tuple[tuple[int, ...], int], int] = {}
     for (left, taken), w in partial.items():
@@ -244,6 +218,11 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
     dominant prefix of mu to its count.  A column may take s only if
     s <= the previous column and the rest fits in the columns left at
     most s each.  The last two columns are one bounded-knapsack count.
+
+    The cap bounds the (state, prefix) entries of the level being built
+    plus the moves of the state at hand, and, at the knapsack, the weights
+    counted so far.  It is checked after each prefix, so a level that
+    outgrows it stops at most one state's moves past the cap.
     """
     values = sorted(set(nu), reverse=True)
     if n == 1:
@@ -253,6 +232,7 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
         tuple((d,) * nu.count(v) for v in values): {(): coef}}
     for columns_left in range(n - 1, 1, -1):
         grown: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {}
+        size = 0
         for state, prefixes in level.items():
             total = sum(v * sum(run) for v, run in zip(values, state))
             # the column takes at most the previous one and at least what
@@ -262,10 +242,12 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
             moves: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
             for v, run in zip(values, state):
                 other = total - v * sum(run)
-                run_moves = _run_moves(run, -(-(lo - other) // v), hi // v)
+                run_moves = _run_moves(run, -(-(lo - other) // v), hi // v,
+                                       size + len(moves), config)
                 moves = {(left + (rest,), s + v * taken): w * ways
                          for (left, s), w in moves.items()
                          for (rest, taken), ways in run_moves.items()}
+                config.check_table(size + len(moves))
             ordered = sorted((s, left, w) for (left, s), w in moves.items()
                              if lo <= s <= hi)
             for prefix, count in prefixes.items():
@@ -275,8 +257,12 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
                         break
                     row = grown.setdefault(left, {})
                     key = prefix + (s,)
-                    row[key] = row.get(key, 0) + count * w
-        config.check_table(sum(len(row) for row in grown.values()))
+                    if key in row:
+                        row[key] += count * w
+                    else:
+                        row[key] = count * w
+                        size += 1
+                config.check_table(size)
         level = grown
     for state, prefixes in level.items():
         total = sum(v * sum(run) for v, run in zip(values, state))
@@ -287,12 +273,14 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
                 if poly[s]:
                     mu = prefix + (s, total - s)
                     out[mu] = out.get(mu, 0) + count * poly[s]
+        config.check_table(len(out))
 
 
-def _char_cycle_index(p: int, d: int, n: int, wedge: bool,
-                      config: RunConfig) -> WeightTable:
+def _char_plethysm(p: int, d: int, n: int, wedge: bool,
+                   config: RunConfig) -> WeightTable:
     """Dominant weight multiplicities by the cycle-index expansion
     m(mu) = sum over nu of eps_nu (p!/z_nu) T_nu(mu) / p!, integer only."""
+    _check_power_args(p, d, n)
     signed: dict[Weight, int] = {}
     for nu, coef in _cycle_types(p, wedge):
         _add_column_counts(nu, coef, d, n, signed, config)
@@ -307,22 +295,14 @@ def _char_cycle_index(p: int, d: int, n: int, wedge: bool,
     return WeightTable(n, p * d, entries)
 
 
-def _char_plethysm(p: int, d: int, n: int, wedge: bool,
-                   config: RunConfig) -> WeightTable:
-    _check_power_args(p, d, n)
-    if n < p:
-        return _char_power(p, d, n, wedge, config)
-    return _char_cycle_index(p, d, n, wedge, config)
-
-
 def char_wedge_sym(p: int, d: int, n: int,
                    config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
     """Character of the p-th exterior power of Sym^d(C^n), d >= 0.
 
     Coefficient of z^p in the product of (1 + z x^m) over degree-d
     monomials m, equal to e_p[h_d]; empty when p exceeds the number of
-    monomials.  Built by the cycle-index route when n >= p and by the
-    monomial DP otherwise (see the module docstring).
+    monomials.  Built by the cycle-index expansion (see the module
+    docstring).
     """
     return _char_plethysm(p, d, n, True, config)
 
@@ -331,8 +311,8 @@ def char_sym_sym(p: int, d: int, n: int,
                  config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
     """Character of the p-th symmetric power of Sym^d(C^n), d >= 0.
 
-    Equal to h_p[h_d]; built by the cycle-index route when n >= p and by
-    the monomial DP otherwise (see the module docstring).
+    Equal to h_p[h_d]; built by the cycle-index expansion (see the module
+    docstring).
     """
     return _char_plethysm(p, d, n, False, config)
 

@@ -157,6 +157,28 @@ def char_tensor_sym(p: int, d: int, n: int,
                        {w: c for w, c in table.items() if is_dominant(w)})
 
 
+def char_power_monomial(p: int, d: int, n: int, wedge: bool,
+                        config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
+    """Character of Sym^p or wedge^p of Sym^d(C^n), d >= 0, by a monomial
+    DP: level k holds the weights of k-element (multi)sets of degree-d
+    monomials, so every weight is built and only the dominant ones are
+    kept at the end."""
+    monos = monomials(d, n)
+    if wedge and p > len(monos):
+        return WeightTable(n, p * d, {})
+    levels: list[dict[Weight, int]] = [{(0,) * n: 1}] + [{} for _ in range(p)]
+    for m in monos:
+        ks = range(p, 0, -1) if wedge else range(1, p + 1)
+        for k in ks:
+            below = levels[k - 1]
+            target = levels[k]
+            for w, c in list(below.items()):
+                key = tuple(x + y for x, y in zip(w, m))
+                target[key] = target.get(key, 0) + c
+        config.check_table(sum(len(t) for t in levels))
+    return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
+
+
 def oracle_decompose(w: WeightTable) -> SchurExpansion:
     """Decompose a character by repeated Kostka-column subtraction.
 

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
-                                  _char_cycle_index, _char_power,
                                   char_sym_sym, char_wedge_sym, complexity,
                                   is_dominant, monomials, orbit_size,
                                   schur_character, schur_decompose,
@@ -16,7 +15,7 @@ from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 from veroschur.tableaux import kostka
 
-from oracles import char_tensor_sym, oracle_decompose, sub
+from oracles import char_power_monomial, char_tensor_sym, oracle_decompose, sub
 
 
 def brute_tensor_table(p, d, n):
@@ -200,11 +199,19 @@ def test_caps_are_loud():
     tiny = RunConfig(max_table_entries=5)
     with pytest.raises(CapExceeded):
         tensor_power_sym(3, 4, 3, tiny)
-    # both table routes count their entries against the same cap
+    # the plethysm tables count their entries against the same cap
     for p, n in [(6, 9), (6, 3)]:
         with pytest.raises(CapExceeded) as exc:
             char_sym_sym(p, 2, n, RunConfig(max_table_entries=10))
         assert exc.value.what == "weight table entries"
+
+
+def test_plethysm_cap_trips_inside_a_level():
+    # the column level that outgrows the cap holds 21,758 entries when
+    # complete; the cap is checked as the level fills, so it stops near 13,000
+    with pytest.raises(CapExceeded) as exc:
+        char_sym_sym(8, 8, 8, RunConfig(max_table_entries=13_000))
+    assert 13_000 < exc.value.needed <= 13_000 + 1_300
 
 
 def test_weight_table_validation():
@@ -224,7 +231,7 @@ def test_expansion_dimension():
 
 
 def _table_size(kind, p, d, n):
-    """Monomial tuples the character DP for (kind, p, d, n) runs over."""
+    """Monomial tuples a monomial-DP character for (kind, p, d, n) runs over."""
     dim_s = comb(d + n - 1, n - 1)
     if kind == "tensor":
         return dim_s ** p
@@ -268,10 +275,7 @@ def test_alternant_search_cap():
 @given(kind=st.sampled_from(["sym", "wedge"]), p=st.integers(1, 6),
        d=st.integers(0, 5), n=st.integers(1, 9))
 def test_cycle_index_matches_monomial_dp(kind, p, d, n):
-    # production takes the cycle-index route only when n >= p; it is
-    # exact on both sides, so draws on either side compare the two routes
+    # draws on both sides of n = p: the cycle index needs no n >= p
     assume(_table_size(kind, p, d, n) <= 20_000)
-    wedge = kind == "wedge"
-    want = _char_power(p, d, n, wedge, RunConfig())
-    assert _char_cycle_index(p, d, n, wedge, RunConfig()).entries == want.entries
+    want = char_power_monomial(p, d, n, kind == "wedge")
     assert CHARS[kind](p, d, n).entries == want.entries

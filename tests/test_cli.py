@@ -120,6 +120,11 @@ def test_exit_codes(capsys):
                            "-n", "9", "--max-entries", "10")
     assert code == 3
     assert "weight table entries" in err
+    # a large plethysm stops as soon as its table outgrows the cap
+    code, _, err = run_cli(capsys, "decompose", "wedge", "-p", "10", "-d", "10",
+                           "-n", "10", "--max-entries", "20000")
+    assert code == 3
+    assert "weight table entries" in err
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "bogus", "-p", "1", "-d", "1"])
     assert exc.value.code == 2

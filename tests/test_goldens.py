@@ -3,9 +3,9 @@
 Each suite hash is the SHA-256 of the JSON that `verify SUITE --format json`
 printed before the constructions layer was reduced to one strip-chain
 search and one almost-triplet builder.  The decompose hashes were taken
-from the monomial-DP weight tables, before the cycle-index route took over
-for n >= p; they sit on both sides of that switch.  A refactor that
-changes any answer, label or key order changes the hash.
+from the monomial-DP weight tables, before the cycle-index expansion
+replaced them, and sit on both sides of n = p.  A refactor that changes
+any answer, label or key order changes the hash.
 """
 
 import hashlib
