@@ -41,7 +41,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-dim", type=int, default=None,
                         help="cap on matrix dimension")
     parser.add_argument("--max-nodes", type=int, default=None,
-                        help="cap on enumeration nodes")
+                        help="cap on enumeration nodes (for cones: lattice "
+                             "count DP states expanded, not points)")
     parser.add_argument("--config", default=None,
                         help="key=value config file overriding defaults")
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -200,7 +201,10 @@ def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError(f"--d-min must be at least 0, got {args.d_min}")
     if args.d_step < 1:
         raise ValueError(f"--d-step must be at least 1, got {args.d_step}")
-    ds = list(range(args.d_min, args.d_max + 1, args.d_step))
+    levels = range(args.d_min, args.d_max + 1, args.d_step)
+    # one output row per level, so the rows count against the table cap
+    cfg.check_table(len(levels), "cones levels")
+    ds = list(levels)
     if not ds:
         raise ValueError("empty d range")
     rows = [{"d": r.d, "shape_count": str(r.shape_count),

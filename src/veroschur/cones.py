@@ -11,8 +11,11 @@ cone onto the first.
 Both sections are written as integer inequalities, and their
 per-coordinate maxima have closed forms (p/k for lam_k, 1 for every
 content entry), so building a section solves no linear program.
-`duality_rows` compares both lattice counts with the Pieri decomposition
-of the tensor power.
+`lattice_count` counts a slice by a forward DP over the coordinates whose
+states are the values of the prefix forms that later coordinates still
+need, so it builds no point; `enumerate_slice` lists the points, for the
+moment-map fibres.  `duality_rows` compares both lattice counts with the
+Pieri decomposition of the tensor power.
 """
 
 from __future__ import annotations
@@ -189,8 +192,93 @@ def enumerate_slice(cone: ConeCrossSection, level: int,
 
 def lattice_count(cone: ConeCrossSection, level: int,
                   config: RunConfig = DEFAULT_CONFIG) -> int:
-    """Exact number of integer points on the level-d slice."""
-    return sum(1 for _ in enumerate_slice(cone, level, config))
+    """Exact number of integer points on the level-d slice, by a forward DP
+    over the coordinates that builds no point.
+
+    Once x_0..x_{k-1} are fixed, the interval that `enumerate_slice` gives
+    x_k, and so everything after it, depends only on the values of the
+    prefix forms sum_{i<k} c_i x_i of the rows that still involve a
+    coordinate >= k.  A layer maps the values of the distinct nonzero such
+    forms to the number of prefixes that reach them; the last coordinate
+    adds its interval length in closed form.  `max_enum_nodes` bounds the
+    states expanded, checked before each layer is expanded, and
+    `max_table_entries` the states of the layer being filled, checked as
+    it fills.
+    """
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    dim = cone.ambient_dim
+    if dim == 0:
+        return 1
+    caps = [int(floor(u * level)) for u in cone.upper_bounds]
+    rows = [(coeffs, const * level) for coeffs, const in cone.inequalities]
+    forms: list[tuple[int, ...]] = []  # the key's prefix forms at level k
+    layer: dict[tuple[int, ...], int] = {(): 1}
+    total = nodes = 0
+    for k in range(dim):
+        slot = {form: i for i, form in enumerate(forms)}
+        zero = len(forms)  # the zero form's slot in key + (0,)
+        lo0, hi0 = 0, caps[k]
+        # least constant part of the slack per (key slot, coefficient of x_k);
+        # a row with a zero coefficient and a nonzero prefix form needs no
+        # check: the level that last moved its form left its slack >= 0
+        checks: dict[tuple[int, int], int] = {}
+        for coeffs, const in rows:
+            # a row past its last coordinate holds; a constant row holds or
+            # fails at every level alike
+            if not any(coeffs[k:]) and any(coeffs):
+                continue
+            a = coeffs[k]
+            base = const + sum(c * caps[j] for j, c in enumerate(coeffs)
+                               if j > k and c > 0)
+            s = slot.get(coeffs[:k], zero)
+            if s != zero:
+                if a and base < checks.get((s, a), base + 1):
+                    checks[(s, a)] = base
+            elif a < 0:
+                hi0 = min(hi0, base // -a)
+            elif a > 0:
+                lo0 = max(lo0, -(base // a))
+            elif base < 0:
+                hi0 = -1
+        uppers = [(s, -a, base) for (s, a), base in checks.items() if a < 0]
+        lowers = [(s, a, base) for (s, a), base in checks.items() if a > 0]
+        # the next key: each next form's value read from its slot in
+        # key + (0,), plus its coefficient of x_k times x_k
+        live = [c[:k + 1] for c, _ in rows if any(c[k + 1:])]
+        nxt_forms = list(dict.fromkeys(f for f in live if any(f)))
+        slots = [slot.get(f[:k], zero) for f in nxt_forms]
+        steps = [f[k] for f in nxt_forms]
+        last = k == dim - 1
+        nodes += len(layer)
+        config.check_nodes(nodes, "lattice count states expanded")
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, ways in layer.items():
+            lo, hi = lo0, hi0
+            for s, a, base in uppers:
+                t = (key[s] + base) // a
+                if t < hi:
+                    hi = t
+            for s, a, base in lowers:
+                t = -((key[s] + base) // a)
+                if t > lo:
+                    lo = t
+            if lo > hi:
+                continue
+            if last:
+                total += ways * (hi - lo + 1)
+                continue
+            ext = key + (0,)
+            held = tuple([ext[s] for s in slots])
+            for v in range(lo, hi + 1):
+                new = tuple([h + a * v for h, a in zip(held, steps)]) if v else held
+                if new in nxt:
+                    nxt[new] += ways
+                else:
+                    nxt[new] = ways
+                    config.check_table(len(nxt), "lattice count layer states")
+        forms, layer = nxt_forms, nxt
+    return total
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ def build_blocks(spec: KoszulSpec,
         block = block_at_weight(spec, lam + (0,) * (spec.n - len(lam)), config)
         if block.dims[1]:
             basis += sum(block.dims)
-            config.check_table(basis)
+            config.check_table(basis, "Koszul basis elements")
             yield block
 
 

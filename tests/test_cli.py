@@ -106,6 +106,26 @@ def test_cones_csv_and_consistency(capsys):
     assert any(line.startswith("fit_types_degree_1,1,") for line in lines)
 
 
+def test_cones_level_range_is_capped(capsys):
+    # a billion levels would be a billion output rows: the cap trips before
+    # any level list is built
+    code, out, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "0",
+                             "--d-max", "1000000000")
+    assert code == 3 and out == ""
+    assert err == ("resource cap exceeded: cones levels: needed 1000000001, "
+                   "cap 5000000 (max_table_entries)\n")
+    code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
+                           "--d-max", "9", "--d-step", "2", "--max-entries", "4")
+    assert code == 3 and "cones levels: needed 5, cap 4" in err
+    # --max-nodes bounds the DP states of the count, not the points, so a
+    # count of 44,288 points fits in 20,000 nodes
+    code, out, _ = run_cli(capsys, "cones", "-p", "6", "--d-min", "3",
+                           "--d-max", "3", "--max-nodes", "20000",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "3,199,44288,true,true"
+
+
 def test_verify_json_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "doubling", "--format", "json")
     _, second, _ = run_cli(capsys, "verify", "doubling", "--format", "json")
@@ -137,7 +157,8 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "1", "-d", "3",
                            "--max-entries", "50")
     assert code == 3
-    assert "resource cap exceeded" in err
+    assert err == ("resource cap exceeded: Koszul basis elements: needed 67, "
+                   "cap 50 (max_table_entries)\n")
     code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
                            "--d-max", "3", "--d-step", "0")
     assert code == 2

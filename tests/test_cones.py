@@ -1,10 +1,14 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veroschur import cones
-from veroschur.characters import complexity, schur_decompose, total_multiplicity
+from veroschur.characters import (complexity, schur_decompose,
+                                  tensor_power_sym, total_multiplicity)
 from veroschur.cones import (_section, content_cone_section,
                              content_points_as_matrices, duality_rows,
                              enumerate_slice, fit_leading_coefficient,
@@ -173,6 +177,76 @@ def test_enumeration_node_cap():
     tiny = RunConfig(max_enum_nodes=3)
     with pytest.raises(CapExceeded):
         lattice_count(content_cone_section(3), 4, tiny)
+
+
+def test_layer_cap_trips_as_the_layer_fills():
+    # without a check per new state the level-2 count at p = 10 holds a
+    # 592,578-state layer; here it stops at the first state over the cap,
+    # after fewer than 250,000 expanded states (about a second)
+    cfg = RunConfig(max_table_entries=100_000, max_enum_nodes=250_000)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        lattice_count(content_cone_section(10), 2, cfg)
+    assert time.perf_counter() - start < 10
+    assert (exc.value.what, exc.value.setting, exc.value.needed) == \
+        ("lattice count layer states", "max_table_entries", 100_001)
+    assert "(max_table_entries)" in str(exc.value)
+
+
+def test_count_expands_states_not_points():
+    # enumerating the 44,288 points takes about 300,000 nodes; the DP
+    # expands 13,849 states
+    tight = RunConfig(max_enum_nodes=20_000)
+    assert lattice_count(content_cone_section(6), 3, tight) == 44288
+    with pytest.raises(CapExceeded) as exc:
+        lattice_count(content_cone_section(6), 3, RunConfig(max_enum_nodes=5_000))
+    assert exc.value.setting == "max_enum_nodes"
+
+
+def test_counts_beyond_enumeration():
+    contents = lattice_count(content_cone_section(6), 4)
+    assert contents == 478711 == total_multiplicity(tensor_power_sym(6, 4, 6))
+    assert lattice_count(shape_cone_section(4), 200) == count_partitions(800, 4)
+
+
+# largest level per (section, p) at which enumeration stays cheap
+ORACLE_LEVELS = {"shapes": {1: 12, 2: 12, 3: 12, 4: 12, 5: 10, 6: 6, 7: 6},
+                 "contents": {1: 12, 2: 12, 3: 10, 4: 5, 5: 3}}
+SECTIONS = {"shapes": shape_cone_section, "contents": content_cone_section}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_count_matches_enumeration(data):
+    kind = data.draw(st.sampled_from(sorted(SECTIONS)))
+    p = data.draw(st.sampled_from(sorted(ORACLE_LEVELS[kind])))
+    level = data.draw(st.integers(0, ORACLE_LEVELS[kind][p]))
+    cone = SECTIONS[kind](p)
+    assert lattice_count(cone, level) == \
+        sum(1 for _ in enumerate_slice(cone, level))
+
+
+@st.composite
+def small_systems(draw):
+    """A box [0, u_i * level] cut by a few random integer rows, some of
+    them constant or sharing a prefix form; the box need not be tight."""
+    dim = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * dim), st.integers(-1, 4))
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    bounds = tuple(Fraction(draw(st.integers(0, 6)), 2) for _ in range(dim))
+    return cones.ConeCrossSection("random", dim, tuple(rows),
+                                  (Fraction(0),) * dim, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone=small_systems(), level=st.integers(0, 4))
+# a constant row that fails empties the slice at every positive level
+@example(cone=cones.ConeCrossSection("empty", 2, (((0, 0), -1), ((1, -1), 0)),
+                                     (Fraction(0),) * 2, (Fraction(1),) * 2),
+         level=1)
+def test_count_matches_enumeration_on_random_systems(cone, level):
+    assert lattice_count(cone, level) == \
+        sum(1 for _ in enumerate_slice(cone, level))
 
 
 def test_fit_exact_polynomials():

@@ -4,8 +4,10 @@ Each suite hash is the SHA-256 of the JSON that `verify SUITE --format json`
 printed before the constructions layer was reduced to one strip-chain
 search and one almost-triplet builder.  The decompose hashes were taken
 from the monomial-DP weight tables, before the cycle-index expansion
-replaced them, and sit on both sides of n = p.  A refactor that changes
-any answer, label or key order changes the hash.
+replaced them, and sit on both sides of n = p.  The cones hashes were
+taken from the enumerating lattice count, before the layered DP replaced
+it; none of these runs has enough levels to print a fit.  A refactor that
+changes any answer, label or key order changes the hash.
 """
 
 import hashlib
@@ -32,6 +34,11 @@ DECOMPOSE_GOLDENS = {
     "sym -p 5 -d 5": "26075fde98636e1dc03d2c0d570ab80721a29bd61ee4899f6337de23300c77a8",
 }
 
+CONES_GOLDENS = {
+    "-p 6 --d-min 1 --d-max 3": "ac12aa295adf87964d174e884236e35c5527efffdab7178b9461713b97a3ca15",
+    "-p 5 --d-min 1 --d-max 4": "a0de0183f5a1e7fea0302f215acd84796b5311af2f416e57b95a9cb5f0c01f13",
+    "-p 4 --d-min 1 --d-max 4": "f803fec46ab468fef723e69d5deae0254fe8e71054edba7644251671bb681863",
+}
 
 @pytest.mark.parametrize("suite", sorted(GOLDENS))
 def test_verify_suite_output_is_unchanged(suite, capsys):
@@ -47,3 +54,11 @@ def test_decompose_output_is_unchanged(args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_GOLDENS[args]
+
+
+@pytest.mark.parametrize("args", sorted(CONES_GOLDENS))
+def test_cones_output_is_unchanged(args, capsys):
+    code = main(["cones", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONES_GOLDENS[args]
