@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ratios suite: partition for --theorem "
                             "schur-share, comma-separated (e.g. 2,1)")
     p_ver.add_argument("--d-max", type=int, default=None,
-                       help="ratios suite: largest level for --theorem")
+                       help="ratios suite: level d at which --theorem is "
+                            "checked (default 20)")
     _add_common(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
     return parser

@@ -12,7 +12,6 @@ its inputs: single-wedge where that applies, blocked otherwise.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -227,30 +226,16 @@ def h0_projective(n: int, e: int) -> int:
     return comb(n - 1 + e, n - 1)
 
 
-def _integer_root(x: int, k: int) -> int:
-    """floor(x**(1/k)) for nonnegative integers, by integer Newton steps."""
-    if x < 0 or k < 1:
-        raise ValueError("bad root")
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // k)  # 2**ceil(bits/k) exceeds the root
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
 def max_n_green(p: int, b: int, q: int, d: int) -> int:
     """Largest n >= 2 with p + 1 >= h0 of degree b+1+(q-1)d on P^{n-1}.
 
-    For q = 1 the result is at least the integer (b+1)-st root of
-    (p+1)*(b+1)! except at a few boundary values, where a warning is
-    emitted instead of failing.
+    For q = 1 the degree is b + 1 and h0 = C(n+b, b+1) >= n^(b+1)/(b+1)!,
+    so the result satisfies n^(b+1) <= (p+1)*(b+1)!.
     """
     e = b + 1 + (q - 1) * d
-    if e < 0:
-        raise ValueError("negative twist degree")
+    if e < 1:
+        # degree 0 has h0 = 1 for every n, so no n is largest
+        raise ValueError(f"twist degree must be at least 1, got {e}")
     n = None
     k = 2
     while p + 1 >= h0_projective(k, e):
@@ -258,11 +243,6 @@ def max_n_green(p: int, b: int, q: int, d: int) -> int:
         k += 1
     if n is None:
         raise ValueError(f"no n >= 2 satisfies p+1 >= h0(P^(n-1), O({e}))")
-    if q == 1:
-        expected = _integer_root((p + 1) * factorial(b + 1), b + 1)
-        if n < expected:
-            warnings.warn(f"root lower bound {expected} exceeds computed n={n} "
-                          f"at p={p}, b={b}; using the computed value")
     return n
 
 

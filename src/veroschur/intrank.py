@@ -1,12 +1,17 @@
-"""Exact integer matrix rank via fraction-free elimination.
+"""Exact integer matrix rank by fraction-free column reduction.
 
-A sparse column elimination using exact cross-multiplication with gcd
-reduction; it is the rank routine for Koszul blocks.
+Each kept column is stored under its largest row, so kept columns have
+distinct largest rows and are therefore independent; every other column
+reduces to zero against them, so the rank is their number.  This is the
+column reduction of the persistence algorithm (Edelsbrunner, Letscher and
+Zomorodian 2002) with exact cross-multiplication and gcd reduction; it is
+the rank routine for Koszul blocks.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Sequence
 
 SparseCol = dict[int, int]
 
@@ -40,32 +45,22 @@ def _eliminate(col: SparseCol, piv: SparseCol, prow: int) -> SparseCol:
     return _normalize(out)
 
 
-def rank_sparse(columns: list[SparseCol]) -> int:
+def rank_sparse(columns: Sequence[SparseCol]) -> int:
     """Rank of the matrix whose columns are sparse {row: value} dicts.
 
-    Pivot columns are kept clean of each other's pivot rows, so reducing a
-    new column strictly shrinks its set of pivot rows and terminates.
+    A new column is reduced by the kept column stored under its largest
+    row until that row is free, where it is kept, or nothing is left.  A
+    step cancels the largest row and adds only smaller ones, so the loop
+    ends.  The input columns are not mutated.
     """
-    pivots: dict[int, SparseCol] = {}
+    kept: dict[int, SparseCol] = {}
     for col in columns:
         col = _normalize({r: v for r, v in col.items() if v})
         while col:
-            hit = None
-            for r in sorted(col):
-                if r in pivots:
-                    hit = r
-                    break
-            if hit is None:
+            low = max(col)
+            piv = kept.get(low)
+            if piv is None:
+                kept[low] = col
                 break
-            col = _eliminate(col, pivots[hit], hit)
-        if not col:
-            continue
-        # prefer a unit pivot, then smallest magnitude, then smallest row
-        prow = min(col, key=lambda r: (abs(col[r]), r))
-        for existing in pivots.values():
-            if prow in existing:
-                new = _eliminate(existing, col, prow)
-                existing.clear()
-                existing.update(new)
-        pivots[prow] = dict(col)
-    return len(pivots)
+            col = _eliminate(col, piv, low)
+    return len(kept)

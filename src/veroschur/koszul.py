@@ -81,7 +81,7 @@ class SparseIntMatrix:
     cols: tuple[SparseCol, ...]
 
     def rank(self) -> int:
-        return rank_sparse([dict(c) for c in self.cols])
+        return rank_sparse(self.cols)
 
 
 @dataclass

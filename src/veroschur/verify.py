@@ -232,9 +232,8 @@ def single_ratio_check(experiment: str, parameters: dict, d_max: int,
                        tolerance: Fraction = Fraction(1, 10),
                        config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     """Targeted trend check for one experiment at explicit parameters."""
-    ds = tuple(sorted({max(2, d_max // 3), d_max}))
-    table = ratio_experiment(experiment, parameters, ds, config)
-    final = table.rows[-1]
+    table = ratio_experiment(experiment, parameters, (d_max,), config)
+    final = table.rows[0]
     ok = _ratio_within(final.ratio, table.limit, tolerance)
     return [Check(f"{experiment} {parameters} at d={d_max}", ok,
                   f"ratio {final.ratio} vs limit {table.limit}, "
@@ -262,7 +261,11 @@ def run_suite(name: str, config: RunConfig = DEFAULT_CONFIG,
     if theorem is not None:
         if name != "ratios":
             raise ValueError("--theorem only applies to the ratios suite")
-        checks = single_ratio_check(theorem, parameters or {}, d_max or 20,
+        if d_max is None:
+            d_max = 20
+        if d_max < 1:
+            raise ValueError(f"--d-max must be at least 1, got {d_max}")
+        checks = single_ratio_check(theorem, parameters or {}, d_max,
                                     config=config)
     else:
         checks = SUITES[name](config)

@@ -252,6 +252,19 @@ def test_verify_targeted_ratio(capsys):
     assert "needs parameter(s) b" in err
 
 
+def test_verify_theorem_runs_at_d_max(capsys):
+    # the check evaluates d = --d-max only, and reports that level's ratio
+    code, out, _ = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "sym-vs-wedge", "-p", "2", "--d-max", "1")
+    assert code == 0
+    assert "sym-vs-wedge {'p': 2} at d=1: ratio 1 vs limit 1" in out
+    # only a missing --d-max means 20; a level below 1 is a usage error
+    code, out, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                             "syzygy-share", "-p", "1", "--d-max", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --d-max must be at least 1, got 0\n"
+
+
 def test_verify_schur_share_mu(capsys):
     code, out, _ = run_cli(capsys, "verify", "ratios", "--theorem",
                            "schur-share", "-p", "3", "--mu", "2,1",

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from veroschur.characters import schur_decompose, total_multiplicity
-from veroschur.constructions import (_integer_root, almost_triplet_census,
+from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, h0_projective,
                                      max_n_green, mold, newell_check,
                                      ratio_experiment, remove_visible_boxes,
@@ -133,17 +133,21 @@ def test_h0_and_max_n_green():
     assert max_n_green(3, 1, 1, 12) == 2
     with pytest.raises(ValueError):
         max_n_green(1, 2, 1, 5)
+    # degree 0 has h0 = 1 for every n: an error, not an endless search
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        max_n_green(1, 0, 0, 1)
 
 
-@given(x=st.integers(0, 10 ** 500), k=st.integers(1, 12))
-def test_integer_root_is_exact_floor(x, k):
-    r = _integer_root(x, k)
-    assert r ** k <= x < (r + 1) ** k
-
-
-def test_integer_root_beyond_float_range():
-    r = _integer_root(10 ** 400, 3)
-    assert r ** 3 <= 10 ** 400 < (r + 1) ** 3
+@given(b=st.integers(0, 5), extra=st.integers(0, 58), d=st.integers(1, 30))
+@example(b=1, extra=2, d=5)  # max_n_green(4, 1, 1, 5) == 2
+def test_max_n_green_is_largest_and_root_bounded(b, extra, d):
+    p = b + 1 + extra  # p >= b + 1, so n = 2 qualifies
+    n = max_n_green(p, b, 1, d)
+    assert n >= 2
+    assert p + 1 >= h0_projective(n, b + 1)
+    assert p + 1 < h0_projective(n + 1, b + 1)
+    # h0 = C(n+b, b+1) >= n^(b+1)/(b+1)!, so the root is an upper bound
+    assert n ** (b + 1) <= (p + 1) * factorial(b + 1)
 
 
 def test_twin_pattern_predicate_and_expand():

@@ -6,8 +6,10 @@ search and one almost-triplet builder.  The decompose hashes were taken
 from the monomial-DP weight tables, before the cycle-index expansion
 replaced them, and sit on both sides of n = p.  The cones hashes were
 taken from the enumerating lattice count, before the layered DP replaced
-it; none of these runs has enough levels to print a fit.  A refactor that
-changes any answer, label or key order changes the hash.
+it; none of these runs has enough levels to print a fit.  The syzygy
+hashes were taken before the sparse rank became a column reduction keyed
+by each column's largest row; perfbench runs none of these commands.  A
+refactor that changes any answer, label or key order changes the hash.
 """
 
 import hashlib
@@ -40,6 +42,14 @@ CONES_GOLDENS = {
     "-p 4 --d-min 1 --d-max 4": "f803fec46ab468fef723e69d5deae0254fe8e71054edba7644251671bb681863",
 }
 
+SYZYGY_GOLDENS = {
+    "-p 4 -q 1 -d 2": "8ffc1981397698d14275192155aee0da61282a995d0216222ed671dee019c8db",
+    "-p 2 -q 1 -d 4 -n 5": "bb03295f5ce1a2f77f5af23d447389ee1e6d7f431adb83cfc6fa8910d7bdbfbd",
+    "-p 1 -q 1 -d 30 -n 2": "5f3e3ce1142eaf70d78b7a3f5ce873d3efdaf4b2202765305a93423209274223",
+    "-p 2 -q 1 -b 2 -d 4 -n 3": "78f9778eb828baa805132c804377942c803c65d0041e477ba671d2454c71e9c7",
+    "-p 3 -q 0 -b 1 -d 3 -n 4": "96cc5fdb35baeb197c34d7db731f018ad5cd9362afc50f024dd2b83e25eed294",
+}
+
 @pytest.mark.parametrize("suite", sorted(GOLDENS))
 def test_verify_suite_output_is_unchanged(suite, capsys):
     code = main(["verify", suite, "--format", "json"])
@@ -62,3 +72,11 @@ def test_cones_output_is_unchanged(args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CONES_GOLDENS[args]
+
+
+@pytest.mark.parametrize("args", sorted(SYZYGY_GOLDENS))
+def test_syzygy_output_is_unchanged(args, capsys):
+    code = main(["syzygy", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYZYGY_GOLDENS[args]

@@ -1,5 +1,8 @@
+import copy
 import random
 from fractions import Fraction
+
+from hypothesis import given, strategies as st
 
 from veroschur.intrank import rank_sparse
 
@@ -42,6 +45,8 @@ def test_known_ranks():
     zero = [[0, 0, 0], [0, 0, 0]]
     assert rank_dense(zero) == rank_sparse(to_cols(zero)) == 0
     assert rank_sparse([]) == 0
+    # explicit zero entries are ignored
+    assert rank_sparse([{0: 0, 1: 2}, {1: 0}, {0: 3, 1: 0}]) == 2
 
 
 def test_rank_randomized_cross_check():
@@ -69,6 +74,47 @@ def test_rank_structured_low_rank():
         assert expect <= k
         assert rank_dense(rows) == expect
         assert rank_sparse(to_cols(rows)) == expect
+
+
+NONZERO = [v for v in range(-4, 5) if v]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(nrows, columns) from three families, up to 12 x 12."""
+    nr = draw(st.integers(1, 12))
+    nc = draw(st.integers(1, 12))
+    family = draw(st.sampled_from(("entries", "signs", "combinations")))
+    if family == "signs":
+        # at most three +-1 entries per column, like a Koszul differential
+        return nr, [{r: draw(st.sampled_from((1, -1)))
+                     for r in draw(st.sets(st.integers(0, nr - 1),
+                                           max_size=3))}
+                    for _ in range(nc)]
+    # entries in -4..4 with density about 0.2, 0.5 or 0.9
+    zeros = draw(st.sampled_from((32, 8, 1)))
+    entry = st.sampled_from([0] * zeros + NONZERO)
+    base = nc if family == "entries" else draw(st.integers(1, nc))
+    cols = [{r: v for r in range(nr) if (v := draw(entry))}
+            for _ in range(base)]
+    # the other columns are integer combinations of earlier ones
+    for _ in range(nc - base):
+        combo: dict[int, int] = {}
+        for col in cols:
+            k = draw(st.integers(-2, 2))
+            for r, v in col.items():
+                combo[r] = combo.get(r, 0) + k * v
+        cols.append({r: v for r, v in combo.items() if v})
+    return nr, cols
+
+
+@given(sparse_matrices())
+def test_rank_sparse_matches_dense_oracle(matrix):
+    nr, cols = matrix
+    rows = [[col.get(r, 0) for col in cols] for r in range(nr)]
+    before = copy.deepcopy(cols)
+    assert rank_sparse(cols) == rank_dense(rows)
+    assert cols == before
 
 
 def test_rank_big_entries_exact():
