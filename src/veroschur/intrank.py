@@ -6,12 +6,20 @@ reduces to zero against them, so the rank is their number.  This is the
 column reduction of the persistence algorithm (Edelsbrunner, Letscher and
 Zomorodian 2002) with exact cross-multiplication and gcd reduction; it is
 the rank routine for Koszul blocks.
+
+A Koszul block reduces d_in first and clears d_out by its pivot rows, the
+clearing of persistent homology (Chen and Kerber 2011, Persistent homology
+computation with a twist; Bauer, Kerber and Reininghaus 2014, Clear and
+compress).  A kept column z of d_in with largest row i lies in im d_in,
+inside ker d_out, so column i of d_out is a combination of the columns
+before it: it would reduce to zero, and skipping it leaves the rank as it
+is.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Container, Sequence
 
 SparseCol = dict[int, int]
 
@@ -45,16 +53,21 @@ def _eliminate(col: SparseCol, piv: SparseCol, prow: int) -> SparseCol:
     return _normalize(out)
 
 
-def rank_sparse(columns: Sequence[SparseCol]) -> int:
+def rank_sparse(columns: Sequence[SparseCol], skip: Container[int] = (),
+                pivots: set[int] | None = None) -> int:
     """Rank of the matrix whose columns are sparse {row: value} dicts.
 
     A new column is reduced by the kept column stored under its largest
     row until that row is free, where it is kept, or nothing is left.  A
     step cancels the largest row and adds only smaller ones, so the loop
-    ends.  The input columns are not mutated.
+    ends.  Columns whose index is in skip are left out; pivots, if given,
+    receives the largest rows of the kept columns.  The input columns are
+    not mutated.
     """
     kept: dict[int, SparseCol] = {}
-    for col in columns:
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
         col = _normalize({r: v for r, v in col.items() if v})
         while col:
             low = max(col)
@@ -63,4 +76,6 @@ def rank_sparse(columns: Sequence[SparseCol]) -> int:
                 kept[low] = col
                 break
             col = _eliminate(col, piv, low)
+    if pivots is not None:
+        pivots.update(kept)
     return len(kept)

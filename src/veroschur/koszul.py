@@ -9,15 +9,26 @@ with the convention that a negative exterior or symmetric degree gives the
 zero space.  The differential sends f_0 ^ ... ^ f_{k-1} (x) g to the
 alternating sum of f_0 ^ ... f_i-hat ... (x) f_i g.  Everything is graded
 by the torus, so cohomology is computed blockwise per dominant weight and
-assembled into a character.  Each block's basis is enumerated directly at
-its weight; the dominant weights come from the partitions of the total
-degree with at most n parts.
+assembled into a character; the dominant weights come from the partitions
+of the total degree with at most n parts.
+
+All three terms have the total degree (p+q)d+b, so at a weight w a
+k-subset of degree-d monomials whose sum fits under w is exactly one basis
+element of the k-th exterior term; its symmetric factor is what is left.
+One depth-first search over increasing index tuples into the monomials
+that fit under w, to depth p + 1, records all three bases in lex order.
+Weights are packed into one int, a field per coordinate with a guard bit
+on top, so a fit test is one subtraction and one mask.  The weight fixes
+the symmetric factor, so an element is keyed by its index tuple alone, and
+term i of the differential is the row of the tuple without its i-th index.
+The rank of d_in is taken first; its pivot rows clear columns of d_out
+(see veroschur.intrank).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, sub
+from operator import le
 from typing import Iterator
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
@@ -26,7 +37,8 @@ from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol, rank_sparse
 from veroschur.partitions import add, partitions_of
 
-Element = tuple[tuple[Weight, ...], Weight]  # (wedge tuple, symmetric factor)
+Wedge = tuple[int, ...]  # increasing indices into the monomials under a weight
+Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
 
 
 @dataclass(frozen=True)
@@ -94,67 +106,95 @@ class KoszulBlock:
     d_out: SparseIntMatrix
 
     def cohomology_dim(self) -> int:
-        dim = self.dims[1] - self.d_in.rank() - self.d_out.rank()
+        # a pivot row of d_in marks a column of d_out that depends on the
+        # columns before it, so it is cleared from the second reduction
+        pivots: set[int] = set()
+        dim = (self.dims[1] - rank_sparse(self.d_in.cols, pivots=pivots)
+               - rank_sparse(self.d_out.cols, skip=pivots))
         if dim < 0:
             raise RuntimeError(f"negative cohomology at weight {self.weight}")
         return dim
 
 
-def _elements_at_weight(k: int, e: int, d: int, n: int,
-                        target: Weight) -> list[Element]:
-    """Basis of wedge^k S^d (x) S^e at one (possibly non-dominant) weight.
+def _levels(spec: KoszulSpec, weight: Weight,
+            config: RunConfig) -> tuple[list[Weight], Levels]:
+    """Monomials under weight and the left, middle and right bases there.
 
-    A depth-first search over wedge tuples in monomial order, using only
-    the monomials that fit under target and pruning every prefix whose sum
-    exceeds target in some coordinate; the symmetric factor is what is left.
+    Each basis element is a Wedge of indices into the monomials; its
+    symmetric factor is weight minus their sum.  One depth-first search
+    over index tuples records the levels p + 1, p and p - 1, each in lex
+    order.  A node keeps the candidates after its last index that fit under
+    its rest, so the last level is read off its parent's candidates.  A
+    level is checked against max_matrix_dim before it grows.
     """
-    if k < 0 or e < 0 or min(target) < 0 or sum(target) != k * d + e:
-        return []
-    monos = [m for m in monomials(d, n) if all(map(le, m, target))]
-    out: list[Element] = []
-    wedge: list[Weight] = []
+    if len(weight) != spec.n:
+        raise ValueError(f"weight {weight} has {len(weight)} entries, "
+                         f"need n = {spec.n}")
+    if min(weight) < 0 or sum(weight) != spec.total_degree:
+        return [], ([], [], [])
+    width = max(weight).bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(spec.n))
 
-    def extend(start: int, rest: Weight) -> None:
-        if len(wedge) == k:
-            out.append((tuple(wedge), rest))
+    def pack(v: Weight) -> int:
+        return sum(x << (i * width) for i, x in enumerate(v))
+
+    # a monomial must fit before it is packed: a coordinate above max(weight)
+    # would spill into the next field
+    monos = [m for m in monomials(spec.d, spec.n) if all(map(le, m, weight))]
+    packed = [pack(m) for m in monos]
+    p = spec.p
+    # no level p + 1 when the left term has a negative symmetric degree
+    deepest = p + 1 if spec.term_parameters()[0][1] >= 0 else p
+    lowest = max(p - 1, 0)
+    levels: list[list[Wedge]] = [[] for _ in range(deepest + 1)]
+    cap = config.max_matrix_dim
+
+    def extend(prefix: Wedge, rest: int, cands: list[int]) -> None:
+        # rest is the guarded packed weight left under prefix
+        depth = len(prefix) + 1
+        out = levels[depth]
+        if depth >= lowest and len(out) + len(cands) > cap:
+            config.check_matrix(cap + 1)
+        if depth == deepest:
+            out += [prefix + (j,) for j in cands]
             return
-        for j in range(start, len(monos) - (k - len(wedge)) + 1):
-            m = monos[j]
-            if all(map(le, m, rest)):
-                wedge.append(m)
-                extend(j + 1, tuple(map(sub, rest, m)))
-                wedge.pop()
+        for i, j in enumerate(cands):
+            wedge = prefix + (j,)
+            out.append(wedge)
+            below = rest - packed[j]
+            fits = [k for k in cands[i + 1:]
+                    if (below - packed[k]) & guard == guard]
+            if fits:
+                extend(wedge, below, fits)
 
-    extend(0, tuple(target))
-    return out
+    levels[0].append(())
+    if deepest:
+        extend((), pack(weight) | guard, list(range(len(monos))))
+    return monos, (levels[p + 1] if deepest > p else [], levels[p],
+                   levels[p - 1] if p else [])
 
 
-def _differential(sources: list[Element], targets: list[Element],
-                  config: RunConfig) -> SparseIntMatrix:
-    """Matrix of the Koszul differential from sources to targets."""
-    config.check_matrix(max(len(sources), len(targets), 1))
-    index = {el: i for i, el in enumerate(targets)}
-    cols = []
-    for wedge, g in sources:
-        col: SparseCol = {}
-        for i, f in enumerate(wedge):
-            rest = wedge[:i] + wedge[i + 1:]
-            prod = tuple(x + y for x, y in zip(f, g))
-            row = index.get((rest, prod))
-            if row is not None:
-                col[row] = 1 if i % 2 == 0 else -1
-        cols.append(col)
-    return SparseIntMatrix(len(targets), len(sources), tuple(cols))
+def _differential(sources: list[Wedge],
+                  targets: list[Wedge]) -> SparseIntMatrix:
+    """Matrix of the Koszul differential from sources to targets.
+
+    Term i of a source drops its i-th index with sign (-1)^i; the face lies
+    under the same weight, so it is always a target.
+    """
+    index = {wedge: i for i, wedge in enumerate(targets)}
+    k = len(sources[0]) if sources else 0
+    terms = [(i, -1 if i % 2 else 1) for i in range(k)]
+    cols = tuple({index[w[:i] + w[i + 1:]]: sign for i, sign in terms}
+                 for w in sources)
+    return SparseIntMatrix(len(targets), len(sources), cols)
 
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
                     config: RunConfig = DEFAULT_CONFIG) -> KoszulBlock:
-    """Single block of the complex at an arbitrary weight vector."""
-    left, mid, right = (_elements_at_weight(k, e, spec.d, spec.n, weight)
-                        for k, e in spec.term_parameters())
+    """Single block of the complex at any weight vector of length n."""
+    _, (left, mid, right) = _levels(spec, weight, config)
     return KoszulBlock(weight, (len(left), len(mid), len(right)),
-                       _differential(left, mid, config),
-                       _differential(mid, right, config))
+                       _differential(left, mid), _differential(mid, right))
 
 
 def build_blocks(spec: KoszulSpec,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 from typing import Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
@@ -16,10 +17,61 @@ from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol
-from veroschur.koszul import (Element, KoszulBlock, KoszulSpec,
-                              SparseIntMatrix, _differential)
+from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.partitions import Partition, dominates, normalize, partitions_of
 from veroschur.tableaux import horizontal_strips_down, kostka
+
+
+# ---------------------------------------------------------------------------
+# Koszul bases as (wedge tuple, symmetric factor) pairs
+
+Element = tuple[tuple[Weight, ...], Weight]  # (wedge tuple, symmetric factor)
+
+
+def elements_at_weight(k: int, e: int, d: int, n: int,
+                       target: Weight) -> list[Element]:
+    """Basis of wedge^k S^d (x) S^e at one (possibly non-dominant) weight.
+
+    A depth-first search over wedge tuples in monomial order, using only
+    the monomials that fit under target and pruning every prefix whose sum
+    exceeds target in some coordinate; the symmetric factor is what is left.
+    """
+    if k < 0 or e < 0 or min(target) < 0 or sum(target) != k * d + e:
+        return []
+    monos = [m for m in monomials(d, n) if all(map(le, m, target))]
+    out: list[Element] = []
+    wedge: list[Weight] = []
+
+    def extend(start: int, rest: Weight) -> None:
+        if len(wedge) == k:
+            out.append((tuple(wedge), rest))
+            return
+        for j in range(start, len(monos) - (k - len(wedge)) + 1):
+            m = monos[j]
+            if all(map(le, m, rest)):
+                wedge.append(m)
+                extend(j + 1, tuple(x - y for x, y in zip(rest, m)))
+                wedge.pop()
+
+    extend(0, tuple(target))
+    return out
+
+
+def element_differential(sources: list[Element],
+                         targets: list[Element]) -> SparseIntMatrix:
+    """Matrix of the Koszul differential keyed by (wedge, g) elements."""
+    index = {el: i for i, el in enumerate(targets)}
+    cols = []
+    for wedge, g in sources:
+        col: SparseCol = {}
+        for i, f in enumerate(wedge):
+            rest = wedge[:i] + wedge[i + 1:]
+            prod = tuple(x + y for x, y in zip(f, g))
+            row = index.get((rest, prod))
+            if row is not None:
+                col[row] = 1 if i % 2 == 0 else -1
+        cols.append(col)
+    return SparseIntMatrix(len(targets), len(sources), tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +108,8 @@ def blocks_by_product(spec: KoszulSpec) -> list[KoszulBlock]:
     for w in sorted(mid, reverse=True):
         lw, mw, rw = left.get(w, []), mid[w], right.get(w, [])
         out.append(KoszulBlock(w, (len(lw), len(mw), len(rw)),
-                               _differential(lw, mw, DEFAULT_CONFIG),
-                               _differential(mw, rw, DEFAULT_CONFIG)))
+                               element_differential(lw, mw),
+                               element_differential(mw, rw)))
     return out
 
 

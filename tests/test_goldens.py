@@ -8,8 +8,10 @@ replaced them, and sit on both sides of n = p.  The cones hashes were
 taken from the enumerating lattice count, before the layered DP replaced
 it; none of these runs has enough levels to print a fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
-by each column's largest row; perfbench runs none of these commands.  A
-refactor that changes any answer, label or key order changes the hash.
+by each column's largest row, the last four before one packed-weight
+search built all three Koszul bases; perfbench runs none of these
+commands.  A refactor that changes any answer, label or key order changes
+the hash.
 """
 
 import hashlib
@@ -48,6 +50,14 @@ SYZYGY_GOLDENS = {
     "-p 1 -q 1 -d 30 -n 2": "5f3e3ce1142eaf70d78b7a3f5ce873d3efdaf4b2202765305a93423209274223",
     "-p 2 -q 1 -b 2 -d 4 -n 3": "78f9778eb828baa805132c804377942c803c65d0041e477ba671d2454c71e9c7",
     "-p 3 -q 0 -b 1 -d 3 -n 4": "96cc5fdb35baeb197c34d7db731f018ad5cd9362afc50f024dd2b83e25eed294",
+    # p = 0: no right term
+    "-p 0 -q 0 -b 4 -d 5 -n 3": "42ab99db45ba6932b2f07a485557580486f56d17515421e31ae61faf297136e0",
+    # q = 0 and b < d: the left term has a negative degree
+    "-p 2 -q 0 -b 2 -d 4 -n 4": "5216b9cbbd513fa53f4cde836c7a87bdb654bb0f93399241e797c8a6a47ef44a",
+    # b >= d: the left term is S^0 when q = 0
+    "-p 2 -q 0 -b 3 -d 3 -n 3": "f8d5df1805e25fe54e9fcb7b7f9f18d89fc9b923ed07e47a490a508e582817a8",
+    # n = 2
+    "-p 4 -q 1 -d 6 -n 2": "41cf6a25ce49601217fb7684a99174cf2b5c51537c4416b3df7b7ba6f1b61e04",
 }
 
 @pytest.mark.parametrize("suite", sorted(GOLDENS))

@@ -117,6 +117,39 @@ def test_rank_sparse_matches_dense_oracle(matrix):
     assert cols == before
 
 
+@st.composite
+def cleared_matrices(draw):
+    """(nrows, columns, skip): each column in skip is an integer combination
+    of the columns before it, skipped or not."""
+    nr = draw(st.integers(1, 12))
+    entry = st.sampled_from([0] * draw(st.sampled_from((8, 2))) + NONZERO)
+    cols: list[dict[int, int]] = []
+    skip = set()
+    for j in range(draw(st.integers(1, 12))):
+        if cols and draw(st.booleans()):
+            combo: dict[int, int] = {}
+            for col in cols:
+                k = draw(st.integers(-2, 2))
+                for r, v in col.items():
+                    combo[r] = combo.get(r, 0) + k * v
+            cols.append({r: v for r, v in combo.items() if v})
+            skip.add(j)
+        else:
+            cols.append({r: v for r in range(nr) if (v := draw(entry))})
+    return nr, cols, skip
+
+
+@given(cleared_matrices())
+def test_rank_sparse_skip_keeps_rank(matrix):
+    nr, cols, skip = matrix
+    rows = [[col.get(r, 0) for col in cols] for r in range(nr)]
+    pivots: set[int] = set()
+    assert rank_sparse(cols, skip=skip, pivots=pivots) == rank_dense(rows)
+    # one pivot row per kept column, each a row of the matrix
+    assert len(pivots) == rank_dense(rows)
+    assert pivots <= set(range(nr))
+
+
 def test_rank_big_entries_exact():
     # entries engineered so float elimination would misjudge the rank
     big = 10 ** 30

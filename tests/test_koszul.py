@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from veroschur.characters import (char_sym_sym, schur_decompose,
                                   total_multiplicity)
 from veroschur.config import CapExceeded, RunConfig
-from veroschur.koszul import (KoszulSpec, block_at_weight, build_blocks,
-                              cohomology_table, green_vanishing_predicted,
+from veroschur.koszul import (KoszulSpec, _levels, block_at_weight,
+                              build_blocks, cohomology_table,
+                              green_vanishing_predicted,
                               green_vanishing_predicted_twisted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import partitions_of
 
-from oracles import blocks_by_product, compose, dense, is_zero, rank_dense
+from oracles import (blocks_by_product, compose, dense, element_differential,
+                     elements_at_weight, is_zero, rank_dense)
 
 
 def all_weights(degree, n):
@@ -169,6 +171,33 @@ def test_matrix_cap():
         syzygy_decompose(KoszulSpec(1, 1, 0, 3, 2), tiny)
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(0, 2), q=st.integers(0, 2), b=st.integers(0, 2),
+       d=st.integers(1, 3), n=st.integers(1, 3), cap=st.integers(1, 40))
+def test_matrix_cap_trips_at_cap_plus_one(p, q, b, d, n, cap):
+    # the cap trips iff some term at some dominant weight has more than cap
+    # elements, and the level stops as soon as its count passes the cap
+    spec = KoszulSpec(p, q, b, d, n)
+    largest = max(max(block_at_weight(spec, lam + (0,) * (n - len(lam))).dims)
+                  for lam in partitions_of(spec.total_degree, max_parts=n))
+    config = RunConfig(max_matrix_dim=cap)
+    if largest <= cap:
+        list(build_blocks(spec, config))
+        return
+    with pytest.raises(CapExceeded) as exc:
+        list(build_blocks(spec, config))
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == \
+        ("matrix dimension", cap + 1, cap)
+
+
+def test_block_at_weight_rejects_wrong_length():
+    spec = KoszulSpec(1, 1, 0, 2, 2)
+    for weight in ((4,), (4, 0, 0)):
+        with pytest.raises(ValueError, match="need n = 2"):
+            block_at_weight(spec, weight)
+    assert block_at_weight(spec, (4, 0)).dims == (0, 1, 1)
+
+
 def test_rational_normal_curve_betti_numbers():
     # classical linear-strand Betti numbers of the degree-d rational
     # normal curve: p * C(d, p+1)
@@ -246,3 +275,63 @@ def test_build_blocks_matches_product_route(p, q, b, d, n):
     ref = [(bl.weight, bl.dims, bl.d_in, bl.d_out)
            for bl in blocks_by_product(spec)]
     assert got == ref
+
+
+# entries at and next to powers of two, where the packed field width changes
+NEAR_POWERS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+
+
+@st.composite
+def specs_and_weights(draw):
+    """A spec and a weight of length n: mostly of the right total, some
+    with a negative entry or a total off by one, in any order."""
+    p, q, d, n = (draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                  draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    weight = draw(st.lists(st.sampled_from(NEAR_POWERS) | st.integers(0, 12),
+                           min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("total", "total", "negative", "off")))
+    if kind == "negative" and n > 1:
+        shift = weight[0] + draw(st.integers(1, 3))
+        weight[0] -= shift
+        weight[1] += shift
+    b = sum(weight) - (p + q) * d
+    if kind == "off" or b < 0:
+        b = max(b, 0) + draw(st.sampled_from((-1, 1)))
+    return KoszulSpec(p, q, max(b, 0), d, n), tuple(weight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_and_weights())
+def test_levels_match_element_route(case):
+    # each DFS level, mapped back to (wedge, symmetric factor) pairs, is the
+    # per-term basis of the element route, in the same order, and the
+    # index-keyed differentials equal the element-keyed ones
+    spec, weight = case
+    monos, levels = _levels(spec, weight, RunConfig())
+    expected = [elements_at_weight(k, e, spec.d, spec.n, weight)
+                for k, e in spec.term_parameters()]
+    got = []
+    for level in levels:
+        elements = []
+        for wedge in level:
+            ms = tuple(monos[j] for j in wedge)
+            g = tuple(x - sum(m[i] for m in ms) for i, x in enumerate(weight))
+            elements.append((ms, g))
+        got.append(elements)
+    assert got == expected
+    block = block_at_weight(spec, weight)
+    assert block.d_in == element_differential(expected[0], expected[1])
+    assert block.d_out == element_differential(expected[1], expected[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(0, 3), q=st.integers(0, 2), b=st.integers(0, 2),
+       d=st.integers(1, 3), n=st.integers(1, 4))
+def test_cleared_ranks_match_dense(p, q, b, d, n):
+    # clearing d_out by the pivot rows of d_in leaves every cohomology
+    # dimension equal to the one from two dense ranks
+    assume(_product_space(p, q, b, d, n) <= 3_000)
+    for block in build_blocks(KoszulSpec(p, q, b, d, n)):
+        ranks = [rank_dense(dense(mat)) if mat.nrows and mat.ncols else 0
+                 for mat in (block.d_in, block.d_out)]
+        assert block.cohomology_dim() == block.dims[1] - sum(ranks)
