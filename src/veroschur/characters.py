@@ -31,9 +31,8 @@ from operator import add
 from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import (Partition, dominates, gl_dimension, normalize,
+from veroschur.partitions import (Partition, gl_dimension, normalize,
                                   partitions_of, pieri)
-from veroschur.tableaux import kostka
 
 Weight = tuple[int, ...]
 
@@ -417,16 +416,3 @@ def tensor_with_sym(e: SchurExpansion, b: int) -> SchurExpansion:
                 out[mu] = out.get(mu, 0) + c
     return SchurExpansion(e.n, e.degree + b, out)
 
-
-def schur_character(lam: Sequence[int], n: int) -> WeightTable:
-    """Weight table of the single Schur functor S_lam on C^n."""
-    lam = normalize(lam)
-    if len(lam) > n:
-        raise ValueError(f"{lam} does not fit in {n} rows")
-    entries: dict[Weight, int] = {}
-    for mu in partitions_of(sum(lam), max_parts=n):
-        if dominates(lam, mu):
-            k = kostka(lam, mu)
-            if k:
-                entries[_pad(mu, n)] = k
-    return WeightTable(n, sum(lam), entries)

@@ -272,6 +272,21 @@ def oracle_decompose(w: WeightTable) -> SchurExpansion:
     return out
 
 
+def schur_character(lam: Sequence[int], n: int) -> WeightTable:
+    """Weight table of the single Schur functor S_lam on C^n, by Kostka
+    numbers."""
+    lam = normalize(lam)
+    if len(lam) > n:
+        raise ValueError(f"{lam} does not fit in {n} rows")
+    entries: dict[Weight, int] = {}
+    for mu in partitions_of(sum(lam), max_parts=n):
+        if dominates(lam, mu):
+            k = kostka(lam, mu)
+            if k:
+                entries[mu + (0,) * (n - len(mu))] = k
+    return WeightTable(n, sum(lam), entries)
+
+
 def sub(table: WeightTable, other: WeightTable) -> WeightTable:
     """table - other; every multiplicity must stay nonnegative."""
     if (table.n, table.degree) != (other.n, other.degree):

@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veroschur
 from veroschur.cli import build_parser, main
 from veroschur.constructions import EXPERIMENTS
+from veroschur.verify import SUITES
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +226,16 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("format=xml\n")
     code, _, err = run_cli(capsys, "verify", "newell", "--config", str(cfg))
     assert code == 2
+    # a bad line is a usage error that names the file, the line and the key
+    for text, where in (("max_table_entries\n",
+                         "1: max_table_entries must be an integer, got ''"),
+                        ("# caps\nseed = x\n",
+                         "2: seed must be an integer, got 'x'")):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "newell",
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:{where}\n"
 
 
 def test_pretty_output(capsys):
@@ -313,6 +328,56 @@ def test_threads_option_removed(monkeypatch, tmp_path, capsys):
                            "-n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["terms"] == [{"lambda": [2, 2], "mult": "1"}]
+
+
+def test_verify_choices_are_the_suites():
+    # the parser spells the suite names out so that it need not import
+    # verify; they must stay the names that run_suite knows
+    parser = build_parser()
+    verify = next(a for a in parser._actions
+                  if a.dest == "command").choices["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(SUITES)
+
+
+# one small command per subcommand, with the veroschur modules beyond
+# veroschur, config, characters and partitions that it may load
+ENTRY_POINT_RUNS = [
+    (["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"], set()),
+    (["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
+     {"koszul", "intrank"}),
+    (["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
+     {"cones", "tableaux"}),
+    (["verify", "newell"], {"cones", "constructions", "intrank", "koszul",
+                            "tableaux", "verify"}),
+]
+
+
+@pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS,
+                         ids=[argv[0] for argv, _ in ENTRY_POINT_RUNS])
+def test_entry_point_loads_only_its_layer(argv, layer, capsys):
+    """`python -m veroschur.cli` prints what main() prints, and each
+    subcommand imports only the modules it runs.
+
+    -X importtime reports every module the child imports on stderr and
+    leaves stdout alone; the CLI itself runs as __main__, so it is not
+    among them."""
+    argv = argv + ["--format", "json"]
+    env = dict(os.environ)
+    src = str(Path(veroschur.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "veroschur.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, out, err = run_cli(capsys, *argv)
+    assert (child.returncode, child.stdout) == (code, out)
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
+        {"veroschur", "veroschur.config", "veroschur.characters",
+         "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
 
 
 def _argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:
