@@ -87,9 +87,6 @@ class WeightTable:
                 raise ValueError(f"nonpositive entry at {w}")
         self.entries = dict(sorted(self.entries.items(), reverse=True))
 
-    def get(self, w: Sequence[int]) -> int:
-        return self.entries.get(tuple(w), 0)
-
     def dimension(self) -> int:
         return sum(c * orbit_size(w) for w, c in self.entries.items())
 
@@ -314,10 +311,6 @@ def char_sym_sym(p: int, d: int, n: int,
     docstring).
     """
     return _char_plethysm(p, d, n, False, config)
-
-
-def _pad(lam: Partition, n: int) -> Weight:
-    return lam + (0,) * (n - len(lam))
 
 
 def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:

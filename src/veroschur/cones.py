@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import floor
 from typing import Iterable, Iterator, Sequence
 
 from veroschur.characters import complexity, tensor_power_sym, total_multiplicity
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import (Partition, count_partitions, normalize,
-                                  partitions_of)
-from veroschur.tableaux import RowContentMatrix, kostka, offdiag_pairs
+from veroschur.partitions import count_partitions
+from veroschur.tableaux import RowContentMatrix, offdiag_pairs
 
 Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
@@ -323,49 +322,6 @@ def content_points_as_matrices(p: int, d: int,
     cone = content_cone_section(p)
     for point in enumerate_slice(cone, d, config):
         yield RowContentMatrix.from_offdiag(p, d, point)
-
-
-@dataclass(frozen=True)
-class MaxMultiplicityReport:
-    value: int
-    argmax: Partition
-    box_constant: int | None
-    bound: int | None
-    bound_ok: bool | None
-    skipped: str | None
-
-
-def max_multiplicity(p: int, d: int) -> int:
-    """Largest multiplicity of a Schur functor in the p-th tensor power of
-    Sym^d, i.e. the largest Kostka number at weight (d^p)."""
-    return max_multiplicity_report(p, d).value
-
-
-def max_multiplicity_report(p: int, d: int) -> MaxMultiplicityReport:
-    if p < 1 or d < 0:
-        raise ValueError("need p >= 1, d >= 0")
-    best, arg = 0, ()
-    weight = (d,) * p
-    for lam in partitions_of(p * d, max_parts=p):
-        k = kostka(lam, weight)
-        if k > best:
-            best, arg = k, lam
-    if best == 0:
-        best, arg = 1, normalize(weight)
-    exponent = comb(p - 1, 2) if p >= 2 else 0
-    if p > 4:
-        return MaxMultiplicityReport(best, arg, None, None, None,
-                                     "box constant only certified for p <= 4")
-    if exponent == 0:
-        bound = 1
-        return MaxMultiplicityReport(best, arg, 1, bound, best <= bound, None)
-    # box constant: the largest |t_kj|, k >= 1, over the slice; the
-    # coordinates are nonnegative, so that is the largest upper bound
-    cone = content_cone_section(p)
-    l = int(ceil(max(cone.upper_bounds[idx]
-                     for idx, (i, _) in enumerate(offdiag_pairs(p)) if i >= 1)))
-    bound = (3 * l) ** exponent * max(1, d ** exponent)
-    return MaxMultiplicityReport(best, arg, l, bound, best <= bound, None)
 
 
 @dataclass(frozen=True)

@@ -252,10 +252,9 @@ def max_n_green(p: int, b: int, q: int, d: int) -> int:
 @dataclass(frozen=True)
 class PatternReport:
     n: int
-    kind: str  # "twin" | "almost-triplet"
     partitions: int
     parameters: dict
-    molds: int | None = None
+    molds: int
 
 
 def _twin_bounds(p: int, b: int, d: int, n: int):
@@ -273,7 +272,10 @@ def _twin_bounds(p: int, b: int, d: int, n: int):
 
 
 def twin_pattern_count_closed(p: int, b: int, d: int) -> tuple[int, dict]:
-    """Closed-form twin census; see twin_pattern_census for the regime."""
+    """Count the twin-pattern partitions used to certify many distinct
+    Schur types in the twisted linear strand, in closed form over the free
+    values.  There is none for n in {3, 4}, where twin_pattern_enumerate
+    lists the restriction types directly."""
     n = max_n_green(p, b, 1, d)
     if n == 2:
         count = (p + 1) * (d - 1 - p) + 1 if d >= p + 1 else 0
@@ -327,29 +329,6 @@ def _restriction_types(p: int, b: int, d: int, n: int) -> set[Partition]:
             if dominates(lam, weight):
                 types.add(lam)
     return types
-
-
-def twin_pattern_census(p: int, b: int, d: int) -> PatternReport:
-    """Count the twin-pattern partitions used to certify many distinct
-    Schur types in the twisted linear strand.
-
-    For n >= 5 this is the closed-form count over the free values; for
-    n in {2, 3, 4} it reduces to direct enumeration of the restriction
-    types.
-    """
-    if not (p >= b + 1 >= 2):
-        raise ValueError("census requires p >= b+1 >= 2")
-    n = max_n_green(p, b, 1, d)
-    if n <= 4:
-        count = len(_restriction_types(p, b, d, n))
-        return PatternReport(n, "twin", count,
-                             {"p": p, "b": b, "d": d, "B": None,
-                              "lam1_range": None, "path": "direct"})
-    count, meta = twin_pattern_count_closed(p, b, d)
-    return PatternReport(n, "twin", count,
-                         {"p": p, "b": b, "d": d, "B": meta["B"],
-                          "lam1_range": meta["lam1_range"],
-                          "path": "closed-form"})
 
 
 def mold(lam: Sequence[int]) -> Partition:
@@ -430,6 +409,8 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
     otherwise the blocked multi-wedge construction.  Either one fixes a
     size s and an offsets vector; each partition mu of s with at most
     (n-1)/3 parts then gives one member 1 + 2*(mu tripled) + offsets.
+    The report counts both members and distinct molds, so a collision
+    shows as molds < partitions.
     """
     if n > p + 1:
         raise ValueError("requires n <= p + 1")
@@ -446,10 +427,7 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
         core += [1] * (n - 1 - len(core))
         molds.add(mold(normalize(tuple(c + o for c, o in zip(core, offsets)))))
         count += 1
-    if len(molds) != count:
-        raise AssertionError("distinct inputs produced colliding molds")
-    return PatternReport(n, "almost-triplet", count, parameters,
-                         molds=len(molds))
+    return PatternReport(n, count, parameters, len(molds))
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,6 @@ class SparseIntMatrix:
     ncols: int
     cols: tuple[SparseCol, ...]
 
-    def rank(self) -> int:
-        return rank_sparse(self.cols)
-
 
 @dataclass
 class KoszulBlock:
@@ -233,18 +230,8 @@ def syzygy_decompose(spec: KoszulSpec,
 def green_vanishing_predicted(p: int, q: int, b: int, d: int) -> bool:
     """Classical vanishing for the untwisted case: true when q >= 2, d >= p."""
     if b != 0:
-        raise ValueError("untwisted predicate requires b = 0; "
-                         "see green_vanishing_predicted_twisted")
+        raise ValueError("untwisted predicate requires b = 0")
     return q >= 2 and d >= p
-
-
-def green_vanishing_predicted_twisted(p: int, q: int, b: int, d: int) -> bool:
-    """Conservative twisted variant: q >= 2 and d >= p + b.
-
-    For b = 0 this agrees with green_vanishing_predicted; for b > 0 no
-    sharp bound is asserted, only this sufficient one.
-    """
-    return q >= 2 and d >= p + b
 
 
 def raicu_predicted_kp0(p: int, d: int, n: int,

@@ -49,12 +49,6 @@ def add(lam: Sequence[int], mu: Sequence[int]) -> Partition:
     return normalize(tuple(part(lam, i) + part(mu, i) for i in range(k)))
 
 
-def scale(k: int, lam: Sequence[int]) -> Partition:
-    if k <= 0:
-        raise ValueError("scale factor must be positive")
-    return normalize(tuple(k * v for v in lam))
-
-
 def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Partial-sum dominance; requires equal sizes."""
     lam, mu = normalize(lam), normalize(mu)

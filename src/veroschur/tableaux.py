@@ -1,8 +1,9 @@
-"""Semistandard Young tableaux, Kostka numbers, and row-content matrices.
+"""Kostka numbers, horizontal-strip chains, and row-content matrices.
 
-A tableau of shape lam and weight mu is a chain of shapes growing by one
-horizontal strip per label; strip_chains is the one search over such
-chains, used for enumeration and for the staircase membership witness.
+A semistandard tableau of shape lam and weight mu is a chain of shapes
+growing by one horizontal strip per label.  kostka counts the chains by
+peeling strips with horizontal_strips_down; strip_chains lists them, and
+its one production user is the staircase membership witness.
 
 A tableau of weight (d, ..., d) with p rows is encoded by the p x p
 upper-triangular matrix t where t[i][j] counts the labels j+1 in row i+1;
@@ -21,39 +22,6 @@ from veroschur.partitions import Partition, dominates, normalize, part
 def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
     """Row-major (i, j) with i < j; the shared coordinate order (0-based)."""
     return tuple((i, j) for i in range(p) for j in range(i + 1, p))
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """Semistandard tableau: rows weakly increase, columns strictly increase."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        shape = tuple(len(r) for r in self.rows)
-        if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-            raise ValueError(f"row lengths not weakly decreasing: {shape}")
-        for i, row in enumerate(self.rows):
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                raise ValueError(f"row {i} not weakly increasing: {row}")
-            if any(v < 1 for v in row):
-                raise ValueError("labels must be positive")
-            if i > 0:
-                above = self.rows[i - 1]
-                if any(above[j] >= row[j] for j in range(len(row))):
-                    raise ValueError(f"column not strictly increasing at row {i}")
-
-    @property
-    def shape(self) -> Partition:
-        return normalize(tuple(len(r) for r in self.rows))
-
-    def weight(self, labels: int | None = None) -> tuple[int, ...]:
-        top = labels or max((v for r in self.rows for v in r), default=0)
-        counts = [0] * top
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -98,9 +66,6 @@ class RowContentMatrix:
         for j in range(p):
             t[j][j] = d - sum(t[k][j] for k in range(j))
         return cls(p, d, tuple(tuple(row) for row in t))
-
-    def shape(self) -> Partition:
-        return normalize(tuple(sum(self.t[i][i:]) for i in range(self.p)))
 
 
 def horizontal_strips_down(lam: Sequence[int], k: int) -> Iterator[Partition]:
@@ -192,43 +157,3 @@ def strip_chains(lam: Sequence[int],
                 yield chain + (shape,)
 
     yield from chains(lam, len(mu))
-
-
-def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
-    """All SSYT of shape lam and weight mu, each exactly once, in
-    strip_chains order."""
-    lam = normalize(lam)
-    for chain in strip_chains(lam, mu):
-        full = ((),) + chain
-        nrows = len(lam)
-        rows: list[list[int]] = [[] for _ in range(nrows)]
-        for label in range(1, len(full)):
-            prev, cur = full[label - 1], full[label]
-            for i in range(nrows):
-                rows[i].extend([label] * (part(cur, i) - part(prev, i)))
-        yield Tableau(tuple(tuple(r) for r in rows if r))
-
-
-def tableau_to_matrix(tab: Tableau, p: int, d: int) -> RowContentMatrix:
-    """Row-content encoding of a weight-(d^p) tableau with at most p rows."""
-    if len(tab.rows) > p:
-        raise ValueError(f"tableau has more than {p} rows")
-    if tab.weight(p) != (d,) * p:
-        raise ValueError(f"tableau weight is not ({d}^{p})")
-    t = [[0] * p for _ in range(p)]
-    for i, row in enumerate(tab.rows):
-        for v in row:
-            t[i][v - 1] += 1
-    return RowContentMatrix(p, d, tuple(tuple(row) for row in t))
-
-
-def matrix_to_tableau(m: RowContentMatrix) -> Tableau:
-    """Inverse of tableau_to_matrix; validity is rechecked by Tableau."""
-    rows = []
-    for i in range(m.p):
-        row: list[int] = []
-        for j in range(i, m.p):
-            row.extend([j + 1] * m.t[i][j])
-        if row:
-            rows.append(tuple(row))
-    return Tableau(tuple(rows))

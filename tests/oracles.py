@@ -7,10 +7,11 @@ helpers that the program itself never needs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import le
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant, monomials)
@@ -18,8 +19,10 @@ from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
-from veroschur.partitions import Partition, dominates, normalize, partitions_of
-from veroschur.tableaux import horizontal_strips_down, kostka
+from veroschur.partitions import (Partition, dominates, normalize, part,
+                                  partitions_of)
+from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
+                                kostka, strip_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +304,82 @@ def sub(table: WeightTable, other: WeightTable) -> WeightTable:
         else:
             out[w] = r
     return WeightTable(table.n, table.degree, out)
+
+
+# ---------------------------------------------------------------------------
+# semistandard tableaux and their row-content encoding
+
+@dataclass(frozen=True)
+class Tableau:
+    """Semistandard tableau: rows weakly increase, columns strictly increase."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        shape = tuple(len(r) for r in self.rows)
+        if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+            raise ValueError(f"row lengths not weakly decreasing: {shape}")
+        for i, row in enumerate(self.rows):
+            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+                raise ValueError(f"row {i} not weakly increasing: {row}")
+            if any(v < 1 for v in row):
+                raise ValueError("labels must be positive")
+            if i > 0:
+                above = self.rows[i - 1]
+                if any(above[j] >= row[j] for j in range(len(row))):
+                    raise ValueError(f"column not strictly increasing at row {i}")
+
+    @property
+    def shape(self) -> Partition:
+        return normalize(tuple(len(r) for r in self.rows))
+
+    def weight(self, labels: int | None = None) -> tuple[int, ...]:
+        top = labels or max((v for r in self.rows for v in r), default=0)
+        counts = [0] * top
+        for row in self.rows:
+            for v in row:
+                counts[v - 1] += 1
+        return tuple(counts)
+
+
+def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
+    """All SSYT of shape lam and weight mu, each exactly once, in
+    strip_chains order."""
+    lam = normalize(lam)
+    for chain in strip_chains(lam, mu):
+        full = ((),) + chain
+        nrows = len(lam)
+        rows: list[list[int]] = [[] for _ in range(nrows)]
+        for label in range(1, len(full)):
+            prev, cur = full[label - 1], full[label]
+            for i in range(nrows):
+                rows[i].extend([label] * (part(cur, i) - part(prev, i)))
+        yield Tableau(tuple(tuple(r) for r in rows if r))
+
+
+def tableau_to_matrix(tab: Tableau, p: int, d: int) -> RowContentMatrix:
+    """Row-content encoding of a weight-(d^p) tableau with at most p rows."""
+    if len(tab.rows) > p:
+        raise ValueError(f"tableau has more than {p} rows")
+    if tab.weight(p) != (d,) * p:
+        raise ValueError(f"tableau weight is not ({d}^{p})")
+    t = [[0] * p for _ in range(p)]
+    for i, row in enumerate(tab.rows):
+        for v in row:
+            t[i][v - 1] += 1
+    return RowContentMatrix(p, d, tuple(tuple(row) for row in t))
+
+
+def matrix_to_tableau(m: RowContentMatrix) -> Tableau:
+    """Inverse of tableau_to_matrix; validity is rechecked by Tableau."""
+    rows = []
+    for i in range(m.p):
+        row: list[int] = []
+        for j in range(i, m.p):
+            row.extend([j + 1] * m.t[i][j])
+        if row:
+            rows.append(tuple(row))
+    return Tableau(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_schur_decompose_rejects_non_characters():
 def test_schur_character_matches_kostka():
     t = schur_character((3, 1), 3)
     for mu in partitions_of(4, max_parts=3):
-        assert t.get(mu + (0,) * (3 - len(mu))) == kostka((3, 1), mu)
+        assert t.entries.get(mu + (0,) * (3 - len(mu)), 0) == kostka((3, 1), mu)
 
 
 def test_tensor_with_sym():

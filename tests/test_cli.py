@@ -311,6 +311,33 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):
+    # colliding molds are a failed check (exit 1), not an internal error
+    from veroschur.verify import run_suite
+    monkeypatch.setattr("veroschur.constructions.mold", lambda lam: ())
+    report = run_suite("patterns")
+    assert not report["passed"]
+    verdicts = {c["name"]: c["passed"] for c in report["checks"]}
+    assert verdicts["distinct inputs give distinct molds at n-1=6"] is False
+    code, _, err = run_cli(capsys, "verify", "patterns")
+    assert code == 1 and "internal error" not in err
+
+
+def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
+    # a vanishing the classical bound does not predict fails its check
+    # (exit 1) instead of tripping an assert
+    from veroschur.verify import run_suite
+    monkeypatch.setattr("veroschur.verify.green_vanishing_predicted",
+                        lambda p, q, b, d: False)
+    checks = run_suite("green")["checks"]
+    vanishing = [c for c in checks if c["name"].startswith("green vanishing")]
+    assert len(vanishing) == 12
+    assert not any(c["passed"] for c in vanishing)
+    assert all(c["passed"] for c in checks if c not in vanishing)
+    code, _, err = run_cli(capsys, "verify", "green")
+    assert code == 1 and "internal error" not in err
+
+
 def test_threads_option_removed(monkeypatch, tmp_path, capsys):
     # the run is single-threaded: no flag, config key or environment
     # variable selects a worker count

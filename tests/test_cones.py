@@ -1,6 +1,7 @@
 import time
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +13,13 @@ from veroschur.characters import (complexity, schur_decompose,
 from veroschur.cones import (_section, content_cone_section,
                              content_points_as_matrices, duality_rows,
                              enumerate_slice, fit_leading_coefficient,
-                             lattice_count, max_multiplicity,
-                             max_multiplicity_report, moment_map,
-                             shape_cone_section)
+                             lattice_count, moment_map, shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import count_partitions, normalize, partitions_of
-from veroschur.tableaux import kostka, matrix_to_tableau
+from veroschur.tableaux import kostka
 
-from oracles import Unbounded, char_tensor_sym, simplex_max, slice_maxima
+from oracles import (Unbounded, char_tensor_sym, matrix_to_tableau,
+                     simplex_max, slice_maxima)
 
 
 def test_shape_cone_small():
@@ -149,28 +149,27 @@ def test_few_short_shapes():
 
 
 def brute_max_kostka(p, d):
-    best = 0
+    """Largest multiplicity of a Schur functor in the p-th tensor power of
+    Sym^d, i.e. the largest Kostka number at weight (d^p), and a shape
+    attaining it."""
+    best, arg = 0, ()
     for lam in partitions_of(p * d, max_parts=p):
-        best = max(best, kostka(lam, (d,) * p))
-    return best
+        k = kostka(lam, (d,) * p)
+        if k > best:
+            best, arg = k, lam
+    return best, arg
 
 
 def test_max_multiplicity():
-    assert max_multiplicity(2, 7) == 1
-    assert max_multiplicity(1, 3) == 1
-    assert max_multiplicity(3, 0) == 1
-    # exhaustive cross-check, including the box-constant bound
-    for p in (2, 3):
-        for d in (1, 2, 3):
-            rep = max_multiplicity_report(p, d)
-            assert rep.value == brute_max_kostka(p, d)
-            assert rep.bound_ok
-    rep = max_multiplicity_report(3, 2)
-    assert rep.value == 3 and rep.argmax == (4, 2)
-    rep4 = max_multiplicity_report(4, 2)
-    assert rep4.value == brute_max_kostka(4, 2) == 8
-    assert rep4.box_constant == 1 and rep4.bound_ok
-    assert max_multiplicity_report(5, 1).skipped is not None
+    assert brute_max_kostka(2, 7)[0] == 1
+    assert brute_max_kostka(1, 3)[0] == 1
+    assert brute_max_kostka(3, 0)[0] == 1
+    assert brute_max_kostka(3, 2) == (3, (4, 2))
+    assert brute_max_kostka(4, 2)[0] == 8
+    # the paper's bound max <= 3^C(p-1,2) * max(1, d^C(p-1,2))
+    for p, d in [(p, d) for p in (2, 3) for d in (1, 2, 3)] + [(4, 2)]:
+        e = comb(p - 1, 2)
+        assert brute_max_kostka(p, d)[0] <= 3 ** e * max(1, d ** e)
 
 
 def test_enumeration_node_cap():

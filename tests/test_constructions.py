@@ -11,7 +11,6 @@ from veroschur.constructions import (almost_triplet_census,
                                      ratio_experiment, remove_visible_boxes,
                                      sample_staircase_inputs,
                                      staircase_exponents, staircase_membership,
-                                     twin_pattern_census,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
@@ -167,16 +166,6 @@ def test_twin_census_closed_form_equals_enumeration():
     for d in (10, 13, 16):
         assert twin_pattern_count_closed(14, 1, d)[0] == \
             twin_pattern_enumerate(14, 1, d)
-
-
-def test_twin_census_report():
-    rep = twin_pattern_census(3, 1, 20)
-    assert rep.kind == "twin" and rep.n == 2
-    assert rep.partitions == twin_pattern_enumerate(3, 1, 20)
-    rep5 = twin_pattern_census(14, 1, 12)
-    assert rep5.n == 5 and rep5.parameters["path"] == "closed-form"
-    with pytest.raises(ValueError):
-        twin_pattern_census(1, 1, 10)  # needs p >= b+1 >= 2
 
 
 def test_mold():

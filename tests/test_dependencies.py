@@ -22,3 +22,51 @@ def test_program_imports_only_stdlib():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "veroschur", \
                     f"{path.name} imports {name}"
+
+
+def _top_level_defs(tree: ast.Module):
+    """(name, node) for each top-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def test_every_definition_is_reached_from_the_cli():
+    # each top-level function and class in the package must be reachable
+    # from cli.main; a helper that only tests use belongs in tests/oracles.
+    # References are followed by name alone (every Name and Attribute, to a
+    # top-level definition of that name in any module), which can only
+    # over-approximate what a command runs, never under-approximate it
+    by_name: dict[str, list[tuple[str, ast.AST]]] = {}
+    checked = set()
+    for path in Path(veroschur.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, node in _top_level_defs(tree):
+            by_name.setdefault(name, []).append((path.stem, node))
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    not (name.startswith("__") and name.endswith("__")):
+                checked.add((path.stem, name))
+    reached = {("cli", "main")}
+    todo = [node for module, node in by_name["main"] if module == "cli"]
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            if isinstance(sub, ast.Name):
+                ref = sub.id
+            elif isinstance(sub, ast.Attribute):
+                ref = sub.attr
+            else:
+                continue
+            for module, node in by_name.get(ref, ()):
+                if (module, ref) not in reached:
+                    reached.add((module, ref))
+                    todo.append(node)
+    unreached = sorted(f"{module}.{name}" for module, name in checked - reached)
+    assert not unreached, f"not reachable from cli.main: {unreached}"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from veroschur.partitions import (add, conjugate, count_partitions, dominates,
                                   gl_dimension, normalize, partitions_of, pieri,
-                                  scale, sym_group_irrep_dim)
+                                  sym_group_irrep_dim)
 
 
 def partitions_upto(n):
@@ -45,9 +45,8 @@ def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
 
 
-def test_add_scale():
+def test_add():
     assert add((3, 1), (2, 2)) == (5, 3)
-    assert scale(2, (2, 1)) == (4, 2)
     assert add((3, 1), ()) == (3, 1)
 
 

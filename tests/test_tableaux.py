@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veroschur.partitions import dominates, partitions_of
-from veroschur.tableaux import (RowContentMatrix, Tableau, enumerate_ssyt,
-                                horizontal_strips_down, kostka,
-                                matrix_to_tableau, offdiag_pairs,
-                                strip_chains, tableau_to_matrix)
+from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
+                                kostka, offdiag_pairs, strip_chains)
 
-from oracles import strip_chain
+from oracles import (Tableau, enumerate_ssyt, matrix_to_tableau, strip_chain,
+                     tableau_to_matrix)
 
 
 def brute_kostka(shape, weight):
