@@ -12,17 +12,31 @@ by the torus, so cohomology is computed blockwise per dominant weight and
 assembled into a character; the dominant weights come from the partitions
 of the total degree with at most n parts.
 
+For 0 <= b < d the complex is built over the Artinian quotient.  The pure
+powers x_1^d, ..., x_n^d lie in V = S^d and form a regular sequence on
+M = (+)_j S^{jd+b}, the part of k[x] in degrees b mod d, which is free over
+k[x_1^d, ..., x_n^d].  So by Green's hyperplane-section reduction (Green
+1984, Koszul cohomology and the geometry of projective varieties) the same
+torus-graded cohomology comes from wedge^k W (x) Mbar, where W is S^d
+without the pure powers and Mbar = M / (x_i^d) M has every exponent below
+d.  A product f_i g that leaves Mbar is zero.  Mbar vanishes above degree
+n(d - 1), and no middle element has a coordinate above (p + 1)(d - 1), so
+those specs and weights are skipped.  For b >= d the pure powers are not
+in general a regular sequence on the truncated M, and the same code runs
+with a ceiling that bounds nothing (KoszulSpec.ceiling).
+
 All three terms have the total degree (p+q)d+b, so at a weight w a
-k-subset of degree-d monomials whose sum fits under w is exactly one basis
-element of the k-th exterior term; its symmetric factor is what is left.
-One depth-first search over increasing index tuples into the monomials
-that fit under w, to depth p + 1, records all three bases in lex order.
-Weights are packed into one int, a field per coordinate with a guard bit
-on top, so a fit test is one subtraction and one mask.  The weight fixes
-the symmetric factor, so an element is keyed by its index tuple alone, and
-term i of the differential is the row of the tuple without its i-th index.
-The rank of d_in is taken first; its pivot rows clear columns of d_out
-(see veroschur.intrank).
+k-subset of wedge factors whose sum fits under w is one basis element of
+the k-th exterior term when what is left, its symmetric factor, is under
+the ceiling.  One depth-first search over increasing index tuples into the
+wedge factors that fit under w, to depth p + 1, records all three bases in
+lex order.  A node's state is packed into one int, two fields per
+coordinate with a guard bit on top of each, so a test is one subtraction
+and one mask.  The weight fixes the symmetric factor, so an element is
+keyed by its index tuple alone, and term i of the differential is the row
+of the tuple without its i-th index, if that is a basis element.  The rank
+of d_in is taken first; its pivot rows clear columns of d_out (see
+veroschur.intrank).
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseCol, rank_sparse
 from veroschur.partitions import add, partitions_of
 
-Wedge = tuple[int, ...]  # increasing indices into the monomials under a weight
+Wedge = tuple[int, ...]  # increasing indices into the wedge factors
 Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
 
 
@@ -68,6 +82,13 @@ class KoszulSpec:
     @property
     def total_degree(self) -> int:
         return (self.p + self.q) * self.d + self.b
+
+    @property
+    def ceiling(self) -> int:
+        """Largest exponent of a wedge or a symmetric factor of a basis
+        element: d - 1 over the Artinian quotient when b < d, and for
+        b >= d the total degree, which bounds nothing."""
+        return self.d - 1 if self.b < self.d else self.total_degree
 
     def term_parameters(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """(wedge exponent, symmetric degree) for left, middle, right."""
@@ -115,58 +136,81 @@ class KoszulBlock:
 
 def _levels(spec: KoszulSpec, weight: Weight,
             config: RunConfig) -> tuple[list[Weight], Levels]:
-    """Monomials under weight and the left, middle and right bases there.
+    """Wedge factors under weight and the left, middle and right bases.
 
-    Each basis element is a Wedge of indices into the monomials; its
-    symmetric factor is weight minus their sum.  One depth-first search
-    over index tuples records the levels p + 1, p and p - 1, each in lex
-    order.  A node keeps the candidates after its last index that fit under
-    its rest, so the last level is read off its parent's candidates.  A
-    level is checked against max_matrix_dim before it grows.
+    Each basis element is a Wedge of indices into the wedge factors under
+    the weight; its symmetric factor is weight minus their sum.  Every
+    exponent of a factor is at most top = spec.ceiling, so for b < d no
+    pure power is a factor.  One depth-first search over index tuples
+    records the levels p + 1, p and p - 1, each in lex order.
+
+    A node at depth k packs two fields per coordinate: its rest r_i and
+    the slack s_i = (deepest - k + 1) * top - r_i.  Both are nonnegative
+    exactly when the rest fits under the weight and the deepest - k
+    factors still to come, each at most top, can bring it to top.  Taking
+    a factor m subtracts m from r and top - m from s, so a child is tested
+    by one subtraction and one mask of the guard bits; a node keeps the
+    children after its last index that pass.  A level is checked against
+    max_matrix_dim as it grows.
     """
     if len(weight) != spec.n:
         raise ValueError(f"weight {weight} has {len(weight)} entries, "
                          f"need n = {spec.n}")
     if min(weight) < 0 or sum(weight) != spec.total_degree:
         return [], ([], [], [])
-    width = max(weight).bit_length() + 1
-    guard = sum(1 << (i * width + width - 1) for i in range(spec.n))
-
-    def pack(v: Weight) -> int:
-        return sum(x << (i * width) for i, x in enumerate(v))
-
-    # a monomial must fit before it is packed: a coordinate above max(weight)
-    # would spill into the next field
-    monos = [m for m in monomials(spec.d, spec.n) if all(map(le, m, weight))]
-    packed = [pack(m) for m in monos]
+    top = spec.ceiling
     p = spec.p
     # no level p + 1 when the left term has a negative symmetric degree
     deepest = p + 1 if spec.term_parameters()[0][1] >= 0 else p
     lowest = max(p - 1, 0)
+    slack = (deepest + 1) * top
+    if max(weight) > slack:
+        return [], ([], [], [])
+    # a field holds a rest or a slack under its guard bit
+    width = max(max(weight), slack).bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(2 * spec.n))
+
+    def pack(rest: Weight, room: Weight) -> int:
+        return sum(x << (i * width) for i, x in enumerate(rest + room))
+
+    monos = [m for m in monomials(spec.d, spec.n)
+             if all(map(le, m, weight)) and max(m) <= top]
+    packed = [pack(m, tuple(top - x for x in m)) for m in monos]
+    # subtracting record[k] from a node at depth k leaves its guard bits
+    # exactly when every coordinate of its rest is at most top
+    zero = (0,) * spec.n
+    record = [pack(zero, ((deepest - k) * top,) * spec.n)
+              for k in range(deepest + 1)]
     levels: list[list[Wedge]] = [[] for _ in range(deepest + 1)]
     cap = config.max_matrix_dim
 
-    def extend(prefix: Wedge, rest: int, cands: list[int]) -> None:
-        # rest is the guarded packed weight left under prefix
+    def extend(prefix: Wedge, node: int, cands: list[int]) -> None:
+        # node is the guarded packed state of prefix; cands its children
         depth = len(prefix) + 1
         out = levels[depth]
-        if depth >= lowest and len(out) + len(cands) > cap:
-            config.check_matrix(cap + 1)
         if depth == deepest:
+            # at the deepest level a child that passes is kept
             out += [prefix + (j,) for j in cands]
-            return
-        for i, j in enumerate(cands):
-            wedge = prefix + (j,)
-            out.append(wedge)
-            below = rest - packed[j]
-            fits = [k for k in cands[i + 1:]
-                    if (below - packed[k]) & guard == guard]
-            if fits:
-                extend(wedge, below, fits)
+        else:
+            keep = record[depth] if depth >= lowest else None
+            for i, j in enumerate(cands):
+                wedge = prefix + (j,)
+                child = node - packed[j]
+                if keep is not None and (child - keep) & guard == guard:
+                    out.append(wedge)
+                fits = [k for k in cands[i + 1:]
+                        if (child - packed[k]) & guard == guard]
+                if fits:
+                    extend(wedge, child, fits)
+        if len(out) > cap:
+            config.check_matrix(cap + 1)
 
-    levels[0].append(())
+    root = pack(weight, tuple(slack - x for x in weight)) | guard
+    if (root - record[0]) & guard == guard:
+        levels[0].append(())
     if deepest:
-        extend((), pack(weight) | guard, list(range(len(monos))))
+        extend((), root, [j for j, m in enumerate(packed)
+                          if (root - m) & guard == guard])
     return monos, (levels[p + 1] if deepest > p else [], levels[p],
                    levels[p - 1] if p else [])
 
@@ -175,15 +219,25 @@ def _differential(sources: list[Wedge],
                   targets: list[Wedge]) -> SparseIntMatrix:
     """Matrix of the Koszul differential from sources to targets.
 
-    Term i of a source drops its i-th index with sign (-1)^i; the face lies
-    under the same weight, so it is always a target.
+    Term i of a source drops its i-th index with sign (-1)^i.  The face
+    lies under the same weight, but its symmetric factor gained the
+    dropped monomial; when that takes an exponent above the ceiling the
+    product is zero in the quotient, the face is not a target, and the
+    term is dropped.
     """
     index = {wedge: i for i, wedge in enumerate(targets)}
+    get = index.get
     k = len(sources[0]) if sources else 0
     terms = [(i, -1 if i % 2 else 1) for i in range(k)]
-    cols = tuple({index[w[:i] + w[i + 1:]]: sign for i, sign in terms}
-                 for w in sources)
-    return SparseIntMatrix(len(targets), len(sources), cols)
+    cols = []
+    for w in sources:
+        col = {}
+        for i, sign in terms:
+            row = get(w[:i] + w[i + 1:])
+            if row is not None:
+                col[row] = sign
+        cols.append(col)
+    return SparseIntMatrix(len(targets), len(sources), tuple(cols))
 
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
@@ -194,16 +248,34 @@ def block_at_weight(spec: KoszulSpec, weight: Weight,
                        _differential(left, mid), _differential(mid, right))
 
 
+def _weights(spec: KoszulSpec) -> Iterator[Weight]:
+    """Dominant weights of length n where the middle term can be nonzero,
+    in decreasing lex order.
+
+    A middle element has p wedge factors and a symmetric factor of degree
+    qd + b, each with every exponent at most the ceiling.  So there is
+    none when qd + b > n * ceiling, and none at a weight with a coordinate
+    above (p + 1) * ceiling.
+    """
+    top = spec.ceiling
+    if spec.term_parameters()[1][1] > spec.n * top:
+        return
+    for lam in partitions_of(spec.total_degree, max_parts=spec.n):
+        if not lam or lam[0] <= (spec.p + 1) * top:
+            yield lam + (0,) * (spec.n - len(lam))
+
+
 def build_blocks(spec: KoszulSpec,
                  config: RunConfig = DEFAULT_CONFIG) -> Iterator[KoszulBlock]:
-    """One block per dominant weight of the middle term, decreasing lex.
+    """One block per dominant weight with a nonzero middle term, in
+    decreasing lex order.
 
     The running basis size of all three terms is checked against the
     table-entry cap.
     """
     basis = 0
-    for lam in partitions_of(spec.total_degree, max_parts=spec.n):
-        block = block_at_weight(spec, lam + (0,) * (spec.n - len(lam)), config)
+    for weight in _weights(spec):
+        block = block_at_weight(spec, weight, config)
         if block.dims[1]:
             basis += sum(block.dims)
             config.check_table(basis, "Koszul basis elements")

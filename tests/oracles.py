@@ -31,23 +31,28 @@ from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
 Element = tuple[tuple[Weight, ...], Weight]  # (wedge tuple, symmetric factor)
 
 
-def elements_at_weight(k: int, e: int, d: int, n: int,
-                       target: Weight) -> list[Element]:
+def elements_at_weight(k: int, e: int, d: int, n: int, target: Weight,
+                       quotient: bool) -> list[Element]:
     """Basis of wedge^k S^d (x) S^e at one (possibly non-dominant) weight.
 
     A depth-first search over wedge tuples in monomial order, using only
     the monomials that fit under target and pruning every prefix whose sum
     exceeds target in some coordinate; the symmetric factor is what is left.
+    With quotient, the basis is that of wedge^k W (x) Mbar over the
+    Artinian quotient by x_1^d, ..., x_n^d: no wedge factor is a pure
+    power, and every exponent of the symmetric factor is below d.
     """
     if k < 0 or e < 0 or min(target) < 0 or sum(target) != k * d + e:
         return []
-    monos = [m for m in monomials(d, n) if all(map(le, m, target))]
+    monos = [m for m in monomials(d, n) if all(map(le, m, target))
+             and not (quotient and d in m)]
     out: list[Element] = []
     wedge: list[Weight] = []
 
     def extend(start: int, rest: Weight) -> None:
         if len(wedge) == k:
-            out.append((tuple(wedge), rest))
+            if not quotient or max(rest, default=0) < d:
+                out.append((tuple(wedge), rest))
             return
         for j in range(start, len(monos) - (k - len(wedge)) + 1):
             m = monos[j]
@@ -62,7 +67,8 @@ def elements_at_weight(k: int, e: int, d: int, n: int,
 
 def element_differential(sources: list[Element],
                          targets: list[Element]) -> SparseIntMatrix:
-    """Matrix of the Koszul differential keyed by (wedge, g) elements."""
+    """Matrix of the Koszul differential keyed by (wedge, g) elements; a
+    term whose element is not a target is zero."""
     index = {el: i for i, el in enumerate(targets)}
     cols = []
     for wedge, g in sources:
@@ -77,20 +83,40 @@ def element_differential(sources: list[Element],
     return SparseIntMatrix(len(targets), len(sources), tuple(cols))
 
 
+def unreduced_cohomology(spec: KoszulSpec) -> dict[Weight, int]:
+    """Middle cohomology at every dominant weight of the complex over the
+    full polynomial ring, wedge^k S^d (x) S^e with no quotient, by the
+    element route; weights with zero cohomology are left out."""
+    out = {}
+    for lam in partitions_of(spec.total_degree, max_parts=spec.n):
+        w = lam + (0,) * (spec.n - len(lam))
+        left, mid, right = (elements_at_weight(k, e, spec.d, spec.n, w, False)
+                            for k, e in spec.term_parameters())
+        block = KoszulBlock(w, (len(left), len(mid), len(right)),
+                            element_differential(left, mid),
+                            element_differential(mid, right))
+        dim = block.cohomology_dim()
+        if dim:
+            out[w] = dim
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Koszul blocks from the whole product space
 
-def term_elements_by_weight(k: int, e: int, d: int,
-                            n: int) -> dict[Weight, list[Element]]:
+def term_elements_by_weight(k: int, e: int, d: int, n: int,
+                            quotient: bool) -> dict[Weight, list[Element]]:
     """Basis of wedge^k S^d (x) S^e bucketed by dominant weight, built by
-    running over the whole product and dropping non-dominant weights."""
+    running over the whole product and dropping non-dominant weights.
+    With quotient, as in elements_at_weight, the pure powers and every
+    symmetric factor with an exponent of d or more are left out."""
     out: dict[Weight, list[Element]] = {}
     if k < 0 or e < 0:
         return out
-    monos = monomials(d, n)
+    monos = [m for m in monomials(d, n) if not (quotient and d in m)]
     if k > len(monos):
         return out
-    symb = monomials(e, n)
+    symb = [g for g in monomials(e, n) if not (quotient and max(g) >= d)]
     for wedge in combinations(monos, k):
         base = (0,) * n
         for m in wedge:
@@ -103,9 +129,11 @@ def term_elements_by_weight(k: int, e: int, d: int,
 
 
 def blocks_by_product(spec: KoszulSpec) -> list[KoszulBlock]:
-    """Every dominant block of the complex, decreasing lex, via the whole
-    product space of each term."""
-    left, mid, right = (term_elements_by_weight(k, e, spec.d, spec.n)
+    """Every dominant block of the complex with a nonzero middle term,
+    decreasing lex, via the whole product space of each term; over the
+    quotient when b < d."""
+    left, mid, right = (term_elements_by_weight(k, e, spec.d, spec.n,
+                                                spec.b < spec.d)
                         for k, e in spec.term_parameters())
     out = []
     for w in sorted(mid, reverse=True):

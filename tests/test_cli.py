@@ -158,11 +158,11 @@ def test_exit_codes(capsys):
                            "--max-entries", "-5")
     assert code == 2
     assert "max_table_entries must be positive" in err
-    # the cap bounds the Koszul basis too
+    # the cap bounds the Koszul basis too, counted over the Artinian quotient
     code, _, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "1", "-d", "3",
                            "--max-entries", "50")
     assert code == 3
-    assert err == ("resource cap exceeded: Koszul basis elements: needed 67, "
+    assert err == ("resource cap exceeded: Koszul basis elements: needed 51, "
                    "cap 50 (max_table_entries)\n")
     code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
                            "--d-max", "3", "--d-step", "0")

@@ -8,14 +8,15 @@ from veroschur.characters import (char_sym_sym, schur_decompose,
                                   total_multiplicity)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.intrank import rank_sparse
-from veroschur.koszul import (KoszulSpec, _levels, block_at_weight,
+from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
                               build_blocks, cohomology_table,
                               green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import partitions_of
 
 from oracles import (blocks_by_product, compose, dense, element_differential,
-                     elements_at_weight, is_zero, rank_dense)
+                     elements_at_weight, is_zero, rank_dense,
+                     unreduced_cohomology)
 
 
 def all_weights(degree, n):
@@ -43,16 +44,55 @@ def test_conic_first_syzygy():
     assert e.terms == {(2, 2): 1}
 
 
+def bounded_monomials(e, n, d):
+    """Degree-e monomials in n variables with every exponent below d, by
+    inclusion-exclusion over the variables whose exponent is at least d."""
+    return sum((-1) ** j * comb(n, j) * comb(e - j * d + n - 1, n - 1)
+               for j in range(n + 1) if e - j * d >= 0)
+
+
 def test_block_dims_sum_over_all_weights():
-    # summed over every weight of total degree 4 the three terms have the
-    # dimensions of wedge^2 S^2, S^2 (x) S^2 and S^4 over C^2
+    # summed over every weight of the total degree the three terms have the
+    # dimensions of wedge^k W (x) Mbar_e when b < d, W being the N - n
+    # monomials of degree d that are not pure powers and Mbar_e the degree-e
+    # monomials with every exponent below d, and of wedge^k S^d (x) S^e
+    # when b >= d
+    for p, q, b, d, n in [(1, 1, 0, 2, 2), (2, 1, 0, 3, 3), (1, 2, 1, 3, 3),
+                          (2, 0, 2, 3, 2), (1, 1, 3, 2, 3), (1, 1, 2, 2, 2),
+                          (2, 1, 3, 3, 2), (1, 1, 4, 3, 3)]:
+        spec = KoszulSpec(p, q, b, d, n)
+        N = comb(d + n - 1, n - 1)
+        sums = [0, 0, 0]
+        for w in all_weights(spec.total_degree, n):
+            block = block_at_weight(spec, w)
+            for i in range(3):
+                sums[i] += block.dims[i]
+        if b < d:
+            expected = [comb(N - n, k) * bounded_monomials(e, n, d)
+                        if e >= 0 else 0 for k, e in spec.term_parameters()]
+        else:
+            expected = [comb(N, k) * comb(e + n - 1, n - 1) if e >= 0 else 0
+                        for k, e in spec.term_parameters()]
+        assert sums == expected, (p, q, b, d, n)
+    # over C^2 with d = 2 the only wedge factor is xy, and the only
+    # symmetric factors below d are 1, x, y and xy
     spec = KoszulSpec(1, 1, 0, 2, 2)
-    sums = [0, 0, 0]
-    for w in all_weights(4, 2):
-        block = block_at_weight(spec, w)
-        for i in range(3):
-            sums[i] += block.dims[i]
-    assert sums == [comb(3, 2), 9, 5]
+    assert [sum(block_at_weight(spec, w).dims[i] for w in all_weights(4, 2))
+            for i in range(3)] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("p,q,b,d,n", [
+    (1, 2, 0, 2, 3), (3, 3, 0, 3, 4), (0, 1, 1, 2, 1), (2, 1, 2, 3, 1),
+    (4, 4, 1, 2, 4)])
+def test_quotient_vanishes_above_its_top_degree(p, q, b, d, n):
+    # Mbar is zero above degree n(d - 1): when b < d and qd + b exceeds it
+    # there is no block, no search runs (even a cap of 1 does not trip),
+    # and the full-ring complex has no cohomology either
+    spec = KoszulSpec(p, q, b, d, n)
+    assert b < d and q * d + b > n * (d - 1)
+    assert list(build_blocks(spec, RunConfig(max_matrix_dim=1))) == []
+    if spec.total_degree <= 12:
+        assert unreduced_cohomology(spec) == {}
 
 
 def test_complex_property_all_blocks():
@@ -164,20 +204,23 @@ def test_twisted_strand_kernel_support():
 
 
 def test_matrix_cap():
+    # over the quotient the middle term at weight (4, 4) has the 3 elements
+    # x^3y (x) xy^3, x^2y^2 (x) x^2y^2 and xy^3 (x) x^3y
     tiny = RunConfig(max_matrix_dim=2)
     with pytest.raises(CapExceeded):
-        syzygy_decompose(KoszulSpec(1, 1, 0, 3, 2), tiny)
+        syzygy_decompose(KoszulSpec(1, 1, 0, 4, 2), tiny)
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(0, 2), q=st.integers(0, 2), b=st.integers(0, 2),
        d=st.integers(1, 3), n=st.integers(1, 3), cap=st.integers(1, 40))
 def test_matrix_cap_trips_at_cap_plus_one(p, q, b, d, n, cap):
-    # the cap trips iff some term at some dominant weight has more than cap
-    # elements, and the level stops as soon as its count passes the cap
+    # the cap trips iff some term at some dominant weight that build_blocks
+    # visits has more than cap elements, and the level stops as soon as its
+    # count passes the cap
     spec = KoszulSpec(p, q, b, d, n)
-    largest = max(max(block_at_weight(spec, lam + (0,) * (n - len(lam))).dims)
-                  for lam in partitions_of(spec.total_degree, max_parts=n))
+    largest = max((max(block_at_weight(spec, w).dims) for w in _weights(spec)),
+                  default=0)
     config = RunConfig(max_matrix_dim=cap)
     if largest <= cap:
         list(build_blocks(spec, config))
@@ -193,7 +236,11 @@ def test_block_at_weight_rejects_wrong_length():
     for weight in ((4,), (4, 0, 0)):
         with pytest.raises(ValueError, match="need n = 2"):
             block_at_weight(spec, weight)
-    assert block_at_weight(spec, (4, 0)).dims == (0, 1, 1)
+    # x^2 and y^2 are pure powers, so over the quotient only xy is a wedge
+    # factor; with b = d the full ring has x^2 (x) x^4 and x^6 at (6, 0)
+    assert block_at_weight(spec, (4, 0)).dims == (0, 0, 0)
+    assert block_at_weight(spec, (2, 2)).dims == (0, 1, 0)
+    assert block_at_weight(KoszulSpec(1, 1, 2, 2, 2), (6, 0)).dims == (0, 1, 1)
 
 
 def test_rational_normal_curve_betti_numbers():
@@ -306,7 +353,8 @@ def test_levels_match_element_route(case):
     # index-keyed differentials equal the element-keyed ones
     spec, weight = case
     monos, levels = _levels(spec, weight, RunConfig())
-    expected = [elements_at_weight(k, e, spec.d, spec.n, weight)
+    expected = [elements_at_weight(k, e, spec.d, spec.n, weight,
+                                   spec.b < spec.d)
                 for k, e in spec.term_parameters()]
     got = []
     for level in levels:
@@ -333,3 +381,23 @@ def test_cleared_ranks_match_dense(p, q, b, d, n):
         ranks = [rank_dense(dense(mat)) if mat.nrows and mat.ncols else 0
                  for mat in (block.d_in, block.d_out)]
         assert block.cohomology_dim() == block.dims[1] - sum(ranks)
+
+
+@st.composite
+def specs_around_d(draw):
+    """A spec with b = 0, d - 1, d or above d, small enough for the full
+    ring."""
+    p, q, d, n = (draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                  draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    b = draw(st.sampled_from((0, d - 1, d, d + 1, d + 2)))
+    return KoszulSpec(p, q, b, d, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_around_d())
+def test_quotient_cohomology_matches_full_ring(spec):
+    # for b < d the complex over the Artinian quotient has the cohomology of
+    # the full-ring complex at every dominant weight; for b >= d the same
+    # code builds the full-ring complex
+    assume(_product_space(spec.p, spec.q, spec.b, spec.d, spec.n) <= 20_000)
+    assert cohomology_table(spec).entries == unreduced_cohomology(spec)
