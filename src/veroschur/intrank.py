@@ -1,19 +1,23 @@
-"""Exact integer matrix rank by fraction-free column reduction.
+"""Exact integer matrix rank by fraction-free reduction in place.
 
-Each kept column is stored under its largest row, so kept columns have
-distinct largest rows and are therefore independent; every other column
-reduces to zero against them, so the rank is their number.  This is the
-column reduction of the persistence algorithm (Edelsbrunner, Letscher and
-Zomorodian 2002) with exact cross-multiplication and gcd reduction; it is
-the rank routine for Koszul blocks.
+The input is a sequence of sparse vectors, the rows or the columns of a
+matrix; the rank is the same either way.  Each kept vector is stored
+under its largest index, so kept vectors have distinct largest indices
+and are therefore independent; every other vector reduces to zero
+against them, so the rank is their number.  This is the reduction of the
+persistence algorithm (Edelsbrunner, Letscher and Zomorodian 2002) with
+exact cross-multiplication and gcd reduction; it is the rank routine for
+Koszul blocks.
 
-A Koszul block reduces d_in first and clears d_out by its pivot rows, the
-clearing of persistent homology (Chen and Kerber 2011, Persistent homology
-computation with a twist; Bauer, Kerber and Reininghaus 2014, Clear and
-compress).  A kept column z of d_in with largest row i lies in im d_in,
-inside ker d_out, so column i of d_out is a combination of the columns
-before it: it would reduce to zero, and skipping it leaves the rank as it
-is.
+A Koszul block d_in, d_out clears in the cohomology direction, on the
+rows of its maps (de Silva, Morozov and Vejdemo-Johansson 2011, Dualities
+in persistent (co)homology; Bauer, Kerber and Reininghaus 2014, Clear and
+compress).  The rows of d_out are reduced first.  A kept row z of d_out
+whose largest index is i lies in im d_out^T, inside ker d_in^T because
+d_out d_in = 0, so row i of d_in is a combination of the rows before it:
+it would reduce to zero, and skipping it leaves the rank as it is.  In a
+typical block the left term is the largest, so this reduces fewer vectors
+than reducing the columns of d_in first.
 """
 
 from __future__ import annotations
@@ -21,61 +25,64 @@ from __future__ import annotations
 from math import gcd
 from typing import Container, Sequence
 
-SparseCol = dict[int, int]
+SparseVec = dict[int, int]
 
 
-def _normalize(col: SparseCol) -> SparseCol:
+def _normalize(vec: SparseVec, lead: int) -> SparseVec:
+    """vec divided by the gcd of its entries and by the sign of vec[lead]."""
     g = 0
-    for v in col.values():
+    for v in vec.values():
         g = gcd(g, v)
         if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
+            break
+    if vec[lead] < 0:
+        g = -g
+    if g != 1:
+        for i, v in vec.items():
+            vec[i] = v // g
+    return vec
 
 
-def _eliminate(col: SparseCol, piv: SparseCol, prow: int) -> SparseCol:
-    """Exact combination cancelling the entry of col at prow."""
-    pv = piv[prow]
-    cv = col[prow]
-    g = gcd(pv, cv)
-    a, b = pv // g, cv // g
-    out: SparseCol = {}
-    for r, v in col.items():
-        out[r] = a * v
-    for r, v in piv.items():
-        w = out.get(r, 0) - b * v
-        if w:
-            out[r] = w
-        else:
-            out.pop(r, None)
-    return _normalize(out)
-
-
-def rank_sparse(columns: Sequence[SparseCol], skip: Container[int] = (),
+def rank_sparse(vectors: Sequence[SparseVec], skip: Container[int] = (),
                 pivots: set[int] | None = None) -> int:
-    """Rank of the matrix whose columns are sparse {row: value} dicts.
+    """Rank of the matrix whose rows (or columns) are sparse {index: value}
+    dicts.
 
-    A new column is reduced by the kept column stored under its largest
-    row until that row is free, where it is kept, or nothing is left.  A
-    step cancels the largest row and adds only smaller ones, so the loop
-    ends.  Columns whose index is in skip are left out; pivots, if given,
-    receives the largest rows of the kept columns.  The input columns are
-    not mutated.
+    Each vector is copied once and reduced in place by the kept vector
+    stored under its largest index until that index is free, where it is
+    kept, or nothing is left.  A kept vector has a positive entry pv at its
+    largest index; a step pops the entry cv there, scales what is left by
+    pv / g with g = gcd(pv, cv) when that is not 1, and subtracts cv / g
+    times the rest of the kept vector.  A step cancels the largest index
+    and adds only smaller ones, so the loop ends.  Vectors whose position
+    is in skip are left out; pivots, if given, receives the largest indices
+    of the kept vectors.  The input vectors are not mutated.
     """
-    kept: dict[int, SparseCol] = {}
-    for j, col in enumerate(columns):
+    kept: dict[int, SparseVec] = {}
+    for j, vec in enumerate(vectors):
         if j in skip:
             continue
-        col = _normalize({r: v for r, v in col.items() if v})
-        while col:
-            low = max(col)
-            piv = kept.get(low)
+        vec = {i: v for i, v in vec.items() if v}
+        while vec:
+            lead = max(vec)
+            piv = kept.get(lead)
             if piv is None:
-                kept[low] = col
+                kept[lead] = _normalize(vec, lead)
                 break
-            col = _eliminate(col, piv, low)
+            cv = vec.pop(lead)
+            pv = piv[lead]
+            g = gcd(pv, cv)
+            a, b = pv // g, cv // g
+            if a != 1:
+                for i, v in vec.items():
+                    vec[i] = a * v
+            for i, v in piv.items():
+                if i != lead:
+                    w = vec.get(i, 0) - b * v
+                    if w:
+                        vec[i] = w
+                    else:
+                        del vec[i]
     if pivots is not None:
         pivots.update(kept)
     return len(kept)

@@ -33,10 +33,12 @@ wedge factors that fit under w, to depth p + 1, records all three bases in
 lex order.  A node's state is packed into one int, two fields per
 coordinate with a guard bit on top of each, so a test is one subtraction
 and one mask.  The weight fixes the symmetric factor, so an element is
-keyed by its index tuple alone, and term i of the differential is the row
-of the tuple without its i-th index, if that is a basis element.  The rank
-of d_in is taken first; its pivot rows clear columns of d_out (see
-veroschur.intrank).
+keyed by its index tuple alone, and term i of the differential lands in
+the row of the tuple without its i-th index, if that is a basis element.
+Each map is stored as its rows, one per target element, filled in one
+pass over the sources.  The ranks are taken on those rows in the
+cohomology direction: the rows of d_out are reduced first, and their
+pivots clear rows of d_in (see veroschur.intrank).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Iterator
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
                                   char_sym_sym, monomials, schur_decompose)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.intrank import SparseCol, rank_sparse
+from veroschur.intrank import SparseVec, rank_sparse
 from veroschur.partitions import add, partitions_of
 
 Wedge = tuple[int, ...]  # increasing indices into the wedge factors
@@ -107,11 +109,11 @@ class KoszulSpec:
 
 @dataclass(frozen=True)
 class SparseIntMatrix:
-    """Columns as {row: value}; shapes explicit so zero blocks are typed."""
+    """Rows as {column: value}; shapes explicit so zero blocks are typed."""
 
     nrows: int
     ncols: int
-    cols: tuple[SparseCol, ...]
+    rows: tuple[SparseVec, ...]
 
 
 @dataclass
@@ -124,11 +126,13 @@ class KoszulBlock:
     d_out: SparseIntMatrix
 
     def cohomology_dim(self) -> int:
-        # a pivot row of d_in marks a column of d_out that depends on the
-        # columns before it, so it is cleared from the second reduction
+        # ranks on rows, cleared in the cohomology direction: the pivot of
+        # a kept row of d_out, its largest middle index, marks a row of d_in
+        # that is a combination of the rows before it, so it is cleared
+        # from the second reduction
         pivots: set[int] = set()
-        dim = (self.dims[1] - rank_sparse(self.d_in.cols, pivots=pivots)
-               - rank_sparse(self.d_out.cols, skip=pivots))
+        dim = (self.dims[1] - rank_sparse(self.d_out.rows, pivots=pivots)
+               - rank_sparse(self.d_in.rows, skip=pivots))
         if dim < 0:
             raise RuntimeError(f"negative cohomology at weight {self.weight}")
         return dim
@@ -217,7 +221,8 @@ def _levels(spec: KoszulSpec, weight: Weight,
 
 def _differential(sources: list[Wedge],
                   targets: list[Wedge]) -> SparseIntMatrix:
-    """Matrix of the Koszul differential from sources to targets.
+    """Matrix of the Koszul differential from sources to targets, with
+    one row per target.
 
     Term i of a source drops its i-th index with sign (-1)^i.  The face
     lies under the same weight, but its symmetric factor gained the
@@ -229,15 +234,13 @@ def _differential(sources: list[Wedge],
     get = index.get
     k = len(sources[0]) if sources else 0
     terms = [(i, -1 if i % 2 else 1) for i in range(k)]
-    cols = []
-    for w in sources:
-        col = {}
+    rows: list[SparseVec] = [{} for _ in targets]
+    for j, w in enumerate(sources):
         for i, sign in terms:
             row = get(w[:i] + w[i + 1:])
             if row is not None:
-                col[row] = sign
-        cols.append(col)
-    return SparseIntMatrix(len(targets), len(sources), tuple(cols))
+                rows[row][j] = sign
+    return SparseIntMatrix(len(targets), len(sources), tuple(rows))
 
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,

@@ -202,16 +202,18 @@ def suite_ratios(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
-    ok = True
-    details = []
-    for d in range(5, 31):
-        closed = twin_pattern_count_closed(3, 1, d)[0]
-        direct = twin_pattern_enumerate(3, 1, d)
-        if closed != direct:
-            ok = False
-            details.append(f"d={d}: {closed} != {direct}")
-    out.append(Check("twin census closed form vs enumeration p=3 b=1 d<=30",
-                     ok, "; ".join(details) or "all equal"))
+    # p = 3 is the n = 2 count; p = 14 runs the closed form at n = 5
+    for p, ds, label in ((3, range(5, 31), "d<=30"),
+                         (14, (10, 13, 16), "d in {10,13,16} (n=5)")):
+        details = []
+        for d in ds:
+            closed = twin_pattern_count_closed(p, 1, d)[0]
+            direct = twin_pattern_enumerate(p, 1, d)
+            if closed != direct:
+                details.append(f"d={d}: {closed} != {direct}")
+        out.append(Check(f"twin census closed form vs enumeration p={p} b=1 "
+                         f"{label}", not details,
+                         "; ".join(details) or "all equal"))
     counts = {}
     for n in (7, 10, 13):
         p = n - 1

@@ -17,7 +17,7 @@ from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant, monomials)
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.intrank import SparseCol
+from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.partitions import (Partition, dominates, normalize, part,
                                   partitions_of)
@@ -70,17 +70,15 @@ def element_differential(sources: list[Element],
     """Matrix of the Koszul differential keyed by (wedge, g) elements; a
     term whose element is not a target is zero."""
     index = {el: i for i, el in enumerate(targets)}
-    cols = []
-    for wedge, g in sources:
-        col: SparseCol = {}
+    rows: list[SparseVec] = [{} for _ in targets]
+    for j, (wedge, g) in enumerate(sources):
         for i, f in enumerate(wedge):
             rest = wedge[:i] + wedge[i + 1:]
             prod = tuple(x + y for x, y in zip(f, g))
             row = index.get((rest, prod))
             if row is not None:
-                col[row] = 1 if i % 2 == 0 else -1
-        cols.append(col)
-    return SparseIntMatrix(len(targets), len(sources), tuple(cols))
+                rows[row][j] = 1 if i % 2 == 0 else -1
+    return SparseIntMatrix(len(targets), len(sources), tuple(rows))
 
 
 def unreduced_cohomology(spec: KoszulSpec) -> dict[Weight, int]:
@@ -152,29 +150,25 @@ def compose(outer: SparseIntMatrix, inner: SparseIntMatrix) -> SparseIntMatrix:
     if inner.nrows != outer.ncols:
         raise ValueError("shape mismatch")
     out = []
-    for col in inner.cols:
-        acc: SparseCol = {}
-        for mid, v in col.items():
-            for r, w in outer.cols[mid].items():
-                nv = acc.get(r, 0) + v * w
+    for row in outer.rows:
+        acc: SparseVec = {}
+        for mid, v in row.items():
+            for c, w in inner.rows[mid].items():
+                nv = acc.get(c, 0) + v * w
                 if nv:
-                    acc[r] = nv
+                    acc[c] = nv
                 else:
-                    acc.pop(r, None)
+                    acc.pop(c, None)
         out.append(acc)
     return SparseIntMatrix(outer.nrows, inner.ncols, tuple(out))
 
 
 def is_zero(m: SparseIntMatrix) -> bool:
-    return all(not c for c in m.cols)
+    return all(not r for r in m.rows)
 
 
 def dense(m: SparseIntMatrix) -> list[list[int]]:
-    rows = [[0] * m.ncols for _ in range(m.nrows)]
-    for j, col in enumerate(m.cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
+    return [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
 
 
 def rank_dense(rows: list[list[int]]) -> int:

@@ -143,11 +143,27 @@ def cleared_matrices(draw):
 def test_rank_sparse_skip_keeps_rank(matrix):
     nr, cols, skip = matrix
     rows = [[col.get(r, 0) for col in cols] for r in range(nr)]
+    before = copy.deepcopy(cols)
     pivots: set[int] = set()
     assert rank_sparse(cols, skip=skip, pivots=pivots) == rank_dense(rows)
+    assert cols == before
     # one pivot row per kept column, each a row of the matrix
     assert len(pivots) == rank_dense(rows)
     assert pivots <= set(range(nr))
+
+
+def test_rank_non_unit_pivots_scale_in_place():
+    # a kept vector is stored with a positive lead entry; here the leads
+    # are negative or not units, so a step scales the working vector
+    # before it subtracts, and the third 3 x 3 row reduces to zero only
+    # after two such scalings
+    for rows in ([[2, 3], [-4, 5]],
+                 [[3, 3, 4], [-1, 1, -1], [-4, -2, -5]]):
+        vecs = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        for given_vecs in (vecs, to_cols(rows)):
+            before = copy.deepcopy(given_vecs)
+            assert rank_sparse(given_vecs) == rank_dense(rows) == 2
+            assert given_vecs == before
 
 
 def test_rank_big_entries_exact():

@@ -1,7 +1,8 @@
+from copy import deepcopy
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veroschur.characters import (char_sym_sym, schur_decompose,
@@ -271,7 +272,7 @@ def test_block_ranks_sparse_vs_dense():
         for block in build_blocks(spec):
             for mat in (block.d_in, block.d_out):
                 if mat.nrows and mat.ncols:
-                    assert rank_sparse(mat.cols) == rank_dense(dense(mat))
+                    assert rank_sparse(mat.rows) == rank_dense(dense(mat))
 
 
 def test_cohomology_table_matches_single_blocks():
@@ -372,15 +373,23 @@ def test_levels_match_element_route(case):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(0, 3), q=st.integers(0, 2), b=st.integers(0, 2),
-       d=st.integers(1, 3), n=st.integers(1, 4))
+       d=st.integers(1, 3), n=st.integers(1, 5))
+@example(p=2, q=1, b=1, d=2, n=5)
 def test_cleared_ranks_match_dense(p, q, b, d, n):
-    # clearing d_out by the pivot rows of d_in leaves every cohomology
-    # dimension equal to the one from two dense ranks
-    assume(_product_space(p, q, b, d, n) <= 3_000)
+    # reducing the rows of d_out first and clearing the rows of d_in at its
+    # pivots, the largest middle indices of its kept rows, leaves every
+    # cohomology dimension equal to the one from two dense ranks; the
+    # in-place reduction leaves the block as it was, so a second call
+    # agrees.  The example is the smallest spec found where clearing the
+    # row after each pivot instead gives a wrong dimension
+    assume(_product_space(p, q, b, d, n) <= 8_000)
     for block in build_blocks(KoszulSpec(p, q, b, d, n)):
         ranks = [rank_dense(dense(mat)) if mat.nrows and mat.ncols else 0
                  for mat in (block.d_in, block.d_out)]
+        d_in, d_out = deepcopy(block.d_in), deepcopy(block.d_out)
         assert block.cohomology_dim() == block.dims[1] - sum(ranks)
+        assert block.cohomology_dim() == block.dims[1] - sum(ranks)
+        assert (block.d_in, block.d_out) == (d_in, d_out)
 
 
 @st.composite
