@@ -2,8 +2,9 @@
 
 Characters are stored on dominant weights only (full Weyl orbits are
 redundant by symmetry); Weyl-orbit sizes are used whenever a dimension is
-needed.  The fixed monomial order everywhere is decreasing lexicographic
-on exponent vectors, shared with the Koszul module.
+needed.  No monomial is listed here: the plethysm tables below count
+exponent vectors at dominant weights without building them, and the
+Koszul module takes its wedge factors from partitions.vectors_in_box.
 
 Symmetric and exterior plethysms are built as dominant weight tables and
 decomposed by the alternant formula; tensor powers of Sym^d never need a
@@ -24,7 +25,6 @@ p! is checked to be exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from operator import add
@@ -39,21 +39,6 @@ Weight = tuple[int, ...]
 
 class NotACharacter(ValueError):
     """The weight table is not a nonnegative sum of irreducible characters."""
-
-
-@cache
-def monomials(degree: int, n: int) -> tuple[Weight, ...]:
-    """Exponent vectors of degree-d monomials in n variables, decreasing lex."""
-    if n <= 0:
-        raise ValueError("need at least one variable")
-    if degree < 0:
-        return ()
-    if n == 1:
-        return ((degree,),)
-    out = []
-    for first in range(degree, -1, -1):
-        out.extend((first,) + rest for rest in monomials(degree - first, n - 1))
-    return tuple(out)
 
 
 def is_dominant(w: Sequence[int]) -> bool:

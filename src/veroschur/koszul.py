@@ -44,14 +44,13 @@ pivots clear rows of d_in (see veroschur.intrank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
 from typing import Iterator
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
-                                  char_sym_sym, monomials, schur_decompose)
+                                  char_sym_sym, schur_decompose)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec, rank_sparse
-from veroschur.partitions import add, partitions_of
+from veroschur.partitions import add, partitions_of, vectors_in_box
 
 Wedge = tuple[int, ...]  # increasing indices into the wedge factors
 Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
@@ -145,8 +144,10 @@ def _levels(spec: KoszulSpec, weight: Weight,
     Each basis element is a Wedge of indices into the wedge factors under
     the weight; its symmetric factor is weight minus their sum.  Every
     exponent of a factor is at most top = spec.ceiling, so for b < d no
-    pure power is a factor.  One depth-first search over index tuples
-    records the levels p + 1, p and p - 1, each in lex order.
+    pure power is a factor.  The factors are the degree-d vectors in the
+    box min(weight, top), listed by vectors_in_box in decreasing lex
+    order.  One depth-first search over index tuples records the levels
+    p + 1, p and p - 1, each in lex order.
 
     A node at depth k packs two fields per coordinate: its rest r_i and
     the slack s_i = (deepest - k + 1) * top - r_i.  Both are nonnegative
@@ -177,8 +178,8 @@ def _levels(spec: KoszulSpec, weight: Weight,
     def pack(rest: Weight, room: Weight) -> int:
         return sum(x << (i * width) for i, x in enumerate(rest + room))
 
-    monos = [m for m in monomials(spec.d, spec.n)
-             if all(map(le, m, weight)) and max(m) <= top]
+    monos = vectors_in_box((0,) * spec.n, [min(x, top) for x in weight],
+                           spec.d)
     packed = [pack(m, tuple(top - x for x in m)) for m in monos]
     # subtracting record[k] from a node at depth k leaves its guard bits
     # exactly when every coordinate of its rest is at most top

@@ -62,31 +62,48 @@ def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
     return True
 
 
+def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
+                   total: int) -> list[tuple[int, ...]]:
+    """Integer vectors v with lo <= v <= hi and sum(v) == total, in
+    decreasing lexicographic order, by a recursion len(lo) deep.
+
+    Each coordinate runs only over values that the later coordinates,
+    between their bounds, can still complete to total, so no branch dies.
+    Horizontal strips (Macdonald I.5) lie between interlacing bounds; the
+    Koszul wedge factors are the vectors of degree d under a weight.
+    """
+    n = len(lo)
+    floor = [sum(lo[i:]) for i in range(n + 1)]
+    ceil = [sum(hi[i:]) for i in range(n + 1)]
+    out: list[tuple[int, ...]] = []
+    built = [0] * n
+
+    def rec(i: int, rest: int) -> None:
+        if i == n:
+            out.append(tuple(built))
+            return
+        for v in range(min(hi[i], rest - floor[i + 1]),
+                       max(lo[i], rest - ceil[i + 1]) - 1, -1):
+            built[i] = v
+            rec(i + 1, rest - v)
+
+    if floor[0] <= total <= ceil[0]:
+        rec(0, total)
+    return out
+
+
 def pieri(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
     """All mu >= lam with mu/lam a horizontal strip of b boxes.
 
-    Returned in decreasing lexicographic order; pieri(lam, 0) == (lam,).
+    mu interlaces lam from above, lam_i <= mu_i <= lam_{i-1}, in one more
+    row.  Returned in decreasing lexicographic order; pieri(lam, 0) == (lam,).
     """
     lam = normalize(lam)
     if b < 0:
         raise ValueError("strip size must be nonnegative")
-    out: list[Partition] = []
-    rows = len(lam) + 1
-
-    def rec(i: int, remaining: int, built: list[int]) -> None:
-        if i == rows:
-            if remaining == 0:
-                out.append(normalize(built))
-            return
-        lo = part(lam, i)
-        hi = lo + remaining if i == 0 else min(lam[i - 1], lo + remaining)
-        for v in range(hi, lo - 1, -1):
-            built.append(v)
-            rec(i + 1, remaining - (v - lo), built)
-            built.pop()
-
-    rec(0, b, [])
-    return tuple(out)
+    lo = lam + (0,)
+    hi = (part(lam, 0) + b,) + lam
+    return tuple(normalize(mu) for mu in vectors_in_box(lo, hi, sum(lo) + b))
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:

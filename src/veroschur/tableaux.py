@@ -1,9 +1,11 @@
 """Kostka numbers, horizontal-strip chains, and row-content matrices.
 
 A semistandard tableau of shape lam and weight mu is a chain of shapes
-growing by one horizontal strip per label.  kostka counts the chains by
-peeling strips with horizontal_strips_down; strip_chains lists them, and
-its one production user is the staircase membership witness.
+growing by one horizontal strip per label (Stanley, EC2 7.10).
+strip_chains lists the chains by peeling strips with
+horizontal_strips_down, the box walker between interlacing bounds; the
+staircase membership witness takes the first chain, and kostka counts
+them all.
 
 A tableau of weight (d, ..., d) with p rows is encoded by the p x p
 upper-triangular matrix t where t[i][j] counts the labels j+1 in row i+1;
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from veroschur.partitions import Partition, dominates, normalize, part
+from veroschur.partitions import Partition, dominates, normalize, vectors_in_box
 
 
 def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -68,67 +70,13 @@ class RowContentMatrix:
         return cls(p, d, tuple(tuple(row) for row in t))
 
 
-def horizontal_strips_down(lam: Sequence[int], k: int) -> Iterator[Partition]:
-    """All nu <= lam with lam/nu a horizontal strip of k boxes."""
+def horizontal_strips_down(lam: Sequence[int], k: int) -> list[Partition]:
+    """All nu <= lam with lam/nu a horizontal strip of k boxes: nu
+    interlaces lam from below, lam_{i+1} <= nu_i <= lam_i, in decreasing
+    lexicographic order."""
     lam = normalize(lam)
-    if k < 0 or k > sum(lam):
-        return
-
-    def rec(i: int, remaining: int, built: list[int]):
-        if i == len(lam):
-            if remaining == 0:
-                yield normalize(built)
-            return
-        lo = max(part(lam, i + 1), lam[i] - remaining)
-        for v in range(lam[i], lo - 1, -1):
-            built.append(v)
-            yield from rec(i + 1, remaining - (lam[i] - v), built)
-            built.pop()
-
-    yield from rec(0, k, [])
-
-
-_kostka_memo: dict[tuple[Partition, tuple[int, ...]], int] = {}
-
-
-def _kostka(lam: Partition, mu: tuple[int, ...]) -> int:
-    # sizes agree by construction; only shapes with <= len(mu) rows can occur
-    if len(lam) > len(mu):
-        return 0
-    if not mu:
-        return 1
-    if len(mu) == 1:
-        return 1
-    if len(mu) == 2:
-        # two labels: at most one filling, which exists iff the second row
-        # fits under the 1s and the 2s fit after them
-        return 1 if part(lam, 1) <= min(mu) else 0
-    key = (lam, mu)
-    hit = _kostka_memo.get(key)
-    if hit is not None:
-        return hit
-    rest = mu[:-1]
-    total = sum(_kostka(nu, rest) for nu in horizontal_strips_down(lam, mu[-1]))
-    _kostka_memo[key] = total
-    return total
-
-
-def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Number of semistandard tableaux of shape lam and weight mu.
-
-    mu may be any composition of size(lam); trailing zeros are ignored.
-    """
-    lam = normalize(lam)
-    mu = tuple(mu)
-    if any(v < 0 for v in mu):
-        raise ValueError("weight entries must be nonnegative")
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != sum{mu}")
-    while mu and mu[-1] == 0:
-        mu = mu[:-1]
-    if len(lam) > len(mu):
-        return 0
-    return _kostka(lam, mu)
+    lo = lam[1:] + (0,) if lam else ()
+    return [normalize(nu) for nu in vectors_in_box(lo, lam, sum(lam) - k)]
 
 
 def strip_chains(lam: Sequence[int],
@@ -157,3 +105,18 @@ def strip_chains(lam: Sequence[int],
                 yield chain + (shape,)
 
     yield from chains(lam, len(mu))
+
+
+def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Number of semistandard tableaux of shape lam and weight mu, counted
+    as their strip chains.
+
+    mu may be any composition of size(lam), zeros included.
+    """
+    lam = normalize(lam)
+    mu = tuple(mu)
+    if any(v < 0 for v in mu):
+        raise ValueError("weight entries must be nonnegative")
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: |{lam}| != sum{mu}")
+    return sum(1 for _ in strip_chains(lam, mu))

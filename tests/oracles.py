@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import le
 from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
-                                  WeightTable, is_dominant, monomials)
+                                  WeightTable, is_dominant)
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec
@@ -23,6 +24,71 @@ from veroschur.partitions import (Partition, dominates, normalize, part,
                                   partitions_of)
 from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
                                 kostka, strip_chains)
+
+
+# ---------------------------------------------------------------------------
+# box enumerations by their own recursions, the routes that
+# partitions.vectors_in_box replaced
+
+@cache
+def monomials(degree: int, n: int) -> tuple[Weight, ...]:
+    """Exponent vectors of degree-d monomials in n variables, decreasing lex."""
+    if n <= 0:
+        raise ValueError("need at least one variable")
+    if degree < 0:
+        return ()
+    if n == 1:
+        return ((degree,),)
+    out = []
+    for first in range(degree, -1, -1):
+        out.extend((first,) + rest for rest in monomials(degree - first, n - 1))
+    return tuple(out)
+
+
+def pieri_rows(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
+    """All mu >= lam with mu/lam a horizontal strip of b boxes, decreasing
+    lex, choosing each row of mu in turn under the row above it in lam."""
+    lam = normalize(lam)
+    if b < 0:
+        raise ValueError("strip size must be nonnegative")
+    out: list[Partition] = []
+    rows = len(lam) + 1
+
+    def rec(i: int, remaining: int, built: list[int]) -> None:
+        if i == rows:
+            if remaining == 0:
+                out.append(normalize(built))
+            return
+        lo = part(lam, i)
+        hi = lo + remaining if i == 0 else min(lam[i - 1], lo + remaining)
+        for v in range(hi, lo - 1, -1):
+            built.append(v)
+            rec(i + 1, remaining - (v - lo), built)
+            built.pop()
+
+    rec(0, b, [])
+    return tuple(out)
+
+
+def strips_down_rows(lam: Sequence[int], k: int) -> Iterator[Partition]:
+    """All nu <= lam with lam/nu a horizontal strip of k boxes, decreasing
+    lex, choosing each row of nu in turn above the next row of lam."""
+    lam = normalize(lam)
+    if k < 0 or k > sum(lam):
+        return
+
+    def rec(i: int, remaining: int, built: list[int]):
+        if i == len(lam):
+            if remaining == 0:
+                yield normalize(built)
+            return
+        lo = max(part(lam, i + 1), lam[i] - remaining)
+        for v in range(lam[i], lo - 1, -1):
+            built.append(v)
+            yield from rec(i + 1, remaining - (lam[i] - v), built)
+            built.pop()
+
+    yield from rec(0, k, [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
                                   char_sym_sym, char_wedge_sym, complexity,
-                                  is_dominant, monomials, orbit_size,
+                                  is_dominant, orbit_size,
                                   schur_decompose, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 from veroschur.tableaux import kostka
 
-from oracles import (char_power_monomial, char_tensor_sym, oracle_decompose,
-                     schur_character, sub)
+from oracles import (char_power_monomial, char_tensor_sym, monomials,
+                     oracle_decompose, schur_character, sub)
 
 
 def brute_tensor_table(p, d, n):

@@ -323,6 +323,27 @@ def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):
     assert code == 1 and "internal error" not in err
 
 
+def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
+    # a content-section point that is not a tableau is a failed check
+    # (exit 1 with a FAIL line), not invalid arguments (exit 2); dropping
+    # the last tableau inequality admits such points at p = 3
+    from dataclasses import replace
+
+    import veroschur.cones
+    from veroschur.verify import run_suite
+    section = veroschur.cones.content_cone_section
+    monkeypatch.setattr(
+        "veroschur.cones.content_cone_section",
+        lambda p: replace(section(p), inequalities=section(p).inequalities[:-1]))
+    checks = {c["name"]: c for c in run_suite("kostka-cone")["checks"]}
+    fibers = checks["moment fibers p=3 d<=5"]
+    assert not fibers["passed"]
+    assert "not a tableau: condition (2) fails" in fibers["detail"]
+    code, out, err = run_cli(capsys, "verify", "kostka-cone")
+    assert code == 1 and err == ""
+    assert "[FAIL] moment fibers p=3 d<=5" in out
+
+
 def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
     # a vanishing the classical bound does not predict fails its check
     # (exit 1) instead of tripping an assert

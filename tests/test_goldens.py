@@ -6,7 +6,8 @@ search and one almost-triplet builder; the patterns hash was re-pinned
 when that suite gained the n = 5 twin-census check (p = 14), with its
 other checks unchanged.  The decompose hashes were taken from the
 monomial-DP weight tables, before the cycle-index expansion replaced
-them, and sit on both sides of n = p.  The cones hashes were
+them, and sit on both sides of n = p; the two Pieri-product hashes were
+taken before one box walker replaced the row-by-row strip recursion.  The cones hashes were
 taken from the enumerating lattice count, before the layered DP replaced
 it; none of these runs has enough levels to print a fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
@@ -38,6 +39,9 @@ DECOMPOSE_GOLDENS = {
     "wedge -p 6 -d 3 -n 5": "3e5cf4d88a02b64caa2dd8f4aa239e4e32b1859cd4d0725a9aaf05375a572ede",
     "wedge -p 6 -d 3 -n 6": "f42d286104f296909704d3585b05b2d4f8b2f56e032560811e2648ac627823e6",
     "sym -p 5 -d 5": "26075fde98636e1dc03d2c0d570ab80721a29bd61ee4899f6337de23300c77a8",
+    # Pieri products: a tensor power truncated to n = 3 rows, and a twist
+    "tensor -p 5 -d 2 -n 3": "99d1be3846784b10774b156a09bbab60a9286d1d0ef0e2235113022c4883a50d",
+    "sym -p 3 -d 2 --tensor-sym 3": "c4daf2d451d9172aa453049f3f45dbd01badd51710e7785ebaa6f6944773e278",
 }
 
 CONES_GOLDENS = {

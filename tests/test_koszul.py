@@ -1,5 +1,6 @@
 from copy import deepcopy
 from math import comb
+from operator import le
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,7 +17,7 @@ from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
 from veroschur.partitions import partitions_of
 
 from oracles import (blocks_by_product, compose, dense, element_differential,
-                     elements_at_weight, is_zero, rank_dense,
+                     elements_at_weight, is_zero, monomials, rank_dense,
                      unreduced_cohomology)
 
 
@@ -369,6 +370,19 @@ def test_levels_match_element_route(case):
     block = block_at_weight(spec, weight)
     assert block.d_in == element_differential(expected[0], expected[1])
     assert block.d_out == element_differential(expected[1], expected[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_and_weights())
+def test_wedge_factors_are_the_filtered_monomials(case):
+    # the wedge factors are the degree-d monomials under the weight and the
+    # ceiling, in monomial order; a weight that can carry no basis element
+    # may return none
+    spec, weight = case
+    monos, levels = _levels(spec, weight, RunConfig())
+    expected = [m for m in monomials(spec.d, spec.n)
+                if all(map(le, m, weight)) and max(m) <= spec.ceiling]
+    assert monos == expected or (monos == [] and not any(levels))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,15 @@
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veroschur.partitions import (add, conjugate, count_partitions, dominates,
                                   gl_dimension, normalize, partitions_of, pieri,
-                                  sym_group_irrep_dim)
+                                  sym_group_irrep_dim, vectors_in_box)
+from veroschur.tableaux import horizontal_strips_down
+
+from oracles import pieri_rows, strips_down_rows
 
 
 def partitions_upto(n):
@@ -98,6 +101,39 @@ def test_pieri_against_brute_force():
             got = list(pieri(lam, b))
             assert got == brute_pieri(lam, b)
             assert all(sum(mu) == sum(lam) + b for mu in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-2, 3), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 4), min_size=n, max_size=n),
+    st.integers(-3, 12))))
+def test_vectors_in_box_matches_filtered_product(case):
+    # every vector of the box with the right sum, each once, in decreasing
+    # lex order; an empty box or an unreachable sum gives none
+    lo, hi, total = case
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    expected = sorted((v for v in product(*ranges) if sum(v) == total),
+                      reverse=True)
+    assert vectors_in_box(lo, hi, total) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+    st.sampled_from(tuple(partitions_of(n))), st.integers(-1, n + 2))))
+def test_strips_match_row_recursions(case):
+    # strips up (Pieri) and down, by the box walker, are the lists that
+    # the row-by-row recursions they replaced give, in the same order:
+    # Schur expansions and strip chains are built in this order
+    lam, k = case
+    if k < 0:
+        for route in (pieri, pieri_rows):
+            with pytest.raises(ValueError):
+                route(lam, k)
+    else:
+        assert pieri(lam, k) == pieri_rows(lam, k)
+    assert list(horizontal_strips_down(lam, k)) == \
+        list(strips_down_rows(lam, k))
 
 
 def test_pieri_single_box_corner_count():
