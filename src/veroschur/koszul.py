@@ -12,7 +12,7 @@ by the torus, so cohomology is computed blockwise per dominant weight and
 assembled into a character; the dominant weights come from the partitions
 of the total degree with at most n parts.
 
-For 0 <= b < d the complex is built over the Artinian quotient.  The pure
+The complex is built over the Artinian quotient.  For 0 <= b < d the pure
 powers x_1^d, ..., x_n^d lie in V = S^d and form a regular sequence on
 M = (+)_j S^{jd+b}, the part of k[x] in degrees b mod d, which is free over
 k[x_1^d, ..., x_n^d].  So by Green's hyperplane-section reduction (Green
@@ -21,16 +21,20 @@ torus-graded cohomology comes from wedge^k W (x) Mbar, where W is S^d
 without the pure powers and Mbar = M / (x_i^d) M has every exponent below
 d.  A product f_i g that leaves Mbar is zero.  Mbar vanishes above degree
 n(d - 1), and no middle element has a coordinate above (p + 1)(d - 1), so
-those specs and weights are skipped.  For b >= d the pure powers are not
-in general a regular sequence on the truncated M, and the same code runs
-with a ceiling that bounds nothing (KoszulSpec.ceiling).
+those specs and weights are skipped.  The same holds for every b >= 0:
+the three symmetric degrees depend on (q, b) only through qd + b, and a
+negative degree gives the zero space, so the specs (p, q, b, d, n) and
+(p, q + b // d, b % d, d, n) have the same complex, basis for basis and
+map for map, and the second has b % d < d.  (At q = 0 and b >= d the left
+term S^{b-d} is not zero, so M is all of the degrees b mod d, not a
+truncation of them.)
 
 All three terms have the total degree (p+q)d+b, so at a weight w a
 k-subset of wedge factors whose sum fits under w is one basis element of
-the k-th exterior term when what is left, its symmetric factor, is under
-the ceiling.  One depth-first search over increasing index tuples into the
-wedge factors that fit under w, to depth p + 1, records all three bases in
-lex order.  A node's state is packed into one int, two fields per
+the k-th exterior term when what is left, its symmetric factor, has every
+exponent below d.  One depth-first search over increasing index tuples
+into the wedge factors that fit under w, to depth p + 1, records all three
+bases in lex order.  A node's state is packed into one int, two fields per
 coordinate with a guard bit on top of each, so a test is one subtraction
 and one mask.  The weight fixes the symmetric factor, so an element is
 keyed by its index tuple alone, and term i of the differential lands in
@@ -84,13 +88,6 @@ class KoszulSpec:
     def total_degree(self) -> int:
         return (self.p + self.q) * self.d + self.b
 
-    @property
-    def ceiling(self) -> int:
-        """Largest exponent of a wedge or a symmetric factor of a basis
-        element: d - 1 over the Artinian quotient when b < d, and for
-        b >= d the total degree, which bounds nothing."""
-        return self.d - 1 if self.b < self.d else self.total_degree
-
     def term_parameters(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """(wedge exponent, symmetric degree) for left, middle, right."""
         return ((self.p + 1, (self.q - 1) * self.d + self.b),
@@ -143,11 +140,11 @@ def _levels(spec: KoszulSpec, weight: Weight,
 
     Each basis element is a Wedge of indices into the wedge factors under
     the weight; its symmetric factor is weight minus their sum.  Every
-    exponent of a factor is at most top = spec.ceiling, so for b < d no
-    pure power is a factor.  The factors are the degree-d vectors in the
-    box min(weight, top), listed by vectors_in_box in decreasing lex
-    order.  One depth-first search over index tuples records the levels
-    p + 1, p and p - 1, each in lex order.
+    exponent of a factor is at most top = d - 1, so no pure power is a
+    factor.  The factors are the degree-d vectors in the box
+    min(weight, top), listed by vectors_in_box in decreasing lex order.
+    One depth-first search over index tuples records the levels p + 1, p
+    and p - 1, each in lex order.
 
     A node at depth k packs two fields per coordinate: its rest r_i and
     the slack s_i = (deepest - k + 1) * top - r_i.  Both are nonnegative
@@ -163,7 +160,7 @@ def _levels(spec: KoszulSpec, weight: Weight,
                          f"need n = {spec.n}")
     if min(weight) < 0 or sum(weight) != spec.total_degree:
         return [], ([], [], [])
-    top = spec.ceiling
+    top = spec.d - 1
     p = spec.p
     # no level p + 1 when the left term has a negative symmetric degree
     deepest = p + 1 if spec.term_parameters()[0][1] >= 0 else p
@@ -227,7 +224,7 @@ def _differential(sources: list[Wedge],
 
     Term i of a source drops its i-th index with sign (-1)^i.  The face
     lies under the same weight, but its symmetric factor gained the
-    dropped monomial; when that takes an exponent above the ceiling the
+    dropped monomial; when that takes an exponent to d or above the
     product is zero in the quotient, the face is not a target, and the
     term is dropped.
     """
@@ -257,11 +254,11 @@ def _weights(spec: KoszulSpec) -> Iterator[Weight]:
     in decreasing lex order.
 
     A middle element has p wedge factors and a symmetric factor of degree
-    qd + b, each with every exponent at most the ceiling.  So there is
-    none when qd + b > n * ceiling, and none at a weight with a coordinate
-    above (p + 1) * ceiling.
+    qd + b, each with every exponent at most top = d - 1.  So there is
+    none when qd + b > n * top, and none at a weight with a coordinate
+    above (p + 1) * top.
     """
-    top = spec.ceiling
+    top = spec.d - 1
     if spec.term_parameters()[1][1] > spec.n * top:
         return
     for lam in partitions_of(spec.total_degree, max_parts=spec.n):

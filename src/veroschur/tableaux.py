@@ -1,11 +1,10 @@
-"""Kostka numbers, horizontal-strip chains, and row-content matrices.
+"""Horizontal-strip chains and row-content matrices.
 
 A semistandard tableau of shape lam and weight mu is a chain of shapes
 growing by one horizontal strip per label (Stanley, EC2 7.10).
 strip_chains lists the chains by peeling strips with
 horizontal_strips_down, the box walker between interlacing bounds; the
-staircase membership witness takes the first chain, and kostka counts
-them all.
+staircase membership witness takes the first chain.
 
 A tableau of weight (d, ..., d) with p rows is encoded by the p x p
 upper-triangular matrix t where t[i][j] counts the labels j+1 in row i+1;
@@ -105,18 +104,3 @@ def strip_chains(lam: Sequence[int],
                 yield chain + (shape,)
 
     yield from chains(lam, len(mu))
-
-
-def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
-    """Number of semistandard tableaux of shape lam and weight mu, counted
-    as their strip chains.
-
-    mu may be any composition of size(lam), zeros included.
-    """
-    lam = normalize(lam)
-    mu = tuple(mu)
-    if any(v < 0 for v in mu):
-        raise ValueError("weight entries must be nonnegative")
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != sum{mu}")
-    return sum(1 for _ in strip_chains(lam, mu))

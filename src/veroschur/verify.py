@@ -10,19 +10,20 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from veroschur.characters import char_wedge_sym, schur_decompose, tensor_with_sym
+from veroschur.characters import (char_wedge_sym, schur_decompose,
+                                  tensor_power_sym, tensor_with_sym)
 from veroschur.cones import (content_points_as_matrices, duality_rows,
                              enumerate_slice, moment_map, shape_cone_section)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.constructions import (almost_triplet_census, doubled_plethysm_check,
                                      newell_check, ratio_experiment,
-                                     sample_staircase_inputs, staircase_membership,
+                                     sample_staircase_inputs, staircase_exponents,
+                                     staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import normalize
-from veroschur.tableaux import kostka
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,15 @@ def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
     constructed = conditions = 0
     bad: list[str] = []
     for lam, b, p, d, n in samples:
-        res = staircase_membership(lam, b, p, d, n)
-        w = res.witness
+        w = staircase_exponents(lam, b, p)
         es = w.exponents
         if sum(es) != w.levels[0] or w.levels[-1] != 0 or \
                 any(es[i] <= es[i + 1] for i in range(len(es) - 1)) or es[-1] < 0:
+            # membership peels the split off lam as horizontal strips,
+            # which needs the exponents to sum to the level
             bad.append(f"exponent invariants fail for {lam} b={b} p={p}")
+            continue
+        res = staircase_membership(lam, b, p, d, n)
         if res.verdict == "constructed":
             constructed += 1
             if res.chain[-1] != lam:
@@ -147,6 +151,8 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
         ok = True
         details = []
         for d in range(1, 6):
+            # the Kostka numbers K_{lam,(d^p)}, by the Pieri rule
+            kostka = tensor_power_sym(p, d, p, config)
             try:
                 matrices = list(content_points_as_matrices(p, d, config))
             except ValueError as exc:
@@ -165,7 +171,7 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
                 details.append(f"d={d} image mismatch")
             for key, size in fibers.items():
                 lam = normalize((p * d - sum(key[:-1]),) + key[:-1])
-                if size != kostka(lam, (d,) * p):
+                if size != kostka.multiplicity(lam):
                     ok = False
                     details.append(f"d={d} fiber at {lam}")
         out.append(Check(f"moment fibers p={p} d<=5", ok,

@@ -23,7 +23,7 @@ from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.partitions import (Partition, dominates, normalize, part,
                                   partitions_of)
 from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
-                                kostka, strip_chains)
+                                strip_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +168,20 @@ def unreduced_cohomology(spec: KoszulSpec) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 # Koszul blocks from the whole product space
 
-def term_elements_by_weight(k: int, e: int, d: int, n: int,
-                            quotient: bool) -> dict[Weight, list[Element]]:
-    """Basis of wedge^k S^d (x) S^e bucketed by dominant weight, built by
-    running over the whole product and dropping non-dominant weights.
-    With quotient, as in elements_at_weight, the pure powers and every
-    symmetric factor with an exponent of d or more are left out."""
+def term_elements_by_weight(k: int, e: int, d: int,
+                            n: int) -> dict[Weight, list[Element]]:
+    """Basis of wedge^k W (x) Mbar_e over the Artinian quotient bucketed by
+    dominant weight, built by running over the whole product and dropping
+    non-dominant weights; as in elements_at_weight with quotient, the pure
+    powers and every symmetric factor with an exponent of d or more are
+    left out."""
     out: dict[Weight, list[Element]] = {}
     if k < 0 or e < 0:
         return out
-    monos = [m for m in monomials(d, n) if not (quotient and d in m)]
+    monos = [m for m in monomials(d, n) if d not in m]
     if k > len(monos):
         return out
-    symb = [g for g in monomials(e, n) if not (quotient and max(g) >= d)]
+    symb = [g for g in monomials(e, n) if max(g) < d]
     for wedge in combinations(monos, k):
         base = (0,) * n
         for m in wedge:
@@ -194,10 +195,9 @@ def term_elements_by_weight(k: int, e: int, d: int, n: int,
 
 def blocks_by_product(spec: KoszulSpec) -> list[KoszulBlock]:
     """Every dominant block of the complex with a nonzero middle term,
-    decreasing lex, via the whole product space of each term; over the
-    quotient when b < d."""
-    left, mid, right = (term_elements_by_weight(k, e, spec.d, spec.n,
-                                                spec.b < spec.d)
+    decreasing lex, via the whole product space of each term over the
+    quotient."""
+    left, mid, right = (term_elements_by_weight(k, e, spec.d, spec.n)
                         for k, e in spec.term_parameters())
     out = []
     for w in sorted(mid, reverse=True):
@@ -396,6 +396,22 @@ def sub(table: WeightTable, other: WeightTable) -> WeightTable:
 
 # ---------------------------------------------------------------------------
 # semistandard tableaux and their row-content encoding
+
+def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """Number of semistandard tableaux of shape lam and weight mu, counted
+    as their strip chains; the program takes K_{lam,(d^p)} from the Pieri
+    decomposition of (Sym^d)^{(x)p} instead.
+
+    mu may be any composition of size(lam), zeros included.
+    """
+    lam = normalize(lam)
+    mu = tuple(mu)
+    if any(v < 0 for v in mu):
+        raise ValueError("weight entries must be nonnegative")
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: |{lam}| != sum{mu}")
+    return sum(1 for _ in strip_chains(lam, mu))
+
 
 @dataclass(frozen=True)
 class Tableau:

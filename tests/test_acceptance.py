@@ -24,8 +24,9 @@ from veroschur.constructions import (almost_triplet_census,
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import count_partitions, normalize
-from veroschur.tableaux import kostka
 from veroschur.verify import run_suite
+
+from oracles import kostka
 
 
 def _report(num: int, ok: bool, text: str) -> None:

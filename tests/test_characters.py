@@ -12,9 +12,8 @@ from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
                                   tensor_with_sym, total_multiplicity)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
-from veroschur.tableaux import kostka
 
-from oracles import (char_power_monomial, char_tensor_sym, monomials,
+from oracles import (char_power_monomial, char_tensor_sym, kostka, monomials,
                      oracle_decompose, schur_character, sub)
 
 

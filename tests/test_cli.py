@@ -323,6 +323,31 @@ def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):
     assert code == 1 and "internal error" not in err
 
 
+def test_broken_staircase_split_fails_the_staircase_suite(monkeypatch, capsys):
+    # a split that breaks its invariants is a failed check (exit 1 with a
+    # FAIL line), not an internal error (exit 4); running the split's loop
+    # one step short, through a module-level range, leaves the last
+    # exponent as a nonzero final level.  Both modules that hold the split
+    # get the broken one
+    import veroschur.constructions as constructions
+    split = constructions.staircase_exponents
+
+    def short_split(lam, b, p):
+        constructions.range = lambda stop: range(stop - 1)
+        try:
+            return split(lam, b, p)
+        finally:
+            del constructions.range
+
+    monkeypatch.setattr(constructions, "staircase_exponents", short_split)
+    monkeypatch.setattr("veroschur.verify.staircase_exponents", short_split,
+                        raising=False)
+    code, out, err = run_cli(capsys, "verify", "staircase")
+    assert code == 1 and err == ""
+    assert "[FAIL] staircase membership suite" in out
+    assert "exponent invariants fail" in out
+
+
 def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
     # a content-section point that is not a tableau is a failed check
     # (exit 1 with a FAIL line), not invalid arguments (exit 2); dropping

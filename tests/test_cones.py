@@ -16,9 +16,8 @@ from veroschur.cones import (_section, content_cone_section,
                              lattice_count, moment_map, shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import count_partitions, normalize, partitions_of
-from veroschur.tableaux import kostka
 
-from oracles import (Unbounded, char_tensor_sym, matrix_to_tableau,
+from oracles import (Unbounded, char_tensor_sym, kostka, matrix_to_tableau,
                      simplex_max, slice_maxima)
 
 

@@ -14,9 +14,8 @@ from veroschur.constructions import (almost_triplet_census,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
-from veroschur.tableaux import kostka
 
-from oracles import char_tensor_sym, has_twin_pattern, twin_expand
+from oracles import char_tensor_sym, has_twin_pattern, kostka, twin_expand
 
 
 def test_newell_small():

@@ -11,9 +11,10 @@ taken before one box walker replaced the row-by-row strip recursion.  The cones 
 taken from the enumerating lattice count, before the layered DP replaced
 it; none of these runs has enough levels to print a fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
-by each column's largest row, the last four before one packed-weight
-search built all three Koszul bases; perfbench runs none of these
-commands.  A refactor that changes any answer, label or key order changes
+by each column's largest row, the four after the first five before one
+packed-weight search built all three Koszul bases, and the last three
+(b >= d, q >= 1) while b >= d still ran over the full ring instead of the
+Artinian quotient; perfbench runs none of these commands.  A refactor that changes any answer, label or key order changes
 the hash.
 """
 
@@ -64,6 +65,10 @@ SYZYGY_GOLDENS = {
     "-p 2 -q 0 -b 3 -d 3 -n 3": "f8d5df1805e25fe54e9fcb7b7f9f18d89fc9b923ed07e47a490a508e582817a8",
     # n = 2
     "-p 4 -q 1 -d 6 -n 2": "41cf6a25ce49601217fb7684a99174cf2b5c51537c4416b3df7b7ba6f1b61e04",
+    # b >= d with q >= 1, hashed while b >= d still ran over the full ring
+    "-p 3 -q 1 -b 3 -d 3": "f7dff87c649ba5e41a22091496ebe572a9f17b5238c3b78c0f595ebeef9f4840",
+    "-p 1 -q 1 -b 7 -d 3 -n 3": "192e880e5e098ffe43bb058c11b06b3e5c051a5fd494ce0546ce40c7bb593c51",
+    "-p 2 -q 2 -b 4 -d 2 -n 3": "4edd836a9ce7900103d317038e50d47b67babae4657350a228ed4625069fc492",
 }
 
 @pytest.mark.parametrize("suite", sorted(GOLDENS))

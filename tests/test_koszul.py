@@ -55,10 +55,9 @@ def bounded_monomials(e, n, d):
 
 def test_block_dims_sum_over_all_weights():
     # summed over every weight of the total degree the three terms have the
-    # dimensions of wedge^k W (x) Mbar_e when b < d, W being the N - n
+    # dimensions of wedge^k W (x) Mbar_e for every b, W being the N - n
     # monomials of degree d that are not pure powers and Mbar_e the degree-e
-    # monomials with every exponent below d, and of wedge^k S^d (x) S^e
-    # when b >= d
+    # monomials with every exponent below d
     for p, q, b, d, n in [(1, 1, 0, 2, 2), (2, 1, 0, 3, 3), (1, 2, 1, 3, 3),
                           (2, 0, 2, 3, 2), (1, 1, 3, 2, 3), (1, 1, 2, 2, 2),
                           (2, 1, 3, 3, 2), (1, 1, 4, 3, 3)]:
@@ -69,12 +68,8 @@ def test_block_dims_sum_over_all_weights():
             block = block_at_weight(spec, w)
             for i in range(3):
                 sums[i] += block.dims[i]
-        if b < d:
-            expected = [comb(N - n, k) * bounded_monomials(e, n, d)
-                        if e >= 0 else 0 for k, e in spec.term_parameters()]
-        else:
-            expected = [comb(N, k) * comb(e + n - 1, n - 1) if e >= 0 else 0
-                        for k, e in spec.term_parameters()]
+        expected = [comb(N - n, k) * bounded_monomials(e, n, d)
+                    if e >= 0 else 0 for k, e in spec.term_parameters()]
         assert sums == expected, (p, q, b, d, n)
     # over C^2 with d = 2 the only wedge factor is xy, and the only
     # symmetric factors below d are 1, x, y and xy
@@ -85,13 +80,14 @@ def test_block_dims_sum_over_all_weights():
 
 @pytest.mark.parametrize("p,q,b,d,n", [
     (1, 2, 0, 2, 3), (3, 3, 0, 3, 4), (0, 1, 1, 2, 1), (2, 1, 2, 3, 1),
-    (4, 4, 1, 2, 4)])
+    (4, 4, 1, 2, 4), (1, 0, 5, 3, 2), (0, 1, 3, 2, 2), (1, 1, 4, 2, 3),
+    (2, 0, 7, 3, 3)])
 def test_quotient_vanishes_above_its_top_degree(p, q, b, d, n):
-    # Mbar is zero above degree n(d - 1): when b < d and qd + b exceeds it
-    # there is no block, no search runs (even a cap of 1 does not trip),
-    # and the full-ring complex has no cohomology either
+    # Mbar is zero above degree n(d - 1): when qd + b exceeds it, for b
+    # below d or not, there is no block, no search runs (even a cap of 1
+    # does not trip), and the full-ring complex has no cohomology either
     spec = KoszulSpec(p, q, b, d, n)
-    assert b < d and q * d + b > n * (d - 1)
+    assert q * d + b > n * (d - 1)
     assert list(build_blocks(spec, RunConfig(max_matrix_dim=1))) == []
     if spec.total_degree <= 12:
         assert unreduced_cohomology(spec) == {}
@@ -239,10 +235,15 @@ def test_block_at_weight_rejects_wrong_length():
         with pytest.raises(ValueError, match="need n = 2"):
             block_at_weight(spec, weight)
     # x^2 and y^2 are pure powers, so over the quotient only xy is a wedge
-    # factor; with b = d the full ring has x^2 (x) x^4 and x^6 at (6, 0)
+    # factor, for b = d as well: the full ring's x^2 (x) x^4 and x^6 at
+    # (6, 0) have exponents of d or more
     assert block_at_weight(spec, (4, 0)).dims == (0, 0, 0)
     assert block_at_weight(spec, (2, 2)).dims == (0, 1, 0)
-    assert block_at_weight(KoszulSpec(1, 1, 2, 2, 2), (6, 0)).dims == (0, 1, 1)
+    assert block_at_weight(KoszulSpec(1, 1, 2, 2, 2), (6, 0)).dims == (0, 0, 0)
+    # b = d and q = 0 give the blocks of b = 0 and q = 1: at (3, 3, 0) the
+    # left x^2y ^ xy^2, and the middle x^2y (x) xy^2 and xy^2 (x) x^2y
+    for spec in (KoszulSpec(1, 0, 3, 3, 3), KoszulSpec(1, 1, 0, 3, 3)):
+        assert block_at_weight(spec, (3, 3, 0)).dims == (1, 2, 0)
 
 
 def test_rational_normal_curve_betti_numbers():
@@ -355,8 +356,7 @@ def test_levels_match_element_route(case):
     # index-keyed differentials equal the element-keyed ones
     spec, weight = case
     monos, levels = _levels(spec, weight, RunConfig())
-    expected = [elements_at_weight(k, e, spec.d, spec.n, weight,
-                                   spec.b < spec.d)
+    expected = [elements_at_weight(k, e, spec.d, spec.n, weight, True)
                 for k, e in spec.term_parameters()]
     got = []
     for level in levels:
@@ -375,13 +375,13 @@ def test_levels_match_element_route(case):
 @settings(max_examples=150, deadline=None)
 @given(specs_and_weights())
 def test_wedge_factors_are_the_filtered_monomials(case):
-    # the wedge factors are the degree-d monomials under the weight and the
-    # ceiling, in monomial order; a weight that can carry no basis element
-    # may return none
+    # the wedge factors are the degree-d monomials under the weight with
+    # every exponent below d, in monomial order; a weight that can carry no
+    # basis element may return none
     spec, weight = case
     monos, levels = _levels(spec, weight, RunConfig())
     expected = [m for m in monomials(spec.d, spec.n)
-                if all(map(le, m, weight)) and max(m) <= spec.ceiling]
+                if all(map(le, m, weight)) and max(m) < spec.d]
     assert monos == expected or (monos == [] and not any(levels))
 
 
@@ -408,19 +408,20 @@ def test_cleared_ranks_match_dense(p, q, b, d, n):
 
 @st.composite
 def specs_around_d(draw):
-    """A spec with b = 0, d - 1, d or above d, small enough for the full
-    ring."""
+    """A spec with b = 0 or d - 1, below d, or b = d, d + 1, d + 2, 2d or
+    2d + 1, where b // d is 1 or more, small enough for the full ring."""
     p, q, d, n = (draw(st.integers(0, 3)), draw(st.integers(0, 2)),
                   draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    b = draw(st.sampled_from((0, d - 1, d, d + 1, d + 2)))
+    b = draw(st.sampled_from((0, d - 1, d, d + 1, d + 2, 2 * d, 2 * d + 1)))
     return KoszulSpec(p, q, b, d, n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs_around_d())
 def test_quotient_cohomology_matches_full_ring(spec):
-    # for b < d the complex over the Artinian quotient has the cohomology of
-    # the full-ring complex at every dominant weight; for b >= d the same
-    # code builds the full-ring complex
+    # the complex over the Artinian quotient has the cohomology of the
+    # full-ring complex at every dominant weight, for b >= d as well: the
+    # spec with q + b // d and b % d has the same complex, and there the
+    # pure powers are a regular sequence
     assume(_product_space(spec.p, spec.q, spec.b, spec.d, spec.n) <= 20_000)
     assert cohomology_table(spec).entries == unreduced_cohomology(spec)

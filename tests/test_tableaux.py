@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from veroschur.partitions import dominates, partitions_of
 from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
-                                kostka, offdiag_pairs, strip_chains)
+                                offdiag_pairs, strip_chains)
 
-from oracles import (Tableau, enumerate_ssyt, matrix_to_tableau, strip_chain,
-                     tableau_to_matrix)
+from oracles import (Tableau, enumerate_ssyt, kostka, matrix_to_tableau,
+                     strip_chain, tableau_to_matrix)
 
 
 def brute_kostka(shape, weight):
