@@ -3,8 +3,8 @@
 Everything is computed in exact integer or rational arithmetic.  The main
 entry points are:
 
-* :mod:`veroschur.characters` -- characters of tensor/symmetric/exterior
-  powers of symmetric powers and their Schur decompositions,
+* :mod:`veroschur.characters` -- Schur decompositions of tensor, symmetric
+  and exterior powers of symmetric powers, and of weight tables,
 * :mod:`veroschur.koszul` -- syzygy functors via per-weight Koszul ranks,
 * :mod:`veroschur.cones` -- lattice-point counts on the two cone sections
   that govern complexity and total multiplicity (integer inequalities with

@@ -2,43 +2,45 @@
 
 Characters are stored on dominant weights only (full Weyl orbits are
 redundant by symmetry); Weyl-orbit sizes are used whenever a dimension is
-needed.  No monomial is listed here: the plethysm tables below count
-exponent vectors at dominant weights without building them, and the
-Koszul module takes its wedge factors from partitions.vectors_in_box.
+needed.  No monomial is listed here: the Koszul module takes its wedge
+factors from partitions.vectors_in_box, and the plethysms below never
+build a weight table.
 
-Symmetric and exterior plethysms are built as dominant weight tables and
-decomposed by the alternant formula; tensor powers of Sym^d never need a
-table, being repeated horizontal-strip (Pieri) products.  A plethysm
-table comes from the cycle-index expansion (Macdonald, Symmetric
-Functions and Hall Polynomials, I.8)
+Symmetric and exterior plethysms and tensor powers of Sym^d are built in
+the Schur basis of GL_n from the cycle-index expansion (Macdonald,
+Symmetric Functions and Hall Polynomials, I.8)
 
     h_p[h_d] = sum over nu |- p of z_nu^-1 p_nu[h_d],
     e_p[h_d] = sum over nu |- p of eps_nu z_nu^-1 p_nu[h_d],
 
-with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  The weight
-multiplicity at a dominant mu is sum_nu eps_nu (p!/z_nu) T_nu(mu) / p!,
-where T_nu(mu) counts the tuples of degree-d exponent vectors a_i with
-sum_i nu_i a_i = mu.  Only dominant mu are visited, and the division by
-p! is checked to be exact.
+with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  Each p_nu[h_d]
+is a product of factors p_k[h_d]: k = 1 is h_d itself, a horizontal-strip
+(Pieri) step, and k >= 2 shifts lam + delta by k times every degree-d
+exponent vector (the alternant rule, Macdonald I.3).  The tensor power
+h_d^p is the chain nu = (1^p).  Terms longer than n are dropped after each
+factor; the sum is divided by p! exactly, and its dimension is checked
+against the binomial closed form.  schur_decompose turns a weight table
+(the Koszul cohomology) into Schur terms by the alternant formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from math import factorial, prod
-from operator import add
+from itertools import combinations, starmap
+from math import comb, factorial, prod
+from operator import add, lt, sub
 from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.partitions import (Partition, gl_dimension, normalize,
-                                  partitions_of, pieri)
+                                  partitions_of, pieri, vectors_in_box)
 
 Weight = tuple[int, ...]
 
 
-class NotACharacter(ValueError):
-    """The weight table is not a nonnegative sum of irreducible characters."""
+class NotACharacter(Exception):
+    """A computed character is not a nonnegative sum of irreducible
+    characters: a fault of the program, not of its arguments."""
 
 
 def is_dominant(w: Sequence[int]) -> bool:
@@ -133,169 +135,138 @@ def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
     return out
 
 
-def _run_moves(run: tuple[int, ...], lo: int, hi: int, held: int,
-               config: RunConfig) -> dict[tuple[tuple[int, ...], int], int]:
-    """Ways to take between lo and hi in total out of rows of equal nu_i
-    whose residuals are run (weakly decreasing), one entry per row:
-    (residuals left, sorted; amount taken) -> number of row-by-row
-    choices.  Rows of equal residual are interchangeable, so each multiset
-    of takes counts with its multinomial coefficient.  The partial table,
-    on top of the held entries, is checked against the cap after each
-    group of equal residuals."""
-    partial: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
-    room = sum(run)
-    i = 0
-    while i < len(run):
-        r, c = run[i], run.count(run[i])
-        i += c
-        room -= r * c
-        grown: dict[tuple[tuple[int, ...], int], int] = {}
-        for takes in combinations_with_replacement(range(r + 1), c):
-            weight = factorial(c)
-            for t in set(takes):
-                weight //= factorial(takes.count(t))
-            gone = sum(takes)
-            rest = tuple(r - t for t in takes)
-            for (left, taken), w in partial.items():
-                if lo <= taken + gone + room and taken + gone <= hi:
-                    key = (left + rest, taken + gone)
-                    grown[key] = grown.get(key, 0) + w * weight
-        config.check_table(held + len(grown))
-        partial = grown
-    out: dict[tuple[tuple[int, ...], int], int] = {}
-    for (left, taken), w in partial.items():
-        key = (tuple(sorted(left, reverse=True)), taken)
-        out[key] = out.get(key, 0) + w
+def _pieri_product(terms: dict[Partition, int], b: int, n: int,
+                   config: RunConfig, held: int = 0) -> dict[Partition, int]:
+    """terms times h_b by the horizontal-strip rule, dropping terms longer
+    than n.  The terms, on top of the held ones, are checked against the
+    cap after each lam, so a product that outgrows it stops within one
+    lam's strips past the cap."""
+    out: dict[Partition, int] = {}
+    for lam, c in terms.items():
+        for mu in pieri(lam, b):
+            if len(mu) <= n:
+                out[mu] = out.get(mu, 0) + c
+        config.check_table(held + len(out), "Schur terms")
     return out
 
 
-def _knapsack(rows: Sequence[tuple[int, int]]) -> list[int]:
-    """Coefficients of prod (1 + x^v + ... + x^(v r)) over rows (v, r):
-    entry s counts the vectors 0 <= a_i <= r_i with sum v_i a_i = s."""
-    poly = [1]
-    for v, r in rows:
-        if not r:
-            continue
-        span = v * (r + 1)
-        grown = [0] * (len(poly) + v * r)
-        for t in range(len(grown)):
-            acc = poly[t] if t < len(poly) else 0
-            if t >= v:
-                acc += grown[t - v]
-            if span <= t < span + len(poly):
-                acc -= poly[t - span]
-            grown[t] = acc
-        poly = grown
-    return poly
+def _alternant_product(terms: dict[Partition, int], k: int,
+                       shifts: list[Weight], n: int, config: RunConfig,
+                       held: int) -> dict[Partition, int]:
+    """terms times p_k[h_d] over GL_n, shifts being the degree-d exponent
+    vectors beta of length n, by the alternant rule
+
+        s_lam p_k[h_d] = sum over beta of a_{lam + delta + k beta} / a_delta,
+
+    where a_alpha is 0 when alpha has a repeated entry and otherwise
+    sgn(sort) a_{sort(alpha)}, with sort(alpha) - delta a partition of at
+    most n parts (Macdonald I.3).  The cap is checked as in _pieri_product."""
+    steps = [tuple(k * v for v in beta) for beta in shifts]
+    delta = range(n - 1, -1, -1)
+    out: dict[Partition, int] = {}
+    for lam, c in terms.items():
+        top = tuple(map(add, lam + (0,) * (n - len(lam)), delta))
+        for step in steps:
+            alpha = tuple(map(add, top, step))
+            if len(set(alpha)) < n:
+                continue
+            inversions = sum(starmap(lt, combinations(alpha, 2)))
+            mu = tuple(map(sub, sorted(alpha, reverse=True), delta))
+            mu = mu[:n - mu.count(0)]  # a partition, so its zeros trail
+            out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
+        config.check_table(held + len(out), "Schur terms")
+    return {mu: c for mu, c in out.items() if c}
 
 
-def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
-                       out: dict[Weight, int], config: RunConfig) -> None:
-    """Add coef * T_nu(mu) to out[mu] for every dominant mu of length n.
+def _power_sum_products(types: list[tuple[Partition, int]], d: int, n: int,
+                        config: RunConfig) -> dict[Partition, int]:
+    """sum of coef * p_nu[h_d] over (nu, coef) in types, in the Schur basis
+    of GL_n, as a dict of nonzero coefficients.
 
-    T_nu(mu) counts the tables a_ij >= 0 with row sums d and column sums
-    sum_i nu_i a_ij = mu_j.  Columns are filled left to right; a state is
-    the row residuals, sorted within each run of equal nu_i, and maps each
-    dominant prefix of mu to its count.  A column may take s only if
-    s <= the previous column and the rest fits in the columns left at
-    most s each.  The last two columns are one bounded-knapsack count.
+    p_nu[h_d] is the product of its factors p_k[h_d], taken with the parts
+    of nu in ascending order: k = 1 is h_d (_pieri_product) and k >= 2 is
+    _alternant_product.  Terms longer than n are dropped after each factor,
+    which is exact because restricting to n variables is a ring map.  The
+    products are shared by prefix: a depth-first walk keeps the product
+    of each prefix on its path while a type extends it, visiting the
+    largest next part first, so the alternant products on short prefixes
+    run (and their caps trip) before the chain of 1s grows.
 
-    The cap bounds the (state, prefix) entries of the level being built
-    plus the moves of the state at hand, and, at the knapsack, the weights
-    counted so far.  It is checked after each prefix, so a level that
-    outgrows it stops at most one state's moves past the cap.
+    The caps: the shift count C(n+d-1, d) against max_table_entries before
+    the shifts are listed; the terms times the shifts of every alternant
+    product so far against max_enum_nodes before each one runs; and the
+    terms held on the path, summed so far and being filled against
+    max_table_entries, as each product fills.
     """
-    values = sorted(set(nu), reverse=True)
-    if n == 1:
-        out[(sum(nu) * d,)] = out.get((sum(nu) * d,), 0) + coef
-        return
-    level: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {
-        tuple((d,) * nu.count(v) for v in values): {(): coef}}
-    for columns_left in range(n - 1, 1, -1):
-        grown: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {}
-        size = 0
-        for state, prefixes in level.items():
-            total = sum(v * sum(run) for v, run in zip(values, state))
-            # the column takes at most the previous one and at least what
-            # spreads the rest over the columns after it
-            hi = max(prefix[-1] if prefix else total for prefix in prefixes)
-            lo = -(-total // (columns_left + 1))
-            moves: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
-            for v, run in zip(values, state):
-                other = total - v * sum(run)
-                run_moves = _run_moves(run, -(-(lo - other) // v), hi // v,
-                                       size + len(moves), config)
-                moves = {(left + (rest,), s + v * taken): w * ways
-                         for (left, s), w in moves.items()
-                         for (rest, taken), ways in run_moves.items()}
-                config.check_table(size + len(moves))
-            ordered = sorted((s, left, w) for (left, s), w in moves.items()
-                             if lo <= s <= hi)
-            for prefix, count in prefixes.items():
-                last = prefix[-1] if prefix else total
-                for s, left, w in ordered:
-                    if s > last:
-                        break
-                    row = grown.setdefault(left, {})
-                    key = prefix + (s,)
-                    if key in row:
-                        row[key] += count * w
-                    else:
-                        row[key] = count * w
-                        size += 1
-                config.check_table(size)
-        level = grown
-    for state, prefixes in level.items():
-        total = sum(v * sum(run) for v, run in zip(values, state))
-        poly = _knapsack([(v, r) for v, run in zip(values, state) for r in run])
-        for prefix, count in prefixes.items():
-            last = prefix[-1] if prefix else total
-            for s in range((total + 1) // 2, min(last, total) + 1):
-                if poly[s]:
-                    mu = prefix + (s, total - s)
-                    out[mu] = out.get(mu, 0) + count * poly[s]
-        config.check_table(len(out))
+    ascending = [(nu[::-1], coef) for nu, coef in types]
+    shifts: list[Weight] = []
+    if any(nu[-1] > 1 for nu, _ in ascending):
+        config.check_table(comb(n + d - 1, d), "alternant shifts")
+        shifts = vectors_in_box((0,) * n, (d,) * n, d)
+    signed: dict[Partition, int] = {}
+    nodes = 0
+
+    def walk(depth: int, group: list[tuple[Partition, int]],
+             terms: dict[Partition, int], held: int) -> None:
+        nonlocal nodes
+        for nu, coef in group:
+            if len(nu) == depth:
+                for lam, c in terms.items():
+                    signed[lam] = signed.get(lam, 0) + coef * c
+                config.check_table(held + len(signed), "Schur terms")
+        for k in sorted({nu[depth] for nu, _ in group if len(nu) > depth},
+                        reverse=True):
+            if k == 1:
+                grown = _pieri_product(terms, d, n, config, held + len(signed))
+            else:
+                nodes += len(terms) * len(shifts)
+                config.check_nodes(nodes, "alternant terms")
+                grown = _alternant_product(terms, k, shifts, n, config,
+                                           held + len(signed))
+            walk(depth + 1, [(nu, coef) for nu, coef in group
+                             if len(nu) > depth and nu[depth] == k],
+                 grown, held + len(grown))
+
+    walk(0, ascending, {(): 1}, 1)
+    return {lam: c for lam, c in signed.items() if c}
 
 
-def _char_plethysm(p: int, d: int, n: int, wedge: bool,
-                   config: RunConfig) -> WeightTable:
-    """Dominant weight multiplicities by the cycle-index expansion
-    m(mu) = sum over nu of eps_nu (p!/z_nu) T_nu(mu) / p!, integer only."""
+def _plethysm(p: int, d: int, n: int, wedge: bool,
+              config: RunConfig) -> SchurExpansion:
+    """Schur terms of h_p[h_d] or e_p[h_d] by the cycle-index expansion,
+    m(lam) = sum over nu of eps_nu (p!/z_nu) <p_nu[h_d], s_lam> / p!, with
+    the division by p! checked to be exact and the dimension checked
+    against the closed form C(N+p-1, p) or C(N, p), N = C(n+d-1, d)."""
     _check_power_args(p, d, n)
-    signed: dict[Weight, int] = {}
-    for nu, coef in _cycle_types(p, wedge):
-        _add_column_counts(nu, coef, d, n, signed, config)
-    entries: dict[Weight, int] = {}
-    for mu, c in signed.items():
+    terms: dict[Partition, int] = {}
+    for lam, c in _power_sum_products(_cycle_types(p, wedge), d, n,
+                                      config).items():
         mult, rest = divmod(c, factorial(p))
         if rest or mult < 0:
-            raise NotACharacter(f"cycle-index sum {c} at {mu} is not a "
+            raise NotACharacter(f"cycle-index sum {c} at {lam} is not a "
                                 f"nonnegative multiple of {p}!")
-        if mult:
-            entries[mu] = mult
-    return WeightTable(n, p * d, entries)
+        terms[lam] = mult
+    out = SchurExpansion(n, p * d, terms)
+    monos = comb(n + d - 1, d)
+    want = comb(monos, p) if wedge else comb(monos + p - 1, p)
+    if out.dimension() != want:
+        raise NotACharacter(f"dimension {out.dimension()} after "
+                            f"decomposition, expected {want}")
+    return out
 
 
-def char_wedge_sym(p: int, d: int, n: int,
-                   config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
-    """Character of the p-th exterior power of Sym^d(C^n), d >= 0.
-
-    Coefficient of z^p in the product of (1 + z x^m) over degree-d
-    monomials m, equal to e_p[h_d]; empty when p exceeds the number of
-    monomials.  Built by the cycle-index expansion (see the module
-    docstring).
-    """
-    return _char_plethysm(p, d, n, True, config)
+def wedge_power_sym(p: int, d: int, n: int,
+                    config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Schur decomposition of the p-th exterior power of Sym^d(C^n), d >= 0:
+    e_p[h_d], empty when p exceeds the number of monomials."""
+    return _plethysm(p, d, n, True, config)
 
 
-def char_sym_sym(p: int, d: int, n: int,
-                 config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
-    """Character of the p-th symmetric power of Sym^d(C^n), d >= 0.
-
-    Equal to h_p[h_d]; built by the cycle-index expansion (see the module
-    docstring).
-    """
-    return _char_plethysm(p, d, n, False, config)
+def sym_power_sym(p: int, d: int, n: int,
+                  config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Schur decomposition of the p-th symmetric power of Sym^d(C^n),
+    d >= 0: h_p[h_d]."""
+    return _plethysm(p, d, n, False, config)
 
 
 def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:
@@ -366,31 +337,19 @@ def schur_decompose(w: WeightTable,
 
 def tensor_power_sym(p: int, d: int, n: int,
                      config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
-    """Schur decomposition of the p-th tensor power of Sym^d(C^n).
-
-    Starts from Sym^d and tensors with Sym^d p - 1 times by the
-    horizontal-strip rule, so terms longer than n are dropped as they
-    appear; no weight table is built.
-    """
+    """Schur decomposition of the p-th tensor power of Sym^d(C^n): the
+    chain h_d^p = p_(1^p)[h_d] of Pieri products, with terms longer than n
+    dropped as they appear; no weight table is built."""
     _check_power_args(p, d, n)
-    e = SchurExpansion(n, d, {normalize((d,)): 1})
-    for _ in range(p - 1):
-        e = tensor_with_sym(e, d)
-        config.check_table(len(e.terms))
-    return e
+    return SchurExpansion(n, p * d,
+                          _power_sum_products([((1,) * p, 1)], d, n, config))
 
 
-def tensor_with_sym(e: SchurExpansion, b: int) -> SchurExpansion:
+def tensor_with_sym(e: SchurExpansion, b: int,
+                    config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
     """Tensor with Sym^b via the horizontal-strip rule, truncating terms
     whose length exceeds n."""
     if b < 0:
         raise ValueError("b must be nonnegative")
-    if b == 0:
-        return SchurExpansion(e.n, e.degree, dict(e.terms))
-    out: dict[Partition, int] = {}
-    for lam, c in e.terms.items():
-        for mu in pieri(lam, b):
-            if len(mu) <= e.n:
-                out[mu] = out.get(mu, 0) + c
-    return SchurExpansion(e.n, e.degree + b, out)
-
+    return SchurExpansion(e.n, e.degree + b,
+                          _pieri_product(e.terms, b, e.n, config))

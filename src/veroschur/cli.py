@@ -24,9 +24,9 @@ import sys
 from dataclasses import replace
 from math import comb
 
-from veroschur.characters import (SchurExpansion, char_sym_sym, char_wedge_sym,
-                                  complexity, schur_decompose, tensor_power_sym,
-                                  tensor_with_sym, total_multiplicity)
+from veroschur.characters import (SchurExpansion, complexity, sym_power_sym,
+                                  tensor_power_sym, tensor_with_sym,
+                                  total_multiplicity, wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, FORMATS, CapExceeded, RunConfig
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -181,13 +181,11 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     n = _variables(args, args.p + (1 if args.tensor_sym else 0))
-    if args.kind == "tensor":
-        e = tensor_power_sym(args.p, args.d, n, cfg)
-    else:
-        chars = {"sym": char_sym_sym, "wedge": char_wedge_sym}
-        e = schur_decompose(chars[args.kind](args.p, args.d, n, cfg), cfg)
+    powers = {"tensor": tensor_power_sym, "sym": sym_power_sym,
+              "wedge": wedge_power_sym}
+    e = powers[args.kind](args.p, args.d, n, cfg)
     if args.tensor_sym:
-        e = tensor_with_sym(e, args.tensor_sym)
+        e = tensor_with_sym(e, args.tensor_sym, cfg)
     payload = {"command": "decompose", "kind": args.kind,
                "parameters": {"p": args.p, "d": args.d, "n": n,
                               "tensor_sym": args.tensor_sym},

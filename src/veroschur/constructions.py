@@ -18,9 +18,9 @@ from itertools import combinations
 from math import ceil, comb, factorial, floor
 from typing import Callable, Sequence
 
-from veroschur.characters import (char_sym_sym, char_wedge_sym, complexity,
-                                  schur_decompose, tensor_power_sym,
-                                  tensor_with_sym, total_multiplicity)
+from veroschur.characters import (complexity, sym_power_sym, tensor_power_sym,
+                                  tensor_with_sym, total_multiplicity,
+                                  wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import (Partition, add, conjugate, dominates, length,
@@ -49,11 +49,11 @@ def newell_check(p: int, d: int, n: int,
     failures = []
     pairs = [
         ("wedge(d+1) vs sym(d)",
-         schur_decompose(char_wedge_sym(p, d + 1, n, config), config),
-         schur_decompose(char_sym_sym(p, d, n, config), config)),
+         wedge_power_sym(p, d + 1, n, config),
+         sym_power_sym(p, d, n, config)),
         ("sym(d+1) vs wedge(d)",
-         schur_decompose(char_sym_sym(p, d + 1, n, config), config),
-         schur_decompose(char_wedge_sym(p, d, n, config), config)),
+         sym_power_sym(p, d + 1, n, config),
+         wedge_power_sym(p, d, n, config)),
     ]
     for name, shifted_side, base_side in pairs:
         lams = set(base_side.terms)
@@ -76,10 +76,10 @@ def doubled_plethysm_check(p: int, d: int, n: int,
         raise ValueError("need n >= p")
     column = (1,) * p
     row = (p,)
-    sym_2d = schur_decompose(char_sym_sym(p, 2 * d, n, config), config)
-    sym_2d1 = schur_decompose(char_sym_sym(p, 2 * d + 1, n, config), config)
-    wedge_2d1 = schur_decompose(char_wedge_sym(p, 2 * d + 1, n, config), config)
-    wedge_2d2 = schur_decompose(char_wedge_sym(p, 2 * d + 2, n, config), config)
+    sym_2d = sym_power_sym(p, 2 * d, n, config)
+    sym_2d1 = sym_power_sym(p, 2 * d + 1, n, config)
+    wedge_2d1 = wedge_power_sym(p, 2 * d + 1, n, config)
+    wedge_2d2 = wedge_power_sym(p, 2 * d + 2, n, config)
     failures = []
     for lam in partitions_of(p * d, max_parts=p):
         dbl = tuple(2 * v for v in lam)
@@ -457,22 +457,20 @@ def _experiment_registry() -> dict[str, Callable]:
 
     def sym_vs_wedge(params, d, config):
         p = params["p"]
-        num = total_multiplicity(
-            schur_decompose(char_sym_sym(p, d, p, config), config))
-        den = total_multiplicity(
-            schur_decompose(char_wedge_sym(p, d, p, config), config))
+        num = total_multiplicity(sym_power_sym(p, d, p, config))
+        den = total_multiplicity(wedge_power_sym(p, d, p, config))
         return num, den
 
     def twist(params, d, config, stat):
         p, b = params["p"], params["b"]
         base = tensor_power_sym(p, d, p, config)
-        twisted = tensor_with_sym(base.with_n(p + 1), b)
+        twisted = tensor_with_sym(base.with_n(p + 1), b, config)
         return stat(twisted), stat(base)
 
     def wedge_tensor_share(params, d, config):
         p = params["p"]
-        w = schur_decompose(char_wedge_sym(p, d, p, config), config).with_n(p + 1)
-        num = total_multiplicity(tensor_with_sym(w, d))
+        w = wedge_power_sym(p, d, p, config).with_n(p + 1)
+        num = total_multiplicity(tensor_with_sym(w, d, config))
         den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
         return num, den
 
@@ -482,16 +480,12 @@ def _experiment_registry() -> dict[str, Callable]:
             raise ValueError("mu must be a partition of p")
         nt = total_multiplicity(tensor_power_sym(p, d, p, config))
         if mu == (p,):
-            num = total_multiplicity(
-                schur_decompose(char_sym_sym(p, d, p, config), config))
+            num = total_multiplicity(sym_power_sym(p, d, p, config))
         elif mu == (1,) * p:
-            num = total_multiplicity(
-                schur_decompose(char_wedge_sym(p, d, p, config), config))
+            num = total_multiplicity(wedge_power_sym(p, d, p, config))
         elif mu == (2, 1):
-            ns = total_multiplicity(
-                schur_decompose(char_sym_sym(3, d, 3, config), config))
-            nw = total_multiplicity(
-                schur_decompose(char_wedge_sym(3, d, 3, config), config))
+            ns = total_multiplicity(sym_power_sym(3, d, 3, config))
+            nw = total_multiplicity(wedge_power_sym(3, d, 3, config))
             rem = nt - ns - nw
             if rem % 2:
                 raise AssertionError("mixed component multiplicity not even")

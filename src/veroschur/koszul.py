@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
-                                  char_sym_sym, schur_decompose)
+                                  schur_decompose, sym_power_sym)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec, rank_sparse
 from veroschur.partitions import add, partitions_of, vectors_in_box
@@ -316,7 +316,7 @@ def raicu_predicted_kp0(p: int, d: int, n: int,
         raise ValueError(f"need n >= {p + 2} to hold the shifted terms")
     if d < 2:
         raise ValueError("need d >= 2")
-    base = schur_decompose(char_sym_sym(p + 1, d - 1, n, config), config)
+    base = sym_power_sym(p + 1, d - 1, n, config)
     column = (1,) * (p + 2)
     shifted = {add(lam, column): c for lam, c in base.terms.items()}
     return SchurExpansion(n, (p + 1) * d + 1, shifted)

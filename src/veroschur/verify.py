@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from veroschur.characters import (char_wedge_sym, schur_decompose,
-                                  tensor_power_sym, tensor_with_sym)
+from veroschur.characters import (tensor_power_sym, tensor_with_sym,
+                                  wedge_power_sym)
 from veroschur.cones import (content_points_as_matrices, duality_rows,
                              enumerate_slice, moment_map, shape_cone_section)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
@@ -94,9 +94,8 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     # horizontal-strip prediction from the exterior square
     for d in (2, 3, 4, 5, 6):
         direct = syzygy_decompose(KoszulSpec(2, 0, 1, d, 3), config)
-        wedge = schur_decompose(char_wedge_sym(2, d, 2, config),
-                                config).with_n(3)
-        strip = tensor_with_sym(wedge, 1)
+        wedge = wedge_power_sym(2, d, 2, config).with_n(3)
+        strip = tensor_with_sym(wedge, 1, config)
         want = {lam: c for lam, c in strip.terms.items() if len(lam) == 3}
         got = {lam: c for lam, c in direct.terms.items() if len(lam) == 3}
         ok = want == got and all(

@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import factorial
 from operator import le
 from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
-                                  WeightTable, is_dominant)
+                                  WeightTable, _cycle_types, is_dominant)
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec
@@ -320,6 +321,168 @@ def char_power_monomial(p: int, d: int, n: int, wedge: bool,
                 target[key] = target.get(key, 0) + c
         config.check_table(sum(len(t) for t in levels))
     return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
+
+
+def _run_moves(run: tuple[int, ...], lo: int, hi: int, held: int,
+               config: RunConfig) -> dict[tuple[tuple[int, ...], int], int]:
+    """Ways to take between lo and hi in total out of rows of equal nu_i
+    whose residuals are run (weakly decreasing), one entry per row:
+    (residuals left, sorted; amount taken) -> number of row-by-row
+    choices.  Rows of equal residual are interchangeable, so each multiset
+    of takes counts with its multinomial coefficient.  The partial table,
+    on top of the held entries, is checked against the cap after each
+    group of equal residuals."""
+    partial: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    room = sum(run)
+    i = 0
+    while i < len(run):
+        r, c = run[i], run.count(run[i])
+        i += c
+        room -= r * c
+        grown: dict[tuple[tuple[int, ...], int], int] = {}
+        for takes in combinations_with_replacement(range(r + 1), c):
+            weight = factorial(c)
+            for t in set(takes):
+                weight //= factorial(takes.count(t))
+            gone = sum(takes)
+            rest = tuple(r - t for t in takes)
+            for (left, taken), w in partial.items():
+                if lo <= taken + gone + room and taken + gone <= hi:
+                    key = (left + rest, taken + gone)
+                    grown[key] = grown.get(key, 0) + w * weight
+        config.check_table(held + len(grown))
+        partial = grown
+    out: dict[tuple[tuple[int, ...], int], int] = {}
+    for (left, taken), w in partial.items():
+        key = (tuple(sorted(left, reverse=True)), taken)
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def _knapsack(rows: Sequence[tuple[int, int]]) -> list[int]:
+    """Coefficients of prod (1 + x^v + ... + x^(v r)) over rows (v, r):
+    entry s counts the vectors 0 <= a_i <= r_i with sum v_i a_i = s."""
+    poly = [1]
+    for v, r in rows:
+        if not r:
+            continue
+        span = v * (r + 1)
+        grown = [0] * (len(poly) + v * r)
+        for t in range(len(grown)):
+            acc = poly[t] if t < len(poly) else 0
+            if t >= v:
+                acc += grown[t - v]
+            if span <= t < span + len(poly):
+                acc -= poly[t - span]
+            grown[t] = acc
+        poly = grown
+    return poly
+
+
+def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
+                       out: dict[Weight, int], config: RunConfig) -> None:
+    """Add coef * T_nu(mu) to out[mu] for every dominant mu of length n.
+
+    T_nu(mu) counts the tables a_ij >= 0 with row sums d and column sums
+    sum_i nu_i a_ij = mu_j.  Columns are filled left to right; a state is
+    the row residuals, sorted within each run of equal nu_i, and maps each
+    dominant prefix of mu to its count.  A column may take s only if
+    s <= the previous column and the rest fits in the columns left at
+    most s each.  The last two columns are one bounded-knapsack count.
+
+    The cap bounds the (state, prefix) entries of the level being built
+    plus the moves of the state at hand, and, at the knapsack, the weights
+    counted so far.  It is checked after each prefix, so a level that
+    outgrows it stops at most one state's moves past the cap.
+    """
+    values = sorted(set(nu), reverse=True)
+    if n == 1:
+        out[(sum(nu) * d,)] = out.get((sum(nu) * d,), 0) + coef
+        return
+    level: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {
+        tuple((d,) * nu.count(v) for v in values): {(): coef}}
+    for columns_left in range(n - 1, 1, -1):
+        grown: dict[tuple[tuple[int, ...], ...], dict[Weight, int]] = {}
+        size = 0
+        for state, prefixes in level.items():
+            total = sum(v * sum(run) for v, run in zip(values, state))
+            # the column takes at most the previous one and at least what
+            # spreads the rest over the columns after it
+            hi = max(prefix[-1] if prefix else total for prefix in prefixes)
+            lo = -(-total // (columns_left + 1))
+            moves: dict[tuple[tuple[tuple[int, ...], ...], int], int] = {((), 0): 1}
+            for v, run in zip(values, state):
+                other = total - v * sum(run)
+                run_moves = _run_moves(run, -(-(lo - other) // v), hi // v,
+                                       size + len(moves), config)
+                moves = {(left + (rest,), s + v * taken): w * ways
+                         for (left, s), w in moves.items()
+                         for (rest, taken), ways in run_moves.items()}
+                config.check_table(size + len(moves))
+            ordered = sorted((s, left, w) for (left, s), w in moves.items()
+                             if lo <= s <= hi)
+            for prefix, count in prefixes.items():
+                last = prefix[-1] if prefix else total
+                for s, left, w in ordered:
+                    if s > last:
+                        break
+                    row = grown.setdefault(left, {})
+                    key = prefix + (s,)
+                    if key in row:
+                        row[key] += count * w
+                    else:
+                        row[key] = count * w
+                        size += 1
+                config.check_table(size)
+        level = grown
+    for state, prefixes in level.items():
+        total = sum(v * sum(run) for v, run in zip(values, state))
+        poly = _knapsack([(v, r) for v, run in zip(values, state) for r in run])
+        for prefix, count in prefixes.items():
+            last = prefix[-1] if prefix else total
+            for s in range((total + 1) // 2, min(last, total) + 1):
+                if poly[s]:
+                    mu = prefix + (s, total - s)
+                    out[mu] = out.get(mu, 0) + count * poly[s]
+        config.check_table(len(out))
+
+
+def char_plethysm_columns(p: int, d: int, n: int, wedge: bool,
+                          config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
+    """Character of Sym^p or wedge^p of Sym^d(C^n), d >= 0, on dominant
+    weights, by the cycle-index expansion (Macdonald I.8)
+
+        m(mu) = sum over nu |- p of eps_nu (p!/z_nu) T_nu(mu) / p!,
+
+    where T_nu(mu) counts the tuples of degree-d exponent vectors a_i with
+    sum_i nu_i a_i = mu, each counted by the column DP above at dominant
+    mu only; the division by p! is checked to be exact."""
+    if p < 1 or d < 0 or n < 1:
+        raise ValueError("need p, n >= 1 and d >= 0")
+    signed: dict[Weight, int] = {}
+    for nu, coef in _cycle_types(p, wedge):
+        _add_column_counts(nu, coef, d, n, signed, config)
+    entries: dict[Weight, int] = {}
+    for mu, c in signed.items():
+        mult, rest = divmod(c, factorial(p))
+        if rest or mult < 0:
+            raise NotACharacter(f"cycle-index sum {c} at {mu} is not a "
+                                f"nonnegative multiple of {p}!")
+        if mult:
+            entries[mu] = mult
+    return WeightTable(n, p * d, entries)
+
+
+def char_sym_sym(p: int, d: int, n: int,
+                 config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
+    """Weight table of Sym^p Sym^d(C^n) by the column DP."""
+    return char_plethysm_columns(p, d, n, False, config)
+
+
+def char_wedge_sym(p: int, d: int, n: int,
+                   config: RunConfig = DEFAULT_CONFIG) -> WeightTable:
+    """Weight table of wedge^p Sym^d(C^n) by the column DP."""
+    return char_plethysm_columns(p, d, n, True, config)
 
 
 def oracle_decompose(w: WeightTable) -> SchurExpansion:

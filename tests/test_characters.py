@@ -2,19 +2,20 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
-                                  char_sym_sym, char_wedge_sym, complexity,
-                                  is_dominant, orbit_size,
-                                  schur_decompose, tensor_power_sym,
-                                  tensor_with_sym, total_multiplicity)
+                                  complexity, is_dominant, orbit_size,
+                                  schur_decompose, sym_power_sym,
+                                  tensor_power_sym, tensor_with_sym,
+                                  total_multiplicity, wedge_power_sym)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 
-from oracles import (char_power_monomial, char_tensor_sym, kostka, monomials,
-                     oracle_decompose, schur_character, sub)
+from oracles import (char_power_monomial, char_sym_sym, char_tensor_sym,
+                     char_wedge_sym, kostka, monomials, oracle_decompose,
+                     schur_character, sub)
 
 
 def brute_tensor_table(p, d, n):
@@ -76,6 +77,8 @@ def test_char_dimensions():
 
 def test_wedge_beyond_dimension_empty():
     assert char_wedge_sym(4, 1, 2).entries == {}  # dim Sym^1 C^2 = 2 < 4
+    e = wedge_power_sym(4, 1, 2)
+    assert (e.n, e.degree, e.terms) == (2, 4, {})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])  # both sides of n = p
@@ -86,6 +89,12 @@ def test_degree_zero_powers(n):
     assert char_wedge_sym(3, 0, n).entries == {}
     with pytest.raises(ValueError, match="d >= 0"):
         char_sym_sym(3, -1, n)
+    assert sym_power_sym(3, 0, n).terms == {(): 1}
+    assert wedge_power_sym(1, 0, n).terms == {(): 1}
+    assert wedge_power_sym(3, 0, n).terms == {}
+    for power in (sym_power_sym, wedge_power_sym):
+        with pytest.raises(ValueError, match="d >= 0"):
+            power(3, -1, n)
 
 
 def test_schur_decompose_examples():
@@ -94,6 +103,9 @@ def test_schur_decompose_examples():
         {(4,): 1, (3, 1): 1, (2, 2): 1}
     assert schur_decompose(char_wedge_sym(2, 2, 2)).terms == {(3, 1): 1}
     assert schur_decompose(char_sym_sym(2, 2, 2)).terms == {(4,): 1, (2, 2): 1}
+    assert sym_power_sym(1, 3, 2).terms == {(3,): 1}
+    assert wedge_power_sym(2, 2, 2).terms == {(3, 1): 1}
+    assert sym_power_sym(2, 2, 2).terms == {(4,): 1, (2, 2): 1}
 
 
 def test_tensor_square_closed_form():
@@ -198,19 +210,33 @@ def test_caps_are_loud():
     tiny = RunConfig(max_table_entries=5)
     with pytest.raises(CapExceeded):
         tensor_power_sym(3, 4, 3, tiny)
-    # the plethysm tables count their entries against the same cap
-    for p, n in [(6, 9), (6, 3)]:
+    # the plethysms count their shifts and terms against the same cap: at
+    # n = 9 the C(10, 2) = 45 degree-2 shifts trip it before they are
+    # listed, at n = 3 the six shifts fit and the Schur terms trip it
+    for p, n, what in [(6, 9, "alternant shifts"), (6, 3, "Schur terms")]:
         with pytest.raises(CapExceeded) as exc:
-            char_sym_sym(p, 2, n, RunConfig(max_table_entries=10))
-        assert exc.value.what == "weight table entries"
+            sym_power_sym(p, 2, n, RunConfig(max_table_entries=10))
+        assert exc.value.what == what
 
 
 def test_plethysm_cap_trips_inside_a_level():
-    # the column level that outgrows the cap holds 21,758 entries when
-    # complete; the cap is checked as the level fills, so it stops near 13,000
+    # the terms are checked as each product fills, after each lam, and one
+    # lam adds at most its C(15, 8) = 6,435 shifts, so the run stops within
+    # that many terms past the cap
     with pytest.raises(CapExceeded) as exc:
-        char_sym_sym(8, 8, 8, RunConfig(max_table_entries=13_000))
-    assert 13_000 < exc.value.needed <= 13_000 + 1_300
+        sym_power_sym(8, 8, 8, RunConfig(max_table_entries=13_000))
+    assert exc.value.what == "Schur terms"
+    assert 13_000 < exc.value.needed <= 13_000 + comb(15, 8)
+
+
+def test_alternant_products_are_capped_before_they_run():
+    # sym^2 sym^2 at n = 2 has cycle types (2) and (1, 1); its one
+    # alternant product, 1 times p_2[h_2], is 1 term times the 3 shifts of
+    # degree 2, counted before it runs
+    with pytest.raises(CapExceeded, match="alternant terms: needed 3, cap 2"):
+        sym_power_sym(2, 2, 2, RunConfig(max_enum_nodes=2))
+    assert sym_power_sym(2, 2, 2, RunConfig(max_enum_nodes=3)).terms == \
+        {(4,): 1, (2, 2): 1}
 
 
 def test_weight_table_validation():
@@ -278,3 +304,24 @@ def test_cycle_index_matches_monomial_dp(kind, p, d, n):
     assume(_table_size(kind, p, d, n) <= 20_000)
     want = char_power_monomial(p, d, n, kind == "wedge")
     assert CHARS[kind](p, d, n).entries == want.entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge=st.booleans(), p=st.integers(1, 6), d=st.integers(0, 5),
+       n=st.integers(1, 6))
+@example(wedge=True, p=6, d=3, n=3)   # n < p
+@example(wedge=False, p=5, d=4, n=1)  # one variable
+@example(wedge=True, p=4, d=0, n=3)   # d = 0, empty
+@example(wedge=True, p=4, d=1, n=2)   # p above dim Sym^d, empty
+def test_power_sum_products_match_the_weight_tables(wedge, p, d, n):
+    # the Pieri and alternant products against both table routes, the
+    # column DP decomposed by the alternant formula and the monomial DP
+    # decomposed by Kostka subtraction: same terms in the same order
+    assume(_table_size("wedge" if wedge else "sym", p, d, n) <= 20_000)
+    got = (wedge_power_sym if wedge else sym_power_sym)(p, d, n)
+    assert (got.n, got.degree) == (n, p * d)
+    columns = schur_decompose(char_wedge_sym(p, d, n) if wedge
+                              else char_sym_sym(p, d, n))
+    monomial = oracle_decompose(char_power_monomial(p, d, n, wedge))
+    assert list(got.terms.items()) == list(columns.terms.items()) == \
+        list(monomial.terms.items())

@@ -144,12 +144,12 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decompose", "sym", "-p", "6", "-d", "2",
                            "-n", "9", "--max-entries", "10")
     assert code == 3
-    assert "weight table entries" in err
-    # a large plethysm stops as soon as its table outgrows the cap
+    assert "alternant shifts: needed 45, cap 10" in err
+    # a large plethysm stops before it lists its C(19, 10) shifts
     code, _, err = run_cli(capsys, "decompose", "wedge", "-p", "10", "-d", "10",
                            "-n", "10", "--max-entries", "20000")
     assert code == 3
-    assert "weight table entries" in err
+    assert "alternant shifts: needed 92378, cap 20000" in err
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "bogus", "-p", "1", "-d", "1"])
     assert exc.value.code == 2
@@ -309,6 +309,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 4 and out == ""
     assert err == "internal error: RuntimeError: lost state\n"
     assert "Traceback" not in err
+
+
+def test_broken_decomposition_is_an_internal_error(monkeypatch, capsys):
+    # a cycle-index coefficient off by one leaves a sum that p! does not
+    # divide: a fault of the program (exit 4), not a usage error (exit 2)
+    from veroschur import characters
+    right = characters._cycle_types
+
+    def off_by_one(p, wedge):
+        (nu, coef), *rest = right(p, wedge)
+        return [(nu, coef + 1), *rest]
+
+    monkeypatch.setattr(characters, "_cycle_types", off_by_one)
+    code, out, err = run_cli(capsys, "decompose", "sym", "-p", "3", "-d", "3")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: NotACharacter: cycle-index sum ")
+    assert err.endswith(" is not a nonnegative multiple of 3!\n")
 
 
 def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):

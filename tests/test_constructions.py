@@ -4,7 +4,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from veroschur.characters import schur_decompose, total_multiplicity
+from veroschur.characters import (schur_decompose, sym_power_sym,
+                                  total_multiplicity, wedge_power_sym)
 from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, h0_projective,
                                      max_n_green, mold, newell_check,
@@ -15,7 +16,8 @@ from veroschur.constructions import (almost_triplet_census,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
 
-from oracles import char_tensor_sym, has_twin_pattern, kostka, twin_expand
+from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
+                     has_twin_pattern, kostka, twin_expand)
 
 
 def test_newell_small():
@@ -26,10 +28,8 @@ def test_newell_small():
 
 def test_newell_p2_d2_shift_values():
     # Sym^2 Sym^2 = {(4), (2,2)} matches wedge^2 Sym^3 = {(5,1), (3,3)}
-    from veroschur.characters import char_sym_sym, char_wedge_sym
-    assert schur_decompose(char_sym_sym(2, 2, 2)).terms == {(4,): 1, (2, 2): 1}
-    assert schur_decompose(char_wedge_sym(2, 3, 2)).terms == \
-        {(5, 1): 1, (3, 3): 1}
+    assert sym_power_sym(2, 2, 2).terms == {(4,): 1, (2, 2): 1}
+    assert wedge_power_sym(2, 3, 2).terms == {(5, 1): 1, (3, 3): 1}
 
 
 def test_doubling_small():
@@ -276,8 +276,8 @@ def test_ratio_experiment_tables():
 def test_ratio_experiment_schur_share():
     table = ratio_experiment("schur-share", {"p": 3, "mu": (2, 1)}, (4, 6))
     assert table.limit == Fraction(2, 6)
-    # mixed-component count agrees with direct subtraction
-    from veroschur.characters import char_sym_sym, char_wedge_sym
+    # mixed-component count agrees with direct subtraction of the
+    # decomposed weight tables
     for row in table.rows:
         d = row.d
         nt = total_multiplicity(schur_decompose(char_tensor_sym(3, d, 3)))

@@ -7,7 +7,9 @@ when that suite gained the n = 5 twin-census check (p = 14), with its
 other checks unchanged.  The decompose hashes were taken from the
 monomial-DP weight tables, before the cycle-index expansion replaced
 them, and sit on both sides of n = p; the two Pieri-product hashes were
-taken before one box walker replaced the row-by-row strip recursion.  The cones hashes were
+taken before one box walker replaced the row-by-row strip recursion, and
+the seven sign-heavy ones from the cycle-index weight tables, before the
+plethysms were built as Pieri and alternant products.  The cones hashes were
 taken from the enumerating lattice count, before the layered DP replaced
 it; none of these runs has enough levels to print a fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
@@ -43,6 +45,15 @@ DECOMPOSE_GOLDENS = {
     # Pieri products: a tensor power truncated to n = 3 rows, and a twist
     "tensor -p 5 -d 2 -n 3": "99d1be3846784b10774b156a09bbab60a9286d1d0ef0e2235113022c4883a50d",
     "sym -p 3 -d 2 --tensor-sym 3": "c4daf2d451d9172aa453049f3f45dbd01badd51710e7785ebaa6f6944773e278",
+    # sign-heavy plethysms, hashed from the cycle-index weight tables:
+    # n < p, n = 1, d = 0 and an empty exterior power
+    "wedge -p 6 -d 3 -n 3": "bebb03c129eca5dbc74371442b0946f908940f8bf2ad0856e02fc7d28f332f5f",
+    "wedge -p 6 -d 3 -n 4": "01946bd8fb9b22084eabfcf5742ffb5f90ce7a76123e42ebec537140a8543b7b",
+    "wedge -p 7 -d 2 -n 7": "65e5910deda05842b669c4616aa7232821a7e00eee4f0e4df94e38450a558975",
+    "sym -p 8 -d 2 -n 8": "1f2c71780167896376c7d99766faf888c9a358fecf4796f06fbb32cda83e57ee",
+    "sym -p 5 -d 0 -n 3": "408ae4dcfda7c38da5ab0f3732fddbcb7a0e1cb498edb0e35a583b3b9d06572a",
+    "sym -p 6 -d 4 -n 1": "98e14d495643a2cd14e4b6b479ae10b0ed8987832dceae3863cb0ccdf3d0745a",
+    "wedge -p 4 -d 1 -n 2": "e2e345970e7acd204f1f13be6563daf8b4014707091bb2d9eac4c39c2eb017ac",
 }
 
 CONES_GOLDENS = {

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from veroschur.characters import (char_sym_sym, schur_decompose,
-                                  total_multiplicity)
+from veroschur.characters import (schur_decompose, total_multiplicity,
+                                  wedge_power_sym)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.intrank import rank_sparse
 from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
@@ -16,9 +16,9 @@ from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import partitions_of
 
-from oracles import (blocks_by_product, compose, dense, element_differential,
-                     elements_at_weight, is_zero, monomials, rank_dense,
-                     unreduced_cohomology)
+from oracles import (blocks_by_product, char_sym_sym, compose, dense,
+                     element_differential, elements_at_weight, is_zero,
+                     monomials, rank_dense, unreduced_cohomology)
 
 
 def all_weights(degree, n):
@@ -189,10 +189,10 @@ def test_raicu_validation():
 def test_twisted_strand_kernel_support():
     # each two-row type of the exterior square with a second part spawns a
     # three-row type with a trailing 1 in the twisted kernel
-    from veroschur.characters import char_wedge_sym, tensor_with_sym
+    from veroschur.characters import tensor_with_sym
     for d in (2, 3, 4):
         K = syzygy_decompose(KoszulSpec(2, 0, 1, d, 3))
-        wedge = schur_decompose(char_wedge_sym(2, d, 2)).with_n(3)
+        wedge = wedge_power_sym(2, d, 2).with_n(3)
         for lam, c in wedge.terms.items():
             if len(lam) == 2 and lam[1] >= 1:
                 assert K.multiplicity(lam + (1,)) >= c
