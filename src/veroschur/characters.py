@@ -19,21 +19,23 @@ is a product of factors p_k[h_d]: k = 1 is h_d itself, a horizontal-strip
 exponent vector (the alternant rule, Macdonald I.3).  The tensor power
 h_d^p is the chain nu = (1^p).  Terms longer than n are dropped after each
 factor; the sum is divided by p! exactly, and its dimension is checked
-against the binomial closed form.  schur_decompose turns a weight table
+against the binomial closed form; the cycle types, like the shifts, are
+counted before they are listed.  schur_decompose turns a weight table
 (the Koszul cohomology) into Schur terms by the alternant formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, starmap
+from itertools import combinations, starmap, takewhile
 from math import comb, factorial, prod
-from operator import add, lt, sub
+from operator import add, eq, lt, sub
 from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import (Partition, gl_dimension, normalize,
-                                  partitions_of, pieri, vectors_in_box)
+from veroschur.partitions import (Partition, count_partitions, gl_dimension,
+                                  normalize, partitions_of, pieri,
+                                  vectors_in_box)
 
 Weight = tuple[int, ...]
 
@@ -178,56 +180,46 @@ def _alternant_product(terms: dict[Partition, int], k: int,
     return {mu: c for mu, c in out.items() if c}
 
 
-def _power_sum_products(types: list[tuple[Partition, int]], d: int, n: int,
+def _power_sum_products(types: list[tuple[Partition, int]],
+                        shifts: list[Weight], d: int, n: int,
                         config: RunConfig) -> dict[Partition, int]:
     """sum of coef * p_nu[h_d] over (nu, coef) in types, in the Schur basis
-    of GL_n, as a dict of nonzero coefficients.
+    of GL_n, as a dict of nonzero coefficients; shifts are the degree-d
+    exponent vectors of length n, for the parts k >= 2.
 
     p_nu[h_d] is the product of its factors p_k[h_d], taken with the parts
     of nu in ascending order: k = 1 is h_d (_pieri_product) and k >= 2 is
     _alternant_product.  Terms longer than n are dropped after each factor,
     which is exact because restricting to n variables is a ring map.  The
-    products are shared by prefix: a depth-first walk keeps the product
-    of each prefix on its path while a type extends it, visiting the
-    largest next part first, so the alternant products on short prefixes
-    run (and their caps trip) before the chain of 1s grows.
-
-    The caps: the shift count C(n+d-1, d) against max_table_entries before
-    the shifts are listed; the terms times the shifts of every alternant
-    product so far against max_enum_nodes before each one runs; and the
-    terms held on the path, summed so far and being filled against
-    max_table_entries, as each product fills.
+    types run in the order of their negated ascending parts, a prefix before
+    its extensions and the largest next part first, and path keeps the
+    product of every prefix of the current type, so the alternant products
+    on short prefixes run (and their caps trip) before the chain of 1s grows.
+    The terms times the shifts of every alternant product so far count
+    against max_enum_nodes before each one runs, and the terms on the path,
+    summed and being filled against max_table_entries as each product fills.
     """
-    ascending = [(nu[::-1], coef) for nu, coef in types]
-    shifts: list[Weight] = []
-    if any(nu[-1] > 1 for nu, _ in ascending):
-        config.check_table(comb(n + d - 1, d), "alternant shifts")
-        shifts = vectors_in_box((0,) * n, (d,) * n, d)
     signed: dict[Partition, int] = {}
     nodes = 0
-
-    def walk(depth: int, group: list[tuple[Partition, int]],
-             terms: dict[Partition, int], held: int) -> None:
-        nonlocal nodes
-        for nu, coef in group:
-            if len(nu) == depth:
-                for lam, c in terms.items():
-                    signed[lam] = signed.get(lam, 0) + coef * c
-                config.check_table(held + len(signed), "Schur terms")
-        for k in sorted({nu[depth] for nu, _ in group if len(nu) > depth},
-                        reverse=True):
+    path = [{(): 1}]
+    last: Partition = ()
+    for nu, coef in sorted(((nu[::-1], coef) for nu, coef in types),
+                           key=lambda t: tuple(-k for k in t[0])):
+        shared = sum(takewhile(bool, map(eq, nu, last)))  # common prefix
+        del path[shared + 1:]
+        for k in nu[shared:]:
+            held = len(signed) + sum(map(len, path))
             if k == 1:
-                grown = _pieri_product(terms, d, n, config, held + len(signed))
+                path.append(_pieri_product(path[-1], d, n, config, held))
             else:
-                nodes += len(terms) * len(shifts)
+                nodes += len(path[-1]) * len(shifts)
                 config.check_nodes(nodes, "alternant terms")
-                grown = _alternant_product(terms, k, shifts, n, config,
-                                           held + len(signed))
-            walk(depth + 1, [(nu, coef) for nu, coef in group
-                             if len(nu) > depth and nu[depth] == k],
-                 grown, held + len(grown))
-
-    walk(0, ascending, {(): 1}, 1)
+                path.append(_alternant_product(path[-1], k, shifts, n, config,
+                                               held))
+        for lam, c in path[-1].items():
+            signed[lam] = signed.get(lam, 0) + coef * c
+        config.check_table(len(signed) + sum(map(len, path)), "Schur terms")
+        last = nu
     return {lam: c for lam, c in signed.items() if c}
 
 
@@ -238,8 +230,13 @@ def _plethysm(p: int, d: int, n: int, wedge: bool,
     the division by p! checked to be exact and the dimension checked
     against the closed form C(N+p-1, p) or C(N, p), N = C(n+d-1, d)."""
     _check_power_args(p, d, n)
+    shifts: list[Weight] = []
+    if p > 1:
+        config.check_table(comb(n + d - 1, d), "alternant shifts")
+        shifts = vectors_in_box((0,) * n, (d,) * n, d)
+    config.check_table(count_partitions(p), "cycle types")
     terms: dict[Partition, int] = {}
-    for lam, c in _power_sum_products(_cycle_types(p, wedge), d, n,
+    for lam, c in _power_sum_products(_cycle_types(p, wedge), shifts, d, n,
                                       config).items():
         mult, rest = divmod(c, factorial(p))
         if rest or mult < 0:
@@ -342,7 +339,8 @@ def tensor_power_sym(p: int, d: int, n: int,
     dropped as they appear; no weight table is built."""
     _check_power_args(p, d, n)
     return SchurExpansion(n, p * d,
-                          _power_sum_products([((1,) * p, 1)], d, n, config))
+                          _power_sum_products([((1,) * p, 1)], [], d, n,
+                                              config))
 
 
 def tensor_with_sym(e: SchurExpansion, b: int,

@@ -94,40 +94,26 @@ def content_cone_section(p: int) -> ConeCrossSection:
     dim = len(pairs)
     col = {pair: idx for idx, pair in enumerate(pairs)}
 
-    def diagonal(i: int) -> tuple[list[int], int]:
-        """t_ii = 1 - sum_{k<i} t_ki as (coeffs, const) at level 1."""
-        coeffs = [0] * dim
-        for k in range(i):
-            coeffs[col[(k, i)]] -= 1
-        return coeffs, 1
+    def form(terms: Iterable[tuple[int, int, int]]) -> Functional:
+        """sum of sign * t_ij over (sign, i, j) as (coeffs, const) at level
+        1, with each diagonal t_jj put in as 1 - sum_{k<j} t_kj."""
+        coeffs, const = [0] * dim, 0
+        for sign, i, j in terms:
+            if i == j:
+                const += sign
+                for k in range(j):
+                    coeffs[col[(k, j)]] -= sign
+            else:
+                coeffs[col[(i, j)]] += sign
+        return tuple(coeffs), const
 
-    ineqs: list[Functional] = []
-    for i, j in pairs:
-        coeffs = [0] * dim
-        coeffs[col[(i, j)]] = 1
-        ineqs.append((tuple(coeffs), 0))
-    for i in range(p):
-        coeffs, const = diagonal(i)
-        ineqs.append((tuple(coeffs), const))
-    # tableau condition; rows with j <= i are vacuous (empty sums)
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            coeffs, const = [0] * dim, 0
-            for k in range(i, j):
-                if k == i:
-                    dc, dconst = diagonal(i)
-                    coeffs = [a + b for a, b in zip(coeffs, dc)]
-                    const += dconst
-                else:
-                    coeffs[col[(i, k)]] += 1
-            for k in range(i + 1, j + 1):
-                if k == i + 1:
-                    dc, dconst = diagonal(i + 1)
-                    coeffs = [a - b for a, b in zip(coeffs, dc)]
-                    const -= dconst
-                else:
-                    coeffs[col[(i + 1, k)]] -= 1
-            ineqs.append((tuple(coeffs), const))
+    # t_ij >= 0, t_jj >= 0, and the tableau condition (2) at every i < j:
+    # sum_{i<=k<j} t_ik - sum_{i<k<=j} t_{i+1,k} >= 0
+    ineqs = [form([(1, i, j)]) for i, j in pairs]
+    ineqs += [form([(1, j, j)]) for j in range(p)]
+    ineqs += [form([(1, i, k) for k in range(i, j)]
+                   + [(-1, i + 1, k) for k in range(i + 1, j + 1)])
+              for i, j in pairs]
     # row-geometric interior point: strictly inside for every p since the
     # slack of condition (2) at (i, j) is (a_i + (j-i-1)(a_i - a_{i+1})) eps
     # for row values a_i decreasing in i

@@ -40,7 +40,7 @@ class RunConfig:
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
 
-    def check_table(self, needed: int, what: str = "weight table entries") -> None:
+    def check_table(self, needed: int, what: str) -> None:
         if needed > self.max_table_entries:
             raise CapExceeded(what, needed, self.max_table_entries,
                               "max_table_entries")

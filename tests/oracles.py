@@ -295,7 +295,7 @@ def char_tensor_sym(p: int, d: int, n: int,
             for m in monos:
                 key = tuple(x + y for x, y in zip(w, m))
                 new[key] = new.get(key, 0) + c
-        config.check_table(len(new))
+        config.check_table(len(new), "weight table entries")
         table = new
     return WeightTable(n, p * d,
                        {w: c for w, c in table.items() if is_dominant(w)})
@@ -319,7 +319,8 @@ def char_power_monomial(p: int, d: int, n: int, wedge: bool,
             for w, c in list(below.items()):
                 key = tuple(x + y for x, y in zip(w, m))
                 target[key] = target.get(key, 0) + c
-        config.check_table(sum(len(t) for t in levels))
+        config.check_table(sum(len(t) for t in levels),
+                           "weight table entries")
     return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
 
 
@@ -350,7 +351,7 @@ def _run_moves(run: tuple[int, ...], lo: int, hi: int, held: int,
                 if lo <= taken + gone + room and taken + gone <= hi:
                     key = (left + rest, taken + gone)
                     grown[key] = grown.get(key, 0) + w * weight
-        config.check_table(held + len(grown))
+        config.check_table(held + len(grown), "weight table entries")
         partial = grown
     out: dict[tuple[tuple[int, ...], int], int] = {}
     for (left, taken), w in partial.items():
@@ -418,7 +419,8 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
                 moves = {(left + (rest,), s + v * taken): w * ways
                          for (left, s), w in moves.items()
                          for (rest, taken), ways in run_moves.items()}
-                config.check_table(size + len(moves))
+                config.check_table(size + len(moves),
+                                   "weight table entries")
             ordered = sorted((s, left, w) for (left, s), w in moves.items()
                              if lo <= s <= hi)
             for prefix, count in prefixes.items():
@@ -433,7 +435,7 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
                     else:
                         row[key] = count * w
                         size += 1
-                config.check_table(size)
+                config.check_table(size, "weight table entries")
         level = grown
     for state, prefixes in level.items():
         total = sum(v * sum(run) for v, run in zip(values, state))
@@ -444,7 +446,7 @@ def _add_column_counts(nu: Partition, coef: int, d: int, n: int,
                 if poly[s]:
                     mu = prefix + (s, total - s)
                     out[mu] = out.get(mu, 0) + count * poly[s]
-        config.check_table(len(out))
+        config.check_table(len(out), "weight table entries")
 
 
 def char_plethysm_columns(p: int, d: int, n: int, wedge: bool,

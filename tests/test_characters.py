@@ -212,11 +212,27 @@ def test_caps_are_loud():
         tensor_power_sym(3, 4, 3, tiny)
     # the plethysms count their shifts and terms against the same cap: at
     # n = 9 the C(10, 2) = 45 degree-2 shifts trip it before they are
-    # listed, at n = 3 the six shifts fit and the Schur terms trip it
-    for p, n, what in [(6, 9, "alternant shifts"), (6, 3, "Schur terms")]:
+    # listed, at n = 3 the six shifts and the p(6) = 11 cycle types fit
+    # and the Schur terms trip it
+    for p, n, cap, what in [(6, 9, 10, "alternant shifts"),
+                            (6, 3, 11, "Schur terms")]:
         with pytest.raises(CapExceeded) as exc:
-            sym_power_sym(p, 2, n, RunConfig(max_table_entries=10))
+            sym_power_sym(p, 2, n, RunConfig(max_table_entries=cap))
         assert exc.value.what == what
+
+
+def test_cycle_types_are_capped_before_they_are_listed():
+    # p(20) = 627 cycle types; at d = 0 nothing else comes near the cap
+    with pytest.raises(CapExceeded) as exc:
+        sym_power_sym(20, 0, 1, RunConfig(max_table_entries=600))
+    assert (exc.value.what, exc.value.needed) == ("cycle types", 627)
+    assert sym_power_sym(20, 0, 1, RunConfig(max_table_entries=627)).terms \
+        == {(): 1}
+
+
+def test_long_tensor_chain_runs_without_recursion():
+    # one Pieri product per factor: 1,200 factors, no recursion per factor
+    assert tensor_power_sym(1200, 1, 1).terms == {(1200,): 1}
 
 
 def test_plethysm_cap_trips_inside_a_level():

@@ -150,6 +150,16 @@ def test_exit_codes(capsys):
                            "-n", "10", "--max-entries", "20000")
     assert code == 3
     assert "alternant shifts: needed 92378, cap 20000" in err
+    # p(80) = 15,796,476 cycle types are counted, not listed, before the cap
+    code, out, err = run_cli(capsys, "decompose", "sym", "-p", "80", "-d", "0",
+                             "-n", "1")
+    assert code == 3 and out == ""
+    assert err == ("resource cap exceeded: cycle types: needed 15796476, "
+                   "cap 5000000 (max_table_entries)\n")
+    # a chain of 1,200 Pieri products is a loop, not a recursion
+    code, out, _ = run_cli(capsys, "decompose", "tensor", "-p", "1200", "-d",
+                           "1", "-n", "1", "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "1200,1"
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "bogus", "-p", "1", "-d", "1"])
     assert exc.value.code == 2
