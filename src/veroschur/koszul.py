@@ -43,6 +43,22 @@ Each map is stored as its rows, one per target element, filled in one
 pass over the sources.  The ranks are taken on those rows in the
 cohomology direction: the rows of d_out are reduced first, and their
 pivots clear rows of d_in (see veroschur.intrank).
+
+On the linear strand, where the left term has symmetric degree
+(q - 1)d + b = 0 (q = 1 and b = 0, or q = 0 and b = d) and p >= 1, d_in
+is injective, so the left term is counted, not listed, and no d_in is
+built or ranked: the cohomology is mid - rank(d_out) - left.  The left
+term is wedge^{p+1} W (x) Mbar_0 = wedge^{p+1} W, and every factor f of a
+wedge lies in W, a basis monomial of Mbar_d, so d_in is the exterior
+comultiplication wedge^{p+1} W -> wedge^p W (x) W; following it with
+the wedge product gives (p + 1) times the identity, so its rank is the
+dimension of the left term.  (Equivalently K_{p+1,0} = 0, since the
+section module is generated in degree 0; Green 1984, Eisenbud, The
+Geometry of Syzygies, ch. 2.)  The counting is exact: the factor that
+completes a middle element to a left one is its rest, so a middle
+element (i_1 < ... < i_p) whose rest is wedge factor j gives the one
+left element (i_1, ..., i_p, j) when j > i_p, and every left element
+arises once, from its first p indices.
 """
 
 from __future__ import annotations
@@ -57,7 +73,8 @@ from veroschur.intrank import SparseVec, rank_sparse
 from veroschur.partitions import add, partitions_of, vectors_in_box
 
 Wedge = tuple[int, ...]  # increasing indices into the wedge factors
-Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
+# left, middle, right; the left is its size when counted, not listed
+Levels = tuple[list[Wedge] | int, list[Wedge], list[Wedge]]
 
 
 @dataclass(frozen=True)
@@ -114,11 +131,15 @@ class SparseIntMatrix:
 
 @dataclass
 class KoszulBlock:
-    """One dominant weight block of the complex."""
+    """One dominant weight block of the complex.
+
+    d_in is None on the linear strand (p >= 1 and a left term of
+    symmetric degree 0), where it is injective and its rank is dims[0].
+    """
 
     weight: Weight
     dims: tuple[int, int, int]
-    d_in: SparseIntMatrix
+    d_in: SparseIntMatrix | None
     d_out: SparseIntMatrix
 
     def cohomology_dim(self) -> int:
@@ -127,8 +148,11 @@ class KoszulBlock:
         # that is a combination of the rows before it, so it is cleared
         # from the second reduction
         pivots: set[int] = set()
-        dim = (self.dims[1] - rank_sparse(self.d_out.rows, pivots=pivots)
-               - rank_sparse(self.d_in.rows, skip=pivots))
+        dim = self.dims[1] - rank_sparse(self.d_out.rows, pivots=pivots)
+        if self.d_in is None:
+            dim -= self.dims[0]
+        else:
+            dim -= rank_sparse(self.d_in.rows, skip=pivots)
         if dim < 0:
             raise RuntimeError(f"negative cohomology at weight {self.weight}")
         return dim
@@ -144,7 +168,10 @@ def _levels(spec: KoszulSpec, weight: Weight,
     factor.  The factors are the degree-d vectors in the box
     min(weight, top), listed by vectors_in_box in decreasing lex order.
     One depth-first search over index tuples records the levels p + 1, p
-    and p - 1, each in lex order.
+    and p - 1, each in lex order.  On the linear strand the search stops
+    at level p and the left level is returned as its size: a middle
+    element counts once when its rest is a wedge factor after its last
+    index (see the module docstring).
 
     A node at depth k packs two fields per coordinate: its rest r_i and
     the slack s_i = (deepest - k + 1) * top - r_i.  Both are nonnegative
@@ -152,22 +179,27 @@ def _levels(spec: KoszulSpec, weight: Weight,
     factors still to come, each at most top, can bring it to top.  Taking
     a factor m subtracts m from r and top - m from s, so a child is tested
     by one subtraction and one mask of the guard bits; a node keeps the
-    children after its last index that pass.  A level is checked against
-    max_matrix_dim as it grows.
+    children after its last index that pass.  A node at the deepest level
+    whose rest is the factor m is the guarded packed state of m.  A level,
+    or the left count, is checked against max_matrix_dim as it grows.
     """
     if len(weight) != spec.n:
         raise ValueError(f"weight {weight} has {len(weight)} entries, "
                          f"need n = {spec.n}")
-    if min(weight) < 0 or sum(weight) != spec.total_degree:
-        return [], ([], [], [])
     top = spec.d - 1
     p = spec.p
-    # no level p + 1 when the left term has a negative symmetric degree
-    deepest = p + 1 if spec.term_parameters()[0][1] >= 0 else p
+    left_degree = spec.term_parameters()[0][1]
+    counted = p >= 1 and left_degree == 0
+    empty: Levels = (0 if counted else [], [], [])
+    if min(weight) < 0 or sum(weight) != spec.total_degree:
+        return [], empty
+    # no level p + 1 when it is counted or the left term has a negative
+    # symmetric degree
+    deepest = p + 1 if left_degree >= 0 and not counted else p
     lowest = max(p - 1, 0)
     slack = (deepest + 1) * top
     if max(weight) > slack:
-        return [], ([], [], [])
+        return [], empty
     # a field holds a rest or a slack under its guard bit
     width = max(max(weight), slack).bit_length() + 1
     guard = sum(1 << (i * width + width - 1) for i in range(2 * spec.n))
@@ -178,6 +210,8 @@ def _levels(spec: KoszulSpec, weight: Weight,
     monos = vectors_in_box((0,) * spec.n, [min(x, top) for x in weight],
                            spec.d)
     packed = [pack(m, tuple(top - x for x in m)) for m in monos]
+    # a node at the deepest level whose rest is factor j is packed[j] | guard
+    factor = {m | guard: j for j, m in enumerate(packed)} if counted else {}
     # subtracting record[k] from a node at depth k leaves its guard bits
     # exactly when every coordinate of its rest is at most top
     zero = (0,) * spec.n
@@ -185,14 +219,21 @@ def _levels(spec: KoszulSpec, weight: Weight,
               for k in range(deepest + 1)]
     levels: list[list[Wedge]] = [[] for _ in range(deepest + 1)]
     cap = config.max_matrix_dim
+    left = 0
+    get = factor.get
 
     def extend(prefix: Wedge, node: int, cands: list[int]) -> None:
         # node is the guarded packed state of prefix; cands its children
+        nonlocal left
         depth = len(prefix) + 1
         out = levels[depth]
         if depth == deepest:
             # at the deepest level a child that passes is kept
             out += [prefix + (j,) for j in cands]
+            if counted:
+                # a middle element whose rest is a factor after its last
+                # index completes exactly one left element
+                left += sum(get(node - packed[j], -1) > j for j in cands)
         else:
             keep = record[depth] if depth >= lowest else None
             for i, j in enumerate(cands):
@@ -204,7 +245,7 @@ def _levels(spec: KoszulSpec, weight: Weight,
                         if (child - packed[k]) & guard == guard]
                 if fits:
                     extend(wedge, child, fits)
-        if len(out) > cap:
+        if len(out) > cap or left > cap:
             config.check_matrix(cap + 1)
 
     root = pack(weight, tuple(slack - x for x in weight)) | guard
@@ -213,8 +254,10 @@ def _levels(spec: KoszulSpec, weight: Weight,
     if deepest:
         extend((), root, [j for j, m in enumerate(packed)
                           if (root - m) & guard == guard])
-    return monos, (levels[p + 1] if deepest > p else [], levels[p],
-                   levels[p - 1] if p else [])
+    mid, right = levels[p], levels[p - 1] if p else []
+    if counted:
+        return monos, (left, mid, right)
+    return monos, (levels[p + 1] if deepest > p else [], mid, right)
 
 
 def _differential(sources: list[Wedge],
@@ -243,10 +286,17 @@ def _differential(sources: list[Wedge],
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
                     config: RunConfig = DEFAULT_CONFIG) -> KoszulBlock:
-    """Single block of the complex at any weight vector of length n."""
+    """Single block of the complex at any weight vector of length n.
+
+    On the linear strand, p >= 1 with q = 1 and b = 0 or with q = 0 and
+    b = d, the left term is only counted and the block carries no d_in.
+    """
     _, (left, mid, right) = _levels(spec, weight, config)
+    d_out = _differential(mid, right)
+    if isinstance(left, int):
+        return KoszulBlock(weight, (left, len(mid), len(right)), None, d_out)
     return KoszulBlock(weight, (len(left), len(mid), len(right)),
-                       _differential(left, mid), _differential(mid, right))
+                       _differential(left, mid), d_out)
 
 
 def _weights(spec: KoszulSpec) -> Iterator[Weight]:

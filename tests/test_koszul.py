@@ -31,6 +31,20 @@ def all_weights(degree, n):
     return out
 
 
+def d_in_of(spec, block):
+    """The block's d_in; on the linear strand, where the block carries
+    none, the element route's d_in at its weight, which must have the
+    block's left dimension as its rank."""
+    if block.d_in is not None:
+        return block.d_in
+    left, mid = (elements_at_weight(k, e, spec.d, spec.n, block.weight, True)
+                 for k, e in spec.term_parameters()[:2])
+    d_in = element_differential(left, mid)
+    assert len(left) == block.dims[0]
+    assert rank_dense(dense(d_in)) == block.dims[0]
+    return d_in
+
+
 def test_spec_defaults_and_validation():
     spec = KoszulSpec(2, 1, 0, 3)
     assert spec.n == 4
@@ -98,7 +112,7 @@ def test_complex_property_all_blocks():
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 2),
                  KoszulSpec(2, 2, 0, 3, 3)):
         for block in build_blocks(spec):
-            assert is_zero(compose(block.d_out, block.d_in))
+            assert is_zero(compose(block.d_out, d_in_of(spec, block)))
 
 
 def test_elementary_vanishing():
@@ -272,7 +286,7 @@ def test_block_ranks_sparse_vs_dense():
     for spec in (KoszulSpec(1, 1, 0, 3, 2), KoszulSpec(2, 1, 0, 2, 3),
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 3)):
         for block in build_blocks(spec):
-            for mat in (block.d_in, block.d_out):
+            for mat in (d_in_of(spec, block), block.d_out):
                 if mat.nrows and mat.ncols:
                     assert rank_sparse(mat.rows) == rank_dense(dense(mat))
 
@@ -319,7 +333,8 @@ def test_build_blocks_matches_product_route(p, q, b, d, n):
     # and with the same matrices, as bucketing the whole product space
     assume(_product_space(p, q, b, d, n) <= 20_000)
     spec = KoszulSpec(p, q, b, d, n)
-    got = [(bl.weight, bl.dims, bl.d_in, bl.d_out) for bl in build_blocks(spec)]
+    got = [(bl.weight, bl.dims, d_in_of(spec, bl), bl.d_out)
+           for bl in build_blocks(spec)]
     ref = [(bl.weight, bl.dims, bl.d_in, bl.d_out)
            for bl in blocks_by_product(spec)]
     assert got == ref
@@ -350,26 +365,81 @@ def specs_and_weights(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(specs_and_weights())
+@example((KoszulSpec(2, 1, 0, 3, 3), (4, 3, 2)))
+@example((KoszulSpec(1, 1, 0, 4, 3), (3, 2, 3)))
+@example((KoszulSpec(2, 0, 3, 3, 3), (2, 3, 4)))
 def test_levels_match_element_route(case):
     # each DFS level, mapped back to (wedge, symmetric factor) pairs, is the
     # per-term basis of the element route, in the same order, and the
-    # index-keyed differentials equal the element-keyed ones
+    # index-keyed differentials equal the element-keyed ones.  On the
+    # linear strand (the examples: p >= 1 and left degree 0) the left level
+    # is a count, the size of the element route's left basis, and the
+    # block carries no d_in
     spec, weight = case
     monos, levels = _levels(spec, weight, RunConfig())
     expected = [elements_at_weight(k, e, spec.d, spec.n, weight, True)
                 for k, e in spec.term_parameters()]
+    counted = isinstance(levels[0], int)
+    if counted:
+        assert levels[0] == len(expected[0])
     got = []
-    for level in levels:
+    for level in levels[counted:]:
         elements = []
         for wedge in level:
             ms = tuple(monos[j] for j in wedge)
             g = tuple(x - sum(m[i] for m in ms) for i, x in enumerate(weight))
             elements.append((ms, g))
         got.append(elements)
-    assert got == expected
+    assert got == expected[counted:]
     block = block_at_weight(spec, weight)
-    assert block.d_in == element_differential(expected[0], expected[1])
+    if counted:
+        assert block.d_in is None
+    else:
+        assert block.d_in == element_differential(expected[0], expected[1])
     assert block.d_out == element_differential(expected[1], expected[2])
+
+
+@st.composite
+def strand_specs_and_weights(draw):
+    """A spec whose left term has symmetric degree 0 (q = 1 and b = 0, or
+    q = 0 and b = d) or d (q = 2 and b = 0, or q = 1 and b = d), and a
+    weight of its total degree, in any order."""
+    p, d, n = (draw(st.integers(0, 3)), draw(st.integers(1, 3)),
+               draw(st.integers(1, 4)))
+    q, b = draw(st.sampled_from(((1, 0), (0, d), (2, 0), (1, d))))
+    spec = KoszulSpec(p, q, b, d, n)
+    total = spec.total_degree
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1,
+                                max_size=n - 1)))
+    weight = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+    return spec, weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(strand_specs_and_weights())
+@example((KoszulSpec(1, 1, 0, 2, 2), (2, 2)))
+@example((KoszulSpec(2, 0, 3, 3, 3), (3, 3, 3)))
+@example((KoszulSpec(1, 2, 0, 3, 2), (4, 5)))
+def test_linear_strand_left_map_is_injective(case):
+    # on the linear strand with p >= 1 the block counts its left term and
+    # carries no d_in: the count is the size of the element route's left
+    # basis, and the element route's d_in has full column rank, so the
+    # cohomology is mid - rank(d_out) - left.  The left term of degree d
+    # next to it is listed as before.  The first example has the middle
+    # element xy (x) xy, whose rest is its own last factor and completes
+    # no left element
+    spec, weight = case
+    block = block_at_weight(spec, weight)
+    left, mid, right = (elements_at_weight(k, e, spec.d, spec.n, weight, True)
+                        for k, e in spec.term_parameters())
+    assert block.dims == (len(left), len(mid), len(right))
+    strand = spec.term_parameters()[0][1] == 0
+    assert (block.d_in is None) == (strand and spec.p >= 1)
+    if strand:
+        ranks = [rank_dense(dense(element_differential(src, dst)))
+                 for src, dst in ((left, mid), (mid, right))]
+        assert ranks[0] == len(left)
+        assert block.cohomology_dim() == len(mid) - sum(ranks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,9 +467,10 @@ def test_cleared_ranks_match_dense(p, q, b, d, n):
     # agrees.  The example is the smallest spec found where clearing the
     # row after each pivot instead gives a wrong dimension
     assume(_product_space(p, q, b, d, n) <= 8_000)
-    for block in build_blocks(KoszulSpec(p, q, b, d, n)):
+    spec = KoszulSpec(p, q, b, d, n)
+    for block in build_blocks(spec):
         ranks = [rank_dense(dense(mat)) if mat.nrows and mat.ncols else 0
-                 for mat in (block.d_in, block.d_out)]
+                 for mat in (d_in_of(spec, block), block.d_out)]
         d_in, d_out = deepcopy(block.d_in), deepcopy(block.d_out)
         assert block.cohomology_dim() == block.dims[1] - sum(ranks)
         assert block.cohomology_dim() == block.dims[1] - sum(ranks)
