@@ -26,13 +26,12 @@ counted before they are listed.  schur_decompose turns a weight table
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, starmap, takewhile
 from math import comb, factorial, prod
 from operator import add, eq, lt, sub
 from typing import Sequence
 
-from veroschur.config import DEFAULT_CONFIG, RunConfig
+from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.partitions import (Partition, count_partitions, gl_dimension,
                                   normalize, partitions_of, pieri,
                                   vectors_in_box)
@@ -60,41 +59,43 @@ def orbit_size(w: Sequence[int]) -> int:
     return size
 
 
-@dataclass
-class WeightTable:
+class WeightTable(Record):
     """Character data: dominant weight -> exact positive multiplicity."""
 
-    n: int
-    degree: int
-    entries: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ("n", "degree", "entries")
 
-    def __post_init__(self) -> None:
-        for w, c in self.entries.items():
-            if len(w) != self.n or sum(w) != self.degree or not is_dominant(w):
-                raise ValueError(f"bad dominant weight {w} for degree {self.degree}")
+    def __init__(self, n: int, degree: int,
+                 entries: dict[Weight, int] | None = None) -> None:
+        entries = {} if entries is None else entries
+        for w, c in entries.items():
+            if len(w) != n or sum(w) != degree or not is_dominant(w):
+                raise ValueError(f"bad dominant weight {w} for degree {degree}")
             if c <= 0:
                 raise ValueError(f"nonpositive entry at {w}")
-        self.entries = dict(sorted(self.entries.items(), reverse=True))
+        self.n = n
+        self.degree = degree
+        self.entries = dict(sorted(entries.items(), reverse=True))
 
     def dimension(self) -> int:
         return sum(c * orbit_size(w) for w, c in self.entries.items())
 
 
-@dataclass
-class SchurExpansion:
+class SchurExpansion(Record):
     """Multiset of Schur functors with exact positive multiplicities."""
 
-    n: int
-    degree: int
-    terms: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("n", "degree", "terms")
 
-    def __post_init__(self) -> None:
-        for lam, c in self.terms.items():
-            if normalize(lam) != lam or len(lam) > self.n or sum(lam) != self.degree:
-                raise ValueError(f"bad term {lam} for n={self.n}, degree {self.degree}")
+    def __init__(self, n: int, degree: int,
+                 terms: dict[Partition, int] | None = None) -> None:
+        terms = {} if terms is None else terms
+        for lam, c in terms.items():
+            if normalize(lam) != lam or len(lam) > n or sum(lam) != degree:
+                raise ValueError(f"bad term {lam} for n={n}, degree {degree}")
             if c <= 0:
                 raise ValueError(f"nonpositive multiplicity at {lam}")
-        self.terms = dict(sorted(self.terms.items(), reverse=True))
+        self.n = n
+        self.degree = degree
+        self.terms = dict(sorted(terms.items(), reverse=True))
 
     def multiplicity(self, lam: Sequence[int]) -> int:
         return self.terms.get(normalize(lam), 0)

@@ -9,19 +9,19 @@ timestamps are emitted.
 Exit codes: 0 success, 1 check failure, 2 invalid arguments, 3 resource
 cap exceeded, 4 internal error.
 
-Each run is a fresh process, so start-up counts: this module imports only
-`config` and `characters`, the layer under every subcommand, and each
-`cmd_*` imports its own layer (`koszul`, `cones`, `verify`) when it runs.
+Each run is a fresh process, so start-up counts: of veroschur this module
+imports only `config` and `characters` (with `partitions`), the layer
+under every subcommand; each `cmd_*` imports its own layer (`koszul`,
+`cones`, `verify`) when it runs, and `_emit` imports `csv` only for the
+csv format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from math import comb
 
 from veroschur.characters import (SchurExpansion, complexity, sym_power_sym,
@@ -54,7 +54,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _config_line(cfg: RunConfig, key: str, value: str) -> RunConfig:
     """cfg with one `key=value` line of a config file applied."""
     if key == "format":
-        return replace(cfg, fmt=value)
+        return cfg.replace(fmt=value)
     if key not in ("max_table_entries", "max_matrix_dim", "max_enum_nodes",
                    "seed"):
         raise ValueError(f"unknown config key {key!r}")
@@ -62,7 +62,7 @@ def _config_line(cfg: RunConfig, key: str, value: str) -> RunConfig:
         number = int(value)
     except ValueError:
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
-    return replace(cfg, **{key: number})
+    return cfg.replace(**{key: number})
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -87,7 +87,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
              "max_matrix_dim": args.max_dim,
              "max_enum_nodes": args.max_nodes,
              "seed": args.seed, "fmt": args.format}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return cfg.replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _expansion_payload(e: SchurExpansion) -> dict:
@@ -106,6 +106,8 @@ def _emit(payload: dict, fmt: str, out_path: str | None,
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows or _payload_as_rows(payload):

@@ -20,10 +20,9 @@ Pieri decomposition of the tensor power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroschur.characters import complexity, tensor_power_sym, total_multiplicity
 from veroschur.config import DEFAULT_CONFIG, RunConfig
@@ -33,8 +32,7 @@ from veroschur.tableaux import RowContentMatrix, offdiag_pairs
 Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
 
-@dataclass(frozen=True)
-class ConeCrossSection:
+class ConeCrossSection(NamedTuple):
     """Level-1 slice of a rational cone as integer inequalities.
 
     upper_bounds are the exact per-coordinate maxima over the slice, in
@@ -266,8 +264,7 @@ def lattice_count(cone: ConeCrossSection, level: int,
     return total
 
 
-@dataclass(frozen=True)
-class DualityRow:
+class DualityRow(NamedTuple):
     """Both lattice counts at one level and whether each matches the Pieri
     decomposition of the p-th tensor power of Sym^d."""
 
@@ -310,8 +307,7 @@ def content_points_as_matrices(p: int, d: int,
         yield RowContentMatrix.from_offdiag(p, d, point)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Leading-coefficient estimate by divided differences on the last two
     windows of samples; relative_change is the convergence diagnostic."""
 

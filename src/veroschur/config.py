@@ -1,8 +1,9 @@
-"""Run configuration: resource caps and output options."""
+"""Run configuration: resource caps and output options, and the base
+classes of the validated records: plain __slots__ classes, because a
+dataclass costs every fresh process the import of inspect and a compiled
+__init__, __eq__ and __repr__ per class."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 FORMATS = ("json", "csv", "pretty")
 
@@ -18,8 +19,47 @@ class CapExceeded(RuntimeError):
         self.setting = setting
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class Record:
+    """Equality and repr over the fields named in __slots__, as a
+    dataclass gives them; a Record is mutable and unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{k}={getattr(self, k)!r}"
+                            for k in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that is hashable and rejects assignment; its __init__
+    validates the arguments and stores them with _freeze."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RunConfig(FrozenRecord):
     """Caps are in units of table entries / matrix side / search nodes.
 
     For cone lattice counts, max_enum_nodes bounds the DP states expanded
@@ -27,18 +67,25 @@ class RunConfig:
     layer; a `cones` run also counts its levels against max_table_entries.
     """
 
-    max_table_entries: int = 5_000_000
-    max_matrix_dim: int = 100_000
-    max_enum_nodes: int = 100_000_000
-    fmt: str = "pretty"
-    seed: int = 0
+    __slots__ = ("max_table_entries", "max_matrix_dim", "max_enum_nodes",
+                 "fmt", "seed")
 
-    def __post_init__(self) -> None:
-        for name in ("max_table_entries", "max_matrix_dim", "max_enum_nodes"):
-            if getattr(self, name) <= 0:
+    def __init__(self, max_table_entries: int = 5_000_000,
+                 max_matrix_dim: int = 100_000,
+                 max_enum_nodes: int = 100_000_000, fmt: str = "pretty",
+                 seed: int = 0) -> None:
+        values = (max_table_entries, max_matrix_dim, max_enum_nodes, fmt, seed)
+        for name, value in zip(self.__slots__[:3], values):
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fmt not in FORMATS:
+        if fmt not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
+        self._freeze(*values)
+
+    def replace(self, **changes: object) -> RunConfig:
+        """A copy with the given fields changed, validated as a new one."""
+        return RunConfig(**{**dict(zip(self.__slots__, self._values())),
+                            **changes})
 
     def check_table(self, needed: int, what: str) -> None:
         if needed > self.max_table_entries:

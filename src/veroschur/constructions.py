@@ -12,11 +12,10 @@ its inputs: single-wedge where that applies, blocked otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, factorial, floor
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from veroschur.characters import (complexity, sym_power_sym, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity,
@@ -26,14 +25,12 @@ from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import (Partition, add, conjugate, dominates, length,
                                   normalize, part, partitions_of,
                                   sym_group_irrep_dim)
-from veroschur.tableaux import strip_chains
 
 
 # ---------------------------------------------------------------------------
 # plethysm identities
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -114,8 +111,7 @@ def remove_visible_boxes(lam: Sequence[int], k: int) -> Partition:
     return conjugate(normalize(tuple(cols)))
 
 
-@dataclass(frozen=True)
-class StaircaseWitness:
+class StaircaseWitness(NamedTuple):
     """Strictly decreasing exponent staircase splitting L0 = |lam| - (b+1)."""
 
     lam: Partition
@@ -149,8 +145,7 @@ def staircase_exponents(lam: Sequence[int], b: int, p: int) -> StaircaseWitness:
     return StaircaseWitness(lam, b, p, tuple(exponents), tuple(levels))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     verdict: str  # constructed | conditions-fail | pieri-fail
     witness: StaircaseWitness
     reason: str
@@ -183,6 +178,9 @@ def staircase_membership(lam: Sequence[int], b: int, p: int, d: int,
     if es[0] > d - 1:
         return MembershipResult(
             "conditions-fail", witness, f"e_0 = {es[0]} exceeds d-1 = {d-1}", ())
+    # imported here so that the ratio experiments do not load tableaux
+    from veroschur.tableaux import strip_chains
+
     sizes = [e for e in (b + 1,) + es if e > 0]
     chain = next(strip_chains(lam, sizes), None)
     if chain is None:
@@ -247,8 +245,7 @@ def max_n_green(p: int, b: int, q: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # pattern censuses
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(NamedTuple):
     n: int
     partitions: int
     parameters: dict
@@ -431,16 +428,14 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
 # ---------------------------------------------------------------------------
 # ratio experiments
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     d: int
     numerator: int
     denominator: int
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class RatioTable:
+class RatioTable(NamedTuple):
     experiment: str
     parameters: dict
     limit: Fraction

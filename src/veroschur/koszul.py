@@ -63,12 +63,11 @@ arises once, from its first p indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
                                   schur_decompose, sym_power_sym)
-from veroschur.config import DEFAULT_CONFIG, RunConfig
+from veroschur.config import DEFAULT_CONFIG, FrozenRecord, Record, RunConfig
 from veroschur.intrank import SparseVec, rank_sparse
 from veroschur.partitions import add, partitions_of, vectors_in_box
 
@@ -77,29 +76,25 @@ Wedge = tuple[int, ...]  # increasing indices into the wedge factors
 Levels = tuple[list[Wedge] | int, list[Wedge], list[Wedge]]
 
 
-@dataclass(frozen=True)
-class KoszulSpec:
+class KoszulSpec(FrozenRecord):
     """Parameters of one syzygy computation over C^n.
 
     n defaults to p + q + 1, which is faithful for the untwisted (b = 0)
     decompositions; for b > 0 the result is the length <= n truncation.
     """
 
-    p: int
-    q: int
-    b: int
-    d: int
-    n: int = 0
+    __slots__ = ("p", "q", "b", "d", "n")
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0 or self.b < 0:
+    def __init__(self, p: int, q: int, b: int, d: int, n: int = 0) -> None:
+        if p < 0 or q < 0 or b < 0:
             raise ValueError("p, q, b must be nonnegative")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("d must be positive")
-        if self.n == 0:
-            object.__setattr__(self, "n", self.p + self.q + 1)
-        if self.n < 1:
+        if n == 0:
+            n = p + q + 1
+        if n < 1:
             raise ValueError("n must be positive")
+        self._freeze(p, q, b, d, n)
 
     @property
     def total_degree(self) -> int:
@@ -120,8 +115,7 @@ class KoszulSpec:
         return self.n >= self.p + self.q + 1
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class SparseIntMatrix(NamedTuple):
     """Rows as {column: value}; shapes explicit so zero blocks are typed."""
 
     nrows: int
@@ -129,18 +123,21 @@ class SparseIntMatrix:
     rows: tuple[SparseVec, ...]
 
 
-@dataclass
-class KoszulBlock:
+class KoszulBlock(Record):
     """One dominant weight block of the complex.
 
     d_in is None on the linear strand (p >= 1 and a left term of
     symmetric degree 0), where it is injective and its rank is dims[0].
     """
 
-    weight: Weight
-    dims: tuple[int, int, int]
-    d_in: SparseIntMatrix | None
-    d_out: SparseIntMatrix
+    __slots__ = ("weight", "dims", "d_in", "d_out")
+
+    def __init__(self, weight: Weight, dims: tuple[int, int, int],
+                 d_in: SparseIntMatrix | None, d_out: SparseIntMatrix) -> None:
+        self.weight = weight
+        self.dims = dims
+        self.d_in = d_in
+        self.d_out = d_out
 
     def cohomology_dim(self) -> int:
         # ranks on rows, cleared in the cohomology direction: the pivot of

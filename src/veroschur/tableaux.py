@@ -14,9 +14,9 @@ lattice coordinates used by the multiplicity cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from veroschur.config import FrozenRecord
 from veroschur.partitions import Partition, dominates, normalize, vectors_in_box
 
 
@@ -25,17 +25,13 @@ def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(p) for j in range(i + 1, p))
 
 
-@dataclass(frozen=True)
-class RowContentMatrix:
+class RowContentMatrix(FrozenRecord):
     """Upper-triangular label counts t[i][j] at level d, with both
     tableau conditions enforced at construction."""
 
-    p: int
-    d: int
-    t: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "d", "t")
 
-    def __post_init__(self) -> None:
-        p, t = self.p, self.t
+    def __init__(self, p: int, d: int, t: tuple[tuple[int, ...], ...]) -> None:
         if len(t) != p or any(len(row) != p for row in t):
             raise ValueError("matrix must be p x p")
         for i in range(p):
@@ -44,8 +40,8 @@ class RowContentMatrix:
                     raise ValueError(f"entry below diagonal at ({i},{j})")
         for j in range(p):
             col = sum(t[k][j] for k in range(j))
-            if t[j][j] != self.d - col:
-                raise ValueError(f"diagonal entry {j} inconsistent with level {self.d}")
+            if t[j][j] != d - col:
+                raise ValueError(f"diagonal entry {j} inconsistent with level {d}")
             if t[j][j] < 0:
                 raise ValueError(f"condition (1) fails at diagonal index {j}")
         for i in range(p - 1):
@@ -54,6 +50,7 @@ class RowContentMatrix:
                 rhs = sum(t[i + 1][k] for k in range(i + 1, j + 1))
                 if lhs < rhs:
                     raise ValueError(f"condition (2) fails at (i={i}, j={j})")
+        self._freeze(p, d, t)
 
     @classmethod
     def from_offdiag(cls, p: int, d: int, values: Sequence[int]) -> "RowContentMatrix":

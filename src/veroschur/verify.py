@@ -3,31 +3,26 @@
 Each suite runs a fixed set of exact identities or tolerance checks at
 desk-scale parameters and returns machine-readable verdicts.  The CLI
 exposes them under `verify`; the acceptance tests call them directly.
+
+Every suite but kostka-cone runs the Koszul layer, so koszul is imported
+here; a suite imports constructions or cones when it runs, so that a
+`verify` process loads only what its suite uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from veroschur.characters import (tensor_power_sym, tensor_with_sym,
                                   wedge_power_sym)
-from veroschur.cones import (content_points_as_matrices, duality_rows,
-                             enumerate_slice, moment_map, shape_cone_section)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.constructions import (almost_triplet_census, doubled_plethysm_check,
-                                     newell_check, ratio_experiment,
-                                     sample_staircase_inputs, staircase_exponents,
-                                     staircase_membership,
-                                     twin_pattern_count_closed,
-                                     twin_pattern_enumerate)
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import normalize
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -38,20 +33,24 @@ def _ratio_within(ratio: Fraction, limit: Fraction, tol: Fraction) -> bool:
 
 
 def suite_newell(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur import constructions
+
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            rep = newell_check(p, d, p, config)
+            rep = constructions.newell_check(p, d, p, config)
             out.append(Check(f"newell p={p} d={d}", rep.ok,
                              "; ".join(rep.failures) or "all shifts match"))
     return out
 
 
 def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur import constructions
+
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            rep = doubled_plethysm_check(p, d, p, config)
+            rep = constructions.doubled_plethysm_check(p, d, p, config)
             out.append(Check(f"doubling p={p} d={d}", rep.ok,
                              "; ".join(rep.failures) or "all doubled types present"))
     return out
@@ -108,11 +107,14 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
                     count: int = 100) -> list[Check]:
-    samples = sample_staircase_inputs(count, seed=config.seed or 20240)
+    from veroschur import constructions
+
+    samples = constructions.sample_staircase_inputs(
+        count, seed=config.seed or 20240)
     constructed = conditions = 0
     bad: list[str] = []
     for lam, b, p, d, n in samples:
-        w = staircase_exponents(lam, b, p)
+        w = constructions.staircase_exponents(lam, b, p)
         es = w.exponents
         if sum(es) != w.levels[0] or w.levels[-1] != 0 or \
                 any(es[i] <= es[i + 1] for i in range(len(es) - 1)) or es[-1] < 0:
@@ -120,7 +122,7 @@ def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
             # which needs the exponents to sum to the level
             bad.append(f"exponent invariants fail for {lam} b={b} p={p}")
             continue
-        res = staircase_membership(lam, b, p, d, n)
+        res = constructions.staircase_membership(lam, b, p, d, n)
         if res.verdict == "constructed":
             constructed += 1
             if res.chain[-1] != lam:
@@ -135,10 +137,12 @@ def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
 
 
 def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur import cones
+
     out = []
     for p in (1, 2, 3, 4):
         details = []
-        for r in duality_rows(p, range(1, 7), config):
+        for r in cones.duality_rows(p, range(1, 7), config):
             if not r.types_ok:
                 details.append(f"d={r.d} type count {r.shape_count}")
             if not r.multiplicity_ok:
@@ -146,14 +150,14 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
         out.append(Check(f"cone duality p={p} d<=6", not details,
                          "; ".join(details) or "lattice counts match characters"))
     for p in (1, 2, 3):
-        shapes = shape_cone_section(p)
+        shapes = cones.shape_cone_section(p)
         ok = True
         details = []
         for d in range(1, 6):
             # the Kostka numbers K_{lam,(d^p)}, by the Pieri rule
             kostka = tensor_power_sym(p, d, p, config)
             try:
-                matrices = list(content_points_as_matrices(p, d, config))
+                matrices = list(cones.content_points_as_matrices(p, d, config))
             except ValueError as exc:
                 # the section admits a point that is not a tableau
                 ok = False
@@ -161,10 +165,10 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
                 continue
             fibers: dict[tuple[int, ...], int] = {}
             for m in matrices:
-                key = moment_map(m)
+                key = cones.moment_map(m)
                 fibers[key] = fibers.get(key, 0) + 1
             shape_points = {pt + (d,)
-                            for pt in enumerate_slice(shapes, d, config)}
+                            for pt in cones.enumerate_slice(shapes, d, config)}
             if set(fibers) != shape_points:
                 ok = False
                 details.append(f"d={d} image mismatch")
@@ -179,11 +183,13 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_ratios(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur import constructions
+
     out = []
 
     def trend(name: str, experiment: str, params: dict, ds: tuple[int, ...],
               tol: Fraction, improving: bool = True) -> None:
-        table = ratio_experiment(experiment, params, ds, config)
+        table = constructions.ratio_experiment(experiment, params, ds, config)
         gaps = {row.d: abs(row.ratio - table.limit) / table.limit
                 for row in table.rows}
         final = table.rows[-1]
@@ -213,14 +219,16 @@ def suite_ratios(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur import constructions
+
     out = []
     # p = 3 is the n = 2 count; p = 14 runs the closed form at n = 5
     for p, ds, label in ((3, range(5, 31), "d<=30"),
                          (14, (10, 13, 16), "d in {10,13,16} (n=5)")):
         details = []
         for d in ds:
-            closed = twin_pattern_count_closed(p, 1, d)[0]
-            direct = twin_pattern_enumerate(p, 1, d)
+            closed = constructions.twin_pattern_count_closed(p, 1, d)[0]
+            direct = constructions.twin_pattern_enumerate(p, 1, d)
             if closed != direct:
                 details.append(f"d={d}: {closed} != {direct}")
         out.append(Check(f"twin census closed form vs enumeration p={p} b=1 "
@@ -230,12 +238,12 @@ def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     for n in (7, 10, 13):
         p = n - 1
         d = max(p + 2, 3 * ((p + 1) // (n - 3)) + 3)
-        rep = almost_triplet_census(p, 1, n, d)
+        rep = constructions.almost_triplet_census(p, 1, n, d)
         counts[n] = rep.molds
     increasing = counts[7] < counts[10] < counts[13]
     out.append(Check("mold counts strictly increase over n in {7,10,13}",
                      increasing, str(counts)))
-    rep = almost_triplet_census(6, 1, 7, 9)
+    rep = constructions.almost_triplet_census(6, 1, 7, 9)
     out.append(Check("distinct inputs give distinct molds at n-1=6",
                      rep.molds == rep.partitions,
                      f"{rep.partitions} partitions, {rep.molds} molds"))
@@ -246,7 +254,10 @@ def single_ratio_check(experiment: str, parameters: dict, d_max: int,
                        tolerance: Fraction = Fraction(1, 10),
                        config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     """Targeted trend check for one experiment at explicit parameters."""
-    table = ratio_experiment(experiment, parameters, (d_max,), config)
+    from veroschur import constructions
+
+    table = constructions.ratio_experiment(experiment, parameters, (d_max,),
+                                           config)
     final = table.rows[0]
     ok = _ratio_within(final.ratio, table.limit, tolerance)
     return [Check(f"{experiment} {parameters} at d={d_max}", ok,
@@ -286,6 +297,6 @@ def run_suite(name: str, config: RunConfig = DEFAULT_CONFIG,
     return {
         "suite": name,
         "seed": config.seed,
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
         "passed": all(c.passed for c in checks),
     }

@@ -379,14 +379,13 @@ def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
     # a content-section point that is not a tableau is a failed check
     # (exit 1 with a FAIL line), not invalid arguments (exit 2); dropping
     # the last tableau inequality admits such points at p = 3
-    from dataclasses import replace
-
     import veroschur.cones
     from veroschur.verify import run_suite
     section = veroschur.cones.content_cone_section
     monkeypatch.setattr(
         "veroschur.cones.content_cone_section",
-        lambda p: replace(section(p), inequalities=section(p).inequalities[:-1]))
+        lambda p: section(p)._replace(
+            inequalities=section(p).inequalities[:-1]))
     checks = {c["name"]: c for c in run_suite("kostka-cone")["checks"]}
     fibers = checks["moment fibers p=3 d<=5"]
     assert not fibers["passed"]
@@ -440,24 +439,30 @@ def test_verify_choices_are_the_suites():
     assert list(suite.choices) == sorted(SUITES)
 
 
-# one small command per subcommand, with the veroschur modules beyond
-# veroschur, config, characters and partitions that it may load
+# one small command per subcommand, and the ratios suite, with the
+# veroschur modules beyond veroschur, config, characters and partitions
+# that it may load
 ENTRY_POINT_RUNS = [
-    (["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"], set()),
-    (["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
-     {"koszul", "intrank"}),
-    (["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
-     {"cones", "tableaux"}),
-    (["verify", "newell"], {"cones", "constructions", "intrank", "koszul",
-                            "tableaux", "verify"}),
+    pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"],
+                 set(), id="decompose"),
+    pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
+                 {"koszul", "intrank"}, id="syzygy"),
+    pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
+                 {"cones", "tableaux"}, id="cones"),
+    pytest.param(["verify", "newell"],
+                 {"constructions", "intrank", "koszul", "verify"}, id="verify"),
+    pytest.param(["verify", "ratios"],
+                 {"constructions", "intrank", "koszul", "verify"},
+                 id="verify-ratios"),
 ]
 
 
-@pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS,
-                         ids=[argv[0] for argv, _ in ENTRY_POINT_RUNS])
+@pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS)
 def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     """`python -m veroschur.cli` prints what main() prints, and each
-    subcommand imports only the modules it runs.
+    subcommand imports only the modules it runs: no `dataclasses` or
+    `inspect` (they cost every fresh process milliseconds), and no `csv`
+    when the format is json.
 
     -X importtime reports every module the child imports on stderr and
     leaves stdout alone; the CLI itself runs as __main__, so it is not
@@ -478,6 +483,7 @@ def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
         {"veroschur", "veroschur.config", "veroschur.characters",
          "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
+    assert not loaded & {"dataclasses", "inspect", "csv"}
 
 
 def _argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:

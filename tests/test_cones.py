@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -95,7 +94,8 @@ def test_duality_rows_catch_a_wrong_cap(monkeypatch):
 
     def halved(p):
         cone = right(p)
-        return replace(cone, upper_bounds=tuple(u / 2 for u in cone.upper_bounds))
+        return cone._replace(
+            upper_bounds=tuple(u / 2 for u in cone.upper_bounds))
 
     monkeypatch.setattr(cones, "content_cone_section", halved)
     rows = duality_rows(3, range(1, 5))

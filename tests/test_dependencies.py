@@ -7,7 +7,9 @@ import veroschur
 
 def test_program_imports_only_stdlib():
     # the package declares no dependencies; every import in it must be the
-    # standard library or the package itself
+    # standard library or the package itself.  Not dataclasses: each
+    # command is a fresh process, and its import (which loads inspect) and
+    # the methods it compiles per class are start-up that every run pays
     files = sorted(Path(veroschur.__file__).parent.glob("*.py"))
     assert files
     for path in files:
@@ -22,6 +24,7 @@ def test_program_imports_only_stdlib():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "veroschur", \
                     f"{path.name} imports {name}"
+                assert top != "dataclasses", f"{path.name} imports {name}"
 
 
 def _top_level_defs(tree: ast.Module):
