@@ -7,33 +7,35 @@ factors from partitions.vectors_in_box, and the plethysms below never
 build a weight table.
 
 Symmetric and exterior plethysms and tensor powers of Sym^d are built in
-the Schur basis of GL_n from the cycle-index expansion (Macdonald,
-Symmetric Functions and Hall Polynomials, I.8)
+the Schur basis of GL_n by Newton's identity composed with h_d (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2 (2.11) and I.8)
 
-    h_p[h_d] = sum over nu |- p of z_nu^-1 p_nu[h_d],
-    e_p[h_d] = sum over nu |- p of eps_nu z_nu^-1 p_nu[h_d],
+    m h_m[h_d] = sum over k = 1..m of p_k[h_d] h_{m-k}[h_d],
+    m e_m[h_d] = sum over k = 1..m of (-1)^(k-1) p_k[h_d] e_{m-k}[h_d],
 
-with eps_nu = (-1)^(p - len(nu)) and p_k[f](x) = f(x^k).  Each p_nu[h_d]
-is a product of factors p_k[h_d]: k = 1 is h_d itself, a horizontal-strip
-(Pieri) step, and k >= 2 shifts lam + delta by k times every degree-d
-exponent vector (the alternant rule, Macdonald I.3).  The tensor power
-h_d^p is the chain nu = (1^p).  Terms longer than n are dropped after each
-factor; the sum is divided by p! exactly, and its dimension is checked
-against the binomial closed form; the cycle types, like the shifts, are
-counted before they are listed.  schur_decompose turns a weight table
-(the Koszul cohomology) into Schur terms by the alternant formula.
+with p_k[f](x) = f(x^k), so the p-th power takes p(p+1)/2 products and
+nothing is enumerated over the partitions of p.  A product by p_k[h_d] with
+k = 1 is a horizontal-strip (Pieri) step, and with k >= 2 it shifts
+lam + delta by k times every degree-d exponent vector (the alternant rule,
+Macdonald I.3).  The tensor power h_d^p is the chain of p Pieri steps.
+Terms longer than n are dropped after each product, which is exact because
+restricting to n variables is a ring map; each division by m is checked to
+be exact, the dimension is checked against the binomial closed form, and
+the shifts are counted before they are listed.
+
+schur_decompose turns a weight table (the Koszul cohomology) into Schur
+terms by the alternant formula.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, starmap, takewhile
+from itertools import combinations, starmap
 from math import comb, factorial, prod
-from operator import add, eq, lt, sub
+from operator import add, lt, sub
 from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
-from veroschur.partitions import (Partition, count_partitions, gl_dimension,
-                                  normalize, partitions_of, pieri,
+from veroschur.partitions import (Partition, gl_dimension, normalize, pieri,
                                   vectors_in_box)
 
 Weight = tuple[int, ...]
@@ -123,21 +125,6 @@ def _check_power_args(p: int, d: int, n: int) -> None:
         raise ValueError("need p, n >= 1 and d >= 0")
 
 
-def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
-    """(nu, eps_nu * p!/z_nu) for every partition nu of p: the signed size
-    of the conjugacy class of S_p with cycle type nu, with
-    eps_nu = (-1)^(p - len(nu)) for the exterior power and 1 otherwise."""
-    out = []
-    for nu in partitions_of(p):
-        z = 1
-        for k in set(nu):
-            m = nu.count(k)
-            z *= k ** m * factorial(m)
-        sign = -1 if wedge and (p - len(nu)) % 2 else 1
-        out.append((nu, sign * factorial(p) // z))
-    return out
-
-
 def _pieri_product(terms: dict[Partition, int], b: int, n: int,
                    config: RunConfig, held: int = 0) -> dict[Partition, int]:
     """terms times h_b by the horizontal-strip rule, dropping terms longer
@@ -181,70 +168,51 @@ def _alternant_product(terms: dict[Partition, int], k: int,
     return {mu: c for mu, c in out.items() if c}
 
 
-def _power_sum_products(types: list[tuple[Partition, int]],
-                        shifts: list[Weight], d: int, n: int,
-                        config: RunConfig) -> dict[Partition, int]:
-    """sum of coef * p_nu[h_d] over (nu, coef) in types, in the Schur basis
-    of GL_n, as a dict of nonzero coefficients; shifts are the degree-d
-    exponent vectors of length n, for the parts k >= 2.
-
-    p_nu[h_d] is the product of its factors p_k[h_d], taken with the parts
-    of nu in ascending order: k = 1 is h_d (_pieri_product) and k >= 2 is
-    _alternant_product.  Terms longer than n are dropped after each factor,
-    which is exact because restricting to n variables is a ring map.  The
-    types run in the order of their negated ascending parts, a prefix before
-    its extensions and the largest next part first, and path keeps the
-    product of every prefix of the current type, so the alternant products
-    on short prefixes run (and their caps trip) before the chain of 1s grows.
-    The terms times the shifts of every alternant product so far count
-    against max_enum_nodes before each one runs, and the terms on the path,
-    summed and being filled against max_table_entries as each product fills.
-    """
-    signed: dict[Partition, int] = {}
-    nodes = 0
-    path = [{(): 1}]
-    last: Partition = ()
-    for nu, coef in sorted(((nu[::-1], coef) for nu, coef in types),
-                           key=lambda t: tuple(-k for k in t[0])):
-        shared = sum(takewhile(bool, map(eq, nu, last)))  # common prefix
-        del path[shared + 1:]
-        for k in nu[shared:]:
-            held = len(signed) + sum(map(len, path))
-            if k == 1:
-                path.append(_pieri_product(path[-1], d, n, config, held))
-            else:
-                nodes += len(path[-1]) * len(shifts)
-                config.check_nodes(nodes, "alternant terms")
-                path.append(_alternant_product(path[-1], k, shifts, n, config,
-                                               held))
-        for lam, c in path[-1].items():
-            signed[lam] = signed.get(lam, 0) + coef * c
-        config.check_table(len(signed) + sum(map(len, path)), "Schur terms")
-        last = nu
-    return {lam: c for lam, c in signed.items() if c}
-
-
 def _plethysm(p: int, d: int, n: int, wedge: bool,
               config: RunConfig) -> SchurExpansion:
-    """Schur terms of h_p[h_d] or e_p[h_d] by the cycle-index expansion,
-    m(lam) = sum over nu of eps_nu (p!/z_nu) <p_nu[h_d], s_lam> / p!, with
-    the division by p! checked to be exact and the dimension checked
-    against the closed form C(N+p-1, p) or C(N, p), N = C(n+d-1, d)."""
+    """Schur terms of h_p[h_d] or e_p[h_d] by Newton's identity composed
+    with h_d,
+
+        m H_m = sum over k = 1..m of eps_k p_k[h_d] H_{m-k},
+
+    from H_0 = 1, with eps_k = (-1)^(k-1) for e and 1 for h.  Each
+    division by m is checked to be exact and nonnegative, and the
+    dimension is checked against the closed form C(N+p-1, p) or C(N, p),
+    N = C(n+d-1, d).  The terms times the shifts of every alternant
+    product so far count against max_enum_nodes before each one runs, and
+    the stored H_j, the running sum and the product being filled against
+    max_table_entries as each product fills."""
     _check_power_args(p, d, n)
     shifts: list[Weight] = []
     if p > 1:
         config.check_table(comb(n + d - 1, d), "alternant shifts")
         shifts = vectors_in_box((0,) * n, (d,) * n, d)
-    config.check_table(count_partitions(p), "cycle types")
-    terms: dict[Partition, int] = {}
-    for lam, c in _power_sum_products(_cycle_types(p, wedge), shifts, d, n,
-                                      config).items():
-        mult, rest = divmod(c, factorial(p))
-        if rest or mult < 0:
-            raise NotACharacter(f"cycle-index sum {c} at {lam} is not a "
-                                f"nonnegative multiple of {p}!")
-        terms[lam] = mult
-    out = SchurExpansion(n, p * d, terms)
+    powers: list[dict[Partition, int]] = [{(): 1}]
+    nodes = 0
+    for m in range(1, p + 1):
+        total: dict[Partition, int] = {}
+        for k in range(1, m + 1):
+            held = sum(map(len, powers)) + len(total)
+            if k == 1:
+                step = _pieri_product(powers[-1], d, n, config, held)
+            else:
+                nodes += len(powers[m - k]) * len(shifts)
+                config.check_nodes(nodes, "alternant terms")
+                step = _alternant_product(powers[m - k], k, shifts, n, config,
+                                          held)
+            sign = -1 if wedge and k % 2 == 0 else 1
+            for lam, c in step.items():
+                total[lam] = total.get(lam, 0) + sign * c
+        terms: dict[Partition, int] = {}
+        for lam, c in total.items():
+            mult, rest = divmod(c, m)
+            if rest or mult < 0:
+                raise NotACharacter(f"Newton sum {c} at {lam} is not a "
+                                    f"nonnegative multiple of {m}")
+            if mult:
+                terms[lam] = mult
+        powers.append(terms)
+    out = SchurExpansion(n, p * d, powers[-1])
     monos = comb(n + d - 1, d)
     want = comb(monos, p) if wedge else comb(monos + p - 1, p)
     if out.dimension() != want:
@@ -335,13 +303,14 @@ def schur_decompose(w: WeightTable,
 
 def tensor_power_sym(p: int, d: int, n: int,
                      config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
-    """Schur decomposition of the p-th tensor power of Sym^d(C^n): the
-    chain h_d^p = p_(1^p)[h_d] of Pieri products, with terms longer than n
-    dropped as they appear; no weight table is built."""
+    """Schur decomposition of the p-th tensor power of Sym^d(C^n): h_d^p
+    as p Pieri products, with terms longer than n dropped as they appear;
+    no weight table is built."""
     _check_power_args(p, d, n)
-    return SchurExpansion(n, p * d,
-                          _power_sum_products([((1,) * p, 1)], [], d, n,
-                                              config))
+    terms: dict[Partition, int] = {(): 1}
+    for _ in range(p):
+        terms = _pieri_product(terms, d, n, config, len(terms))
+    return SchurExpansion(n, p * d, terms)
 
 
 def tensor_with_sym(e: SchurExpansion, b: int,

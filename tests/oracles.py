@@ -10,19 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, takewhile
 from math import factorial
-from operator import le
+from operator import eq, le
 from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
-                                  WeightTable, _cycle_types, is_dominant)
+                                  WeightTable, _alternant_product,
+                                  _pieri_product, is_dominant)
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.partitions import (Partition, dominates, normalize, part,
-                                  partitions_of)
+                                  partitions_of, vectors_in_box)
 from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
                                 strip_chains)
 
@@ -322,6 +323,75 @@ def char_power_monomial(p: int, d: int, n: int, wedge: bool,
         config.check_table(sum(len(t) for t in levels),
                            "weight table entries")
     return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
+
+
+def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:
+    """(nu, eps_nu * p!/z_nu) for every partition nu of p: the signed size
+    of the conjugacy class of S_p with cycle type nu, with
+    eps_nu = (-1)^(p - len(nu)) for the exterior power and 1 otherwise."""
+    out = []
+    for nu in partitions_of(p):
+        z = 1
+        for k in set(nu):
+            m = nu.count(k)
+            z *= k ** m * factorial(m)
+        sign = -1 if wedge and (p - len(nu)) % 2 else 1
+        out.append((nu, sign * factorial(p) // z))
+    return out
+
+
+def _power_sum_products(types: list[tuple[Partition, int]],
+                        shifts: list[Weight], d: int, n: int,
+                        config: RunConfig) -> dict[Partition, int]:
+    """sum of coef * p_nu[h_d] over (nu, coef) in types, in the Schur basis
+    of GL_n, as a dict of nonzero coefficients; shifts are the degree-d
+    exponent vectors of length n, for the parts k >= 2.
+
+    p_nu[h_d] is the product of its factors p_k[h_d], taken with the parts
+    of nu in ascending order: k = 1 is h_d (_pieri_product) and k >= 2 is
+    _alternant_product.  Terms longer than n are dropped after each factor.
+    The types run in the order of their negated ascending parts, a prefix
+    before its extensions, and path keeps the product of every prefix of
+    the current type, so each product is shared by the types that extend
+    its prefix."""
+    signed: dict[Partition, int] = {}
+    path = [{(): 1}]
+    last: Partition = ()
+    for nu, coef in sorted(((nu[::-1], coef) for nu, coef in types),
+                           key=lambda t: tuple(-k for k in t[0])):
+        shared = sum(takewhile(bool, map(eq, nu, last)))  # common prefix
+        del path[shared + 1:]
+        for k in nu[shared:]:
+            held = len(signed) + sum(map(len, path))
+            if k == 1:
+                path.append(_pieri_product(path[-1], d, n, config, held))
+            else:
+                path.append(_alternant_product(path[-1], k, shifts, n, config,
+                                               held))
+        for lam, c in path[-1].items():
+            signed[lam] = signed.get(lam, 0) + coef * c
+        last = nu
+    return {lam: c for lam, c in signed.items() if c}
+
+
+def plethysm_cycle_index(p: int, d: int, n: int, wedge: bool,
+                         config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Schur terms of h_p[h_d] or e_p[h_d] by the cycle-index expansion
+    over S_p (Macdonald I.8), the walk that Newton's identity replaced:
+
+        m(lam) = sum over nu |- p of eps_nu (p!/z_nu) <p_nu[h_d], s_lam> / p!,
+
+    with the division by p! checked to be exact."""
+    shifts = vectors_in_box((0,) * n, (d,) * n, d) if p > 1 else []
+    terms: dict[Partition, int] = {}
+    for lam, c in _power_sum_products(_cycle_types(p, wedge), shifts, d, n,
+                                      config).items():
+        mult, rest = divmod(c, factorial(p))
+        if rest or mult < 0:
+            raise NotACharacter(f"cycle-index sum {c} at {lam} is not a "
+                                f"nonnegative multiple of {p}!")
+        terms[lam] = mult
+    return SchurExpansion(n, p * d, terms)
 
 
 def _run_moves(run: tuple[int, ...], lo: int, hi: int, held: int,

@@ -15,7 +15,7 @@ from veroschur.partitions import gl_dimension, partitions_of
 
 from oracles import (char_power_monomial, char_sym_sym, char_tensor_sym,
                      char_wedge_sym, kostka, monomials, oracle_decompose,
-                     schur_character, sub)
+                     plethysm_cycle_index, schur_character, sub)
 
 
 def brute_tensor_table(p, d, n):
@@ -212,8 +212,7 @@ def test_caps_are_loud():
         tensor_power_sym(3, 4, 3, tiny)
     # the plethysms count their shifts and terms against the same cap: at
     # n = 9 the C(10, 2) = 45 degree-2 shifts trip it before they are
-    # listed, at n = 3 the six shifts and the p(6) = 11 cycle types fit
-    # and the Schur terms trip it
+    # listed, at n = 3 the six shifts fit and the Schur terms trip it
     for p, n, cap, what in [(6, 9, 10, "alternant shifts"),
                             (6, 3, 11, "Schur terms")]:
         with pytest.raises(CapExceeded) as exc:
@@ -221,13 +220,12 @@ def test_caps_are_loud():
         assert exc.value.what == what
 
 
-def test_cycle_types_are_capped_before_they_are_listed():
-    # p(20) = 627 cycle types; at d = 0 nothing else comes near the cap
-    with pytest.raises(CapExceeded) as exc:
-        sym_power_sym(20, 0, 1, RunConfig(max_table_entries=600))
-    assert (exc.value.what, exc.value.needed) == ("cycle types", 627)
-    assert sym_power_sym(20, 0, 1, RunConfig(max_table_entries=627)).terms \
-        == {(): 1}
+def test_large_p_runs_under_the_default_caps():
+    # Newton's identity takes p(p+1)/2 products and lists nothing over the
+    # p(80) = 15,796,476 cycle types of S_80
+    assert sym_power_sym(80, 0, 1).terms == {(): 1}
+    assert wedge_power_sym(80, 0, 1).terms == {}
+    assert sym_power_sym(40, 1, 1).terms == {(40,): 1}
 
 
 def test_long_tensor_chain_runs_without_recursion():
@@ -246,9 +244,9 @@ def test_plethysm_cap_trips_inside_a_level():
 
 
 def test_alternant_products_are_capped_before_they_run():
-    # sym^2 sym^2 at n = 2 has cycle types (2) and (1, 1); its one
-    # alternant product, 1 times p_2[h_2], is 1 term times the 3 shifts of
-    # degree 2, counted before it runs
+    # 2 h_2[h_2] = p_1[h_2] h_1[h_2] + p_2[h_2]; its one alternant product,
+    # 1 times p_2[h_2] at n = 2, is 1 term times the 3 shifts of degree 2,
+    # counted before it runs
     with pytest.raises(CapExceeded, match="alternant terms: needed 3, cap 2"):
         sym_power_sym(2, 2, 2, RunConfig(max_enum_nodes=2))
     assert sym_power_sym(2, 2, 2, RunConfig(max_enum_nodes=3)).terms == \
@@ -341,3 +339,21 @@ def test_power_sum_products_match_the_weight_tables(wedge, p, d, n):
     monomial = oracle_decompose(char_power_monomial(p, d, n, wedge))
     assert list(got.terms.items()) == list(columns.terms.items()) == \
         list(monomial.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(wedge=st.booleans(), p=st.integers(1, 12), d=st.integers(0, 3),
+       n=st.integers(1, 5))
+@example(wedge=True, p=12, d=3, n=3)   # n < p
+@example(wedge=False, p=12, d=3, n=1)  # one variable
+@example(wedge=False, p=12, d=0, n=4)  # d = 0
+@example(wedge=True, p=12, d=1, n=5)   # p above dim Sym^d, empty
+@example(wedge=True, p=10, d=3, n=4)   # even and odd k on large terms
+def test_newton_identity_matches_the_cycle_index(wedge, p, d, n):
+    # Newton's identity against the cycle-index walk it replaced, past the
+    # range of the table oracles: same terms in the same order
+    assume(comb(n + d - 1, d) * p <= 240)
+    got = (wedge_power_sym if wedge else sym_power_sym)(p, d, n)
+    want = plethysm_cycle_index(p, d, n, wedge)
+    assert (got.n, got.degree) == (want.n, want.degree) == (n, p * d)
+    assert list(got.terms.items()) == list(want.terms.items())

@@ -150,12 +150,12 @@ def test_exit_codes(capsys):
                            "-n", "10", "--max-entries", "20000")
     assert code == 3
     assert "alternant shifts: needed 92378, cap 20000" in err
-    # p(80) = 15,796,476 cycle types are counted, not listed, before the cap
+    # Newton's identity lists nothing over the p(80) = 15,796,476 cycle
+    # types of S_80, so p = 80 answers under the default caps
     code, out, err = run_cli(capsys, "decompose", "sym", "-p", "80", "-d", "0",
-                             "-n", "1")
-    assert code == 3 and out == ""
-    assert err == ("resource cap exceeded: cycle types: needed 15796476, "
-                   "cap 5000000 (max_table_entries)\n")
+                             "-n", "1", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == ",1"  # the empty partition, once
     # a chain of 1,200 Pieri products is a loop, not a recursion
     code, out, _ = run_cli(capsys, "decompose", "tensor", "-p", "1200", "-d",
                            "1", "-n", "1", "--format", "csv")
@@ -322,20 +322,20 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_broken_decomposition_is_an_internal_error(monkeypatch, capsys):
-    # a cycle-index coefficient off by one leaves a sum that p! does not
-    # divide: a fault of the program (exit 4), not a usage error (exit 2)
+    # a Newton term off by one leaves a sum that m does not divide: a fault
+    # of the program (exit 4), not a usage error (exit 2)
     from veroschur import characters
-    right = characters._cycle_types
+    right = characters._alternant_product
 
-    def off_by_one(p, wedge):
-        (nu, coef), *rest = right(p, wedge)
-        return [(nu, coef + 1), *rest]
+    def off_by_one(*args):
+        (lam, c), *rest = right(*args).items()
+        return dict([(lam, c + 1), *rest])
 
-    monkeypatch.setattr(characters, "_cycle_types", off_by_one)
+    monkeypatch.setattr(characters, "_alternant_product", off_by_one)
     code, out, err = run_cli(capsys, "decompose", "sym", "-p", "3", "-d", "3")
     assert code == 4 and out == ""
-    assert err.startswith("internal error: NotACharacter: cycle-index sum ")
-    assert err.endswith(" is not a nonnegative multiple of 3!\n")
+    assert err.startswith("internal error: NotACharacter: Newton sum ")
+    assert err.endswith(" is not a nonnegative multiple of 2\n")
 
 
 def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):

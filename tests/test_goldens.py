@@ -9,7 +9,8 @@ monomial-DP weight tables, before the cycle-index expansion replaced
 them, and sit on both sides of n = p; the two Pieri-product hashes were
 taken before one box walker replaced the row-by-row strip recursion, and
 the seven sign-heavy ones from the cycle-index weight tables, before the
-plethysms were built as Pieri and alternant products.  The cones hashes were
+plethysms were built as Pieri and alternant products, and the last four
+from the cycle-index products, before Newton's identity replaced them.  The cones hashes were
 taken from the enumerating lattice count, before the layered DP replaced
 it; none of these runs has enough levels to print a fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
@@ -54,6 +55,11 @@ DECOMPOSE_GOLDENS = {
     "sym -p 5 -d 0 -n 3": "408ae4dcfda7c38da5ab0f3732fddbcb7a0e1cb498edb0e35a583b3b9d06572a",
     "sym -p 6 -d 4 -n 1": "98e14d495643a2cd14e4b6b479ae10b0ed8987832dceae3863cb0ccdf3d0745a",
     "wedge -p 4 -d 1 -n 2": "e2e345970e7acd204f1f13be6563daf8b4014707091bb2d9eac4c39c2eb017ac",
+    # many Newton steps each, hashed from the cycle-index products
+    "sym -p 12 -d 3 -n 4": "01a7acc82849d93b95ec3964bad08db5739b6cd3857755655402b349e5182ae9",
+    "wedge -p 12 -d 3 -n 5": "31c75253d323ad510114a8b970010fa57b6a8166d42171068a36d977f84fec88",
+    "sym -p 16 -d 2 -n 4": "967d64ba3df97d417a6d6919759e722c7bd591c9a17d73b83cf20b4a7082fa02",
+    "sym -p 30 -d 2 -n 2": "4b8aa528e48348ca5364391658e8cb6c5244dfcf834d06d474636a8c8e35c794",
 }
 
 CONES_GOLDENS = {
