@@ -14,14 +14,13 @@ Symmetric Functions and Hall Polynomials, I.2 (2.11) and I.8)
     m e_m[h_d] = sum over k = 1..m of (-1)^(k-1) p_k[h_d] e_{m-k}[h_d],
 
 with p_k[f](x) = f(x^k), so the p-th power takes p(p+1)/2 products and
-nothing is enumerated over the partitions of p.  A product by p_k[h_d] with
-k = 1 is a horizontal-strip (Pieri) step, and with k >= 2 it shifts
-lam + delta by k times every degree-d exponent vector (the alternant rule,
-Macdonald I.3).  The tensor power h_d^p is the chain of p Pieri steps.
-Terms longer than n are dropped after each product, which is exact because
-restricting to n variables is a ring map; each division by m is checked to
-be exact, the dimension is checked against the binomial closed form, and
-the shifts are counted before they are listed.
+nothing is enumerated over the partitions of p.  Every product by
+p_k[h_d] is one walk over horizontal strips on the k-runner abacus of
+lam + delta (_power_product), and k = 1 is the Pieri rule, so the tensor
+power h_d^p is the chain of p such steps.  No product lists a term longer
+than n, which is exact because restricting to n variables is a ring map;
+each division by m is checked to be exact, and the dimension is checked
+against the binomial closed form.
 
 schur_decompose turns a weight table (the Koszul cohomology) into Schur
 terms by the alternant formula.
@@ -35,7 +34,7 @@ from operator import add, lt, sub
 from typing import Sequence
 
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
-from veroschur.partitions import (Partition, gl_dimension, normalize, pieri,
+from veroschur.partitions import (Partition, gl_dimension, normalize,
                                   vectors_in_box)
 
 Weight = tuple[int, ...]
@@ -125,45 +124,46 @@ def _check_power_args(p: int, d: int, n: int) -> None:
         raise ValueError("need p, n >= 1 and d >= 0")
 
 
-def _pieri_product(terms: dict[Partition, int], b: int, n: int,
+def _power_product(terms: dict[Partition, int], k: int, d: int, n: int,
                    config: RunConfig, held: int = 0) -> dict[Partition, int]:
-    """terms times h_b by the horizontal-strip rule, dropping terms longer
-    than n.  The terms, on top of the held ones, are checked against the
-    cap after each lam, so a product that outgrows it stops within one
-    lam's strips past the cap."""
-    out: dict[Partition, int] = {}
-    for lam, c in terms.items():
-        for mu in pieri(lam, b):
-            if len(mu) <= n:
-                out[mu] = out.get(mu, 0) + c
-        config.check_table(held + len(out), "Schur terms")
-    return out
+    """terms times p_k[h_d] over GL_n by horizontal strips on the k-abacus
+    (Macdonald I.1 Ex. 8; Lascoux, Leclerc and Thibon, J. Math. Phys. 38,
+    1997); k = 1 is the Pieri rule.
 
-
-def _alternant_product(terms: dict[Partition, int], k: int,
-                       shifts: list[Weight], n: int, config: RunConfig,
-                       held: int) -> dict[Partition, int]:
-    """terms times p_k[h_d] over GL_n, shifts being the degree-d exponent
-    vectors beta of length n, by the alternant rule
-
-        s_lam p_k[h_d] = sum over beta of a_{lam + delta + k beta} / a_delta,
-
-    where a_alpha is 0 when alpha has a repeated entry and otherwise
-    sgn(sort) a_{sort(alpha)}, with sort(alpha) - delta a partition of at
-    most n parts (Macdonald I.3).  The cap is checked as in _pieri_product."""
-    steps = [tuple(k * v for v in beta) for beta in shifts]
+    The beads lam + delta sit on k runners by their residues mod k, listed
+    runner by runner, top bead first; a bead at k q + r has quotient q.  In
+    s_lam p_k[h_d] = sum over beta of a_{lam + delta + k beta} / a_delta
+    (Macdonald I.3) the shifts that make two beads of a runner meet or pass
+    cancel in pairs, and the rest raise the quotients of each runner by a
+    horizontal strip, d steps in all: a bead up to one below the bead above
+    it, a top bead by up to d.  mu is the sorted positions minus delta, and
+    the sign is the parity of the inversions of the positions, runner by
+    runner, before the move plus after it; with one runner the beads keep
+    their order, so it is +.  No term is longer than n, and one lam gives
+    each mu at most once.  The terms, on top of the held ones, are checked
+    against the cap after each lam, so a product that outgrows it stops
+    within one lam's strips past the cap."""
     delta = range(n - 1, -1, -1)
     out: dict[Partition, int] = {}
     for lam, c in terms.items():
-        top = tuple(map(add, lam + (0,) * (n - len(lam)), delta))
-        for step in steps:
-            alpha = tuple(map(add, top, step))
-            if len(set(alpha)) < n:
-                continue
-            inversions = sum(starmap(lt, combinations(alpha, 2)))
-            mu = tuple(map(sub, sorted(alpha, reverse=True), delta))
+        beads = list(map(add, lam + (0,) * (n - len(lam)), delta))
+        if k > 1:
+            beads.sort(key=lambda b: b % k)  # stable: runners stay top first
+            residues = [b % k for b in beads]
+            before = sum(starmap(lt, combinations(beads, 2)))
+        lo = [b // k for b in beads]
+        hi = [lo[i - 1] - 1 if i and (beads[i - 1] - b) % k == 0 else q + d
+              for i, (b, q) in enumerate(zip(beads, lo))]
+        for v in vectors_in_box(lo, hi, sum(lo) + d):
+            signed = c
+            if k > 1:
+                v = [k * q + r for q, r in zip(v, residues)]
+                if (before + sum(starmap(lt, combinations(v, 2)))) % 2:
+                    signed = -c
+                v.sort(reverse=True)
+            mu = tuple(map(sub, v, delta))
             mu = mu[:n - mu.count(0)]  # a partition, so its zeros trail
-            out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
+            out[mu] = out.get(mu, 0) + signed
         config.check_table(held + len(out), "Schur terms")
     return {mu: c for mu, c in out.items() if c}
 
@@ -178,28 +178,24 @@ def _plethysm(p: int, d: int, n: int, wedge: bool,
     from H_0 = 1, with eps_k = (-1)^(k-1) for e and 1 for h.  Each
     division by m is checked to be exact and nonnegative, and the
     dimension is checked against the closed form C(N+p-1, p) or C(N, p),
-    N = C(n+d-1, d).  The terms times the shifts of every alternant
-    product so far count against max_enum_nodes before each one runs, and
-    the stored H_j, the running sum and the product being filled against
-    max_table_entries as each product fills."""
+    N = C(n+d-1, d).  Each product is s_lam p_k[h_d] by _power_product.
+    Before each product with k >= 2 runs, its terms times N, an upper
+    bound on the strips that it lists, count against max_enum_nodes with
+    those of every such product so far; the stored H_j, the running sum
+    and the product being filled count against max_table_entries as each
+    product fills."""
     _check_power_args(p, d, n)
-    shifts: list[Weight] = []
-    if p > 1:
-        config.check_table(comb(n + d - 1, d), "alternant shifts")
-        shifts = vectors_in_box((0,) * n, (d,) * n, d)
+    monos = comb(n + d - 1, d)
     powers: list[dict[Partition, int]] = [{(): 1}]
     nodes = 0
     for m in range(1, p + 1):
         total: dict[Partition, int] = {}
         for k in range(1, m + 1):
-            held = sum(map(len, powers)) + len(total)
-            if k == 1:
-                step = _pieri_product(powers[-1], d, n, config, held)
-            else:
-                nodes += len(powers[m - k]) * len(shifts)
+            if k > 1:
+                nodes += len(powers[m - k]) * monos
                 config.check_nodes(nodes, "alternant terms")
-                step = _alternant_product(powers[m - k], k, shifts, n, config,
-                                          held)
+            held = sum(map(len, powers)) + len(total)
+            step = _power_product(powers[m - k], k, d, n, config, held)
             sign = -1 if wedge and k % 2 == 0 else 1
             for lam, c in step.items():
                 total[lam] = total.get(lam, 0) + sign * c
@@ -213,7 +209,6 @@ def _plethysm(p: int, d: int, n: int, wedge: bool,
                 terms[lam] = mult
         powers.append(terms)
     out = SchurExpansion(n, p * d, powers[-1])
-    monos = comb(n + d - 1, d)
     want = comb(monos, p) if wedge else comb(monos + p - 1, p)
     if out.dimension() != want:
         raise NotACharacter(f"dimension {out.dimension()} after "
@@ -304,20 +299,20 @@ def schur_decompose(w: WeightTable,
 def tensor_power_sym(p: int, d: int, n: int,
                      config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
     """Schur decomposition of the p-th tensor power of Sym^d(C^n): h_d^p
-    as p Pieri products, with terms longer than n dropped as they appear;
-    no weight table is built."""
+    as p Pieri products, none of which lists a term longer than n; no
+    weight table is built."""
     _check_power_args(p, d, n)
     terms: dict[Partition, int] = {(): 1}
     for _ in range(p):
-        terms = _pieri_product(terms, d, n, config, len(terms))
+        terms = _power_product(terms, 1, d, n, config, len(terms))
     return SchurExpansion(n, p * d, terms)
 
 
 def tensor_with_sym(e: SchurExpansion, b: int,
                     config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
-    """Tensor with Sym^b via the horizontal-strip rule, truncating terms
-    whose length exceeds n."""
+    """Tensor with Sym^b by the Pieri rule over GL_n, which lists no term
+    longer than n."""
     if b < 0:
         raise ValueError("b must be nonnegative")
     return SchurExpansion(e.n, e.degree + b,
-                          _pieri_product(e.terms, b, e.n, config))
+                          _power_product(e.terms, 1, b, e.n, config))

@@ -38,9 +38,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: 0)")
     parser.add_argument("--max-entries", type=int, default=None,
-                        help="cap on Schur terms, alternant shifts, Koszul "
-                             "basis elements, lattice layer states and cones "
-                             "levels")
+                        help="cap on Schur terms, Koszul basis elements, "
+                             "lattice layer states and cones levels")
     parser.add_argument("--max-dim", type=int, default=None,
                         help="cap on matrix dimension")
     parser.add_argument("--max-nodes", type=int, default=None,

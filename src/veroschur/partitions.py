@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, dominance, horizontal strips, counts.
+"""Integer partitions: conjugation, dominance, vectors in a box, counts.
 
 Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros; missing parts are treated as 0.  All counts are
@@ -8,6 +8,7 @@ exact Python integers.
 from __future__ import annotations
 
 from math import factorial
+from operator import gt
 from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -65,45 +66,42 @@ def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
                    total: int) -> list[tuple[int, ...]]:
     """Integer vectors v with lo <= v <= hi and sum(v) == total, in
-    decreasing lexicographic order, by a recursion len(lo) deep.
+    decreasing lexicographic order, by a recursion as deep as its free
+    coordinates, those with lo < hi; the fixed ones are copied from lo, and
+    a box with some lo > hi is empty.
 
-    Each coordinate runs only over values that the later coordinates,
-    between their bounds, can still complete to total, so no branch dies.
+    Each free coordinate runs only over values that the later ones, between
+    their bounds, can still complete to total, so no branch dies.
     Horizontal strips (Macdonald I.5) lie between interlacing bounds; the
     Koszul wedge factors are the vectors of degree d under a weight.
     """
-    n = len(lo)
-    floor = [sum(lo[i:]) for i in range(n + 1)]
-    ceil = [sum(hi[i:]) for i in range(n + 1)]
+    if any(map(gt, lo, hi)):
+        return []
+    free = [i for i, (a, b) in enumerate(zip(lo, hi)) if a < b]
+    ceil = [0] * (len(free) + 1)  # room left in the free coordinates from j
+    for j in range(len(free) - 1, -1, -1):
+        ceil[j] = ceil[j + 1] + hi[free[j]] - lo[free[j]]
     out: list[tuple[int, ...]] = []
-    built = [0] * n
+    built = list(lo)
+    last = len(free) - 1
 
-    def rec(i: int, rest: int) -> None:
-        if i == n:
+    def rec(j: int, rest: int) -> None:
+        i = free[j]
+        if j == last:  # the earlier ones left it room for exactly rest
+            built[i] = lo[i] + rest
             out.append(tuple(built))
             return
-        for v in range(min(hi[i], rest - floor[i + 1]),
-                       max(lo[i], rest - ceil[i + 1]) - 1, -1):
+        for v in range(min(hi[i], lo[i] + rest),
+                       max(lo[i], lo[i] + rest - ceil[j + 1]) - 1, -1):
             built[i] = v
-            rec(i + 1, rest - v)
+            rec(j + 1, rest - v + lo[i])
 
-    if floor[0] <= total <= ceil[0]:
-        rec(0, total)
+    rest = total - sum(lo)
+    if not free:
+        return [tuple(lo)] if rest == 0 else []
+    if 0 <= rest <= ceil[0]:
+        rec(0, rest)
     return out
-
-
-def pieri(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
-    """All mu >= lam with mu/lam a horizontal strip of b boxes.
-
-    mu interlaces lam from above, lam_i <= mu_i <= lam_{i-1}, in one more
-    row.  Returned in decreasing lexicographic order; pieri(lam, 0) == (lam,).
-    """
-    lam = normalize(lam)
-    if b < 0:
-        raise ValueError("strip size must be nonnegative")
-    lo = lam + (0,)
-    hi = (part(lam, 0) + b,) + lam
-    return tuple(normalize(mu) for mu in vectors_in_box(lo, hi, sum(lo) + b))
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
@@ -155,13 +153,16 @@ def sym_group_irrep_dim(mu: Sequence[int]) -> int:
 
 
 def gl_dimension(lam: Sequence[int], n: int) -> int:
-    """Dimension of the irreducible GL_n representation of highest weight lam."""
+    """Dimension of the irreducible GL_n representation of highest weight
+    lam: the product over the boxes of lam of (n + content) / hook
+    (Stanley, EC2 7.21.2)."""
     lam = normalize(lam)
     if len(lam) > n:
         return 0
+    conj = conjugate(lam)
     num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= part(lam, i) - part(lam, j) + j - i
-            den *= j - i
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+            den *= row - j + conj[j] - i - 1
     return num // den

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, takewhile
+from itertools import (combinations, combinations_with_replacement, starmap,
+                       takewhile)
 from math import factorial
-from operator import eq, le
+from operator import add, eq, le, lt
 from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
-                                  WeightTable, _alternant_product,
-                                  _pieri_product, is_dominant)
+                                  WeightTable, is_dominant)
 from veroschur.cones import ConeCrossSection
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.intrank import SparseVec
@@ -45,6 +45,20 @@ def monomials(degree: int, n: int) -> tuple[Weight, ...]:
     for first in range(degree, -1, -1):
         out.extend((first,) + rest for rest in monomials(degree - first, n - 1))
     return tuple(out)
+
+
+def pieri(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
+    """All mu >= lam with mu/lam a horizontal strip of b boxes.
+
+    mu interlaces lam from above, lam_i <= mu_i <= lam_{i-1}, in one more
+    row.  Returned in decreasing lexicographic order; pieri(lam, 0) == (lam,).
+    """
+    lam = normalize(lam)
+    if b < 0:
+        raise ValueError("strip size must be nonnegative")
+    lo = lam + (0,)
+    hi = (part(lam, 0) + b,) + lam
+    return tuple(normalize(mu) for mu in vectors_in_box(lo, hi, sum(lo) + b))
 
 
 def pieri_rows(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
@@ -323,6 +337,68 @@ def char_power_monomial(p: int, d: int, n: int, wedge: bool,
         config.check_table(sum(len(t) for t in levels),
                            "weight table entries")
     return WeightTable(n, p * d, {w: c for w, c in levels[p].items() if is_dominant(w)})
+
+
+def gl_dimension_weyl(lam: Sequence[int], n: int) -> int:
+    """Dimension of the irreducible GL_n representation of highest weight
+    lam by Weyl's product over the pairs i < j of rows, the route that the
+    hook-content formula replaced."""
+    lam = normalize(lam)
+    if len(lam) > n:
+        return 0
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= part(lam, i) - part(lam, j) + j - i
+            den *= j - i
+    return num // den
+
+
+# products by p_k[h_d], the two routes that characters._power_product
+# replaced: the Pieri rule for k = 1 and the alternant rule for k >= 2
+
+def _pieri_product(terms: dict[Partition, int], b: int, n: int,
+                   config: RunConfig, held: int = 0) -> dict[Partition, int]:
+    """terms times h_b by the horizontal-strip rule, dropping terms longer
+    than n.  The terms, on top of the held ones, are checked against the
+    cap after each lam, so a product that outgrows it stops within one
+    lam's strips past the cap."""
+    out: dict[Partition, int] = {}
+    for lam, c in terms.items():
+        for mu in pieri(lam, b):
+            if len(mu) <= n:
+                out[mu] = out.get(mu, 0) + c
+        config.check_table(held + len(out), "Schur terms")
+    return out
+
+
+def _alternant_product(terms: dict[Partition, int], k: int,
+                       shifts: list[Weight], n: int, config: RunConfig,
+                       held: int) -> dict[Partition, int]:
+    """terms times p_k[h_d] over GL_n, shifts being the degree-d exponent
+    vectors beta of length n, by the alternant rule
+
+        s_lam p_k[h_d] = sum over beta of a_{lam + delta + k beta} / a_delta,
+
+    where a_alpha is 0 when alpha has a repeated entry and otherwise
+    sgn(sort) a_{sort(alpha)}, with sort(alpha) - delta a partition of at
+    most n parts (Macdonald I.3).  The cap is checked as in _pieri_product."""
+    steps = [tuple(k * v for v in beta) for beta in shifts]
+    delta = range(n - 1, -1, -1)
+    out: dict[Partition, int] = {}
+    for lam, c in terms.items():
+        top = tuple(map(add, lam + (0,) * (n - len(lam)), delta))
+        for step in steps:
+            alpha = tuple(map(add, top, step))
+            if len(set(alpha)) < n:
+                continue
+            inversions = sum(starmap(lt, combinations(alpha, 2)))
+            mu = tuple(a - b for a, b in zip(sorted(alpha, reverse=True),
+                                             delta))
+            mu = mu[:n - mu.count(0)]  # a partition, so its zeros trail
+            out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
+        config.check_table(held + len(out), "Schur terms")
+    return {mu: c for mu, c in out.items() if c}
 
 
 def _cycle_types(p: int, wedge: bool) -> list[tuple[Partition, int]]:

@@ -6,16 +6,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
-                                  complexity, is_dominant, orbit_size,
+                                  _power_product, complexity, is_dominant,
+                                  orbit_size,
                                   schur_decompose, sym_power_sym,
                                   tensor_power_sym, tensor_with_sym,
                                   total_multiplicity, wedge_power_sym)
-from veroschur.config import CapExceeded, RunConfig
+from veroschur.config import DEFAULT_CONFIG, CapExceeded, RunConfig
 from veroschur.partitions import gl_dimension, partitions_of
 
-from oracles import (char_power_monomial, char_sym_sym, char_tensor_sym,
-                     char_wedge_sym, kostka, monomials, oracle_decompose,
-                     plethysm_cycle_index, schur_character, sub)
+from oracles import (_alternant_product, _pieri_product, char_power_monomial,
+                     char_sym_sym, char_tensor_sym, char_wedge_sym, kostka,
+                     monomials, oracle_decompose, plethysm_cycle_index,
+                     schur_character, sub)
 
 
 def brute_tensor_table(p, d, n):
@@ -210,10 +212,9 @@ def test_caps_are_loud():
     tiny = RunConfig(max_table_entries=5)
     with pytest.raises(CapExceeded):
         tensor_power_sym(3, 4, 3, tiny)
-    # the plethysms count their shifts and terms against the same cap: at
-    # n = 9 the C(10, 2) = 45 degree-2 shifts trip it before they are
-    # listed, at n = 3 the six shifts fit and the Schur terms trip it
-    for p, n, cap, what in [(6, 9, 10, "alternant shifts"),
+    # the plethysms count their Schur terms against the same cap, as the
+    # products fill, at any n: they list no shifts
+    for p, n, cap, what in [(6, 9, 10, "Schur terms"),
                             (6, 3, 11, "Schur terms")]:
         with pytest.raises(CapExceeded) as exc:
             sym_power_sym(p, 2, n, RunConfig(max_table_entries=cap))
@@ -235,8 +236,8 @@ def test_long_tensor_chain_runs_without_recursion():
 
 def test_plethysm_cap_trips_inside_a_level():
     # the terms are checked as each product fills, after each lam, and one
-    # lam adds at most its C(15, 8) = 6,435 shifts, so the run stops within
-    # that many terms past the cap
+    # lam adds at most C(15, 8) = 6,435 terms, one per exponent vector, so
+    # the run stops within that many terms past the cap
     with pytest.raises(CapExceeded) as exc:
         sym_power_sym(8, 8, 8, RunConfig(max_table_entries=13_000))
     assert exc.value.what == "Schur terms"
@@ -328,7 +329,7 @@ def test_cycle_index_matches_monomial_dp(kind, p, d, n):
 @example(wedge=True, p=4, d=0, n=3)   # d = 0, empty
 @example(wedge=True, p=4, d=1, n=2)   # p above dim Sym^d, empty
 def test_power_sum_products_match_the_weight_tables(wedge, p, d, n):
-    # the Pieri and alternant products against both table routes, the
+    # the products by p_k[h_d] against both table routes, the
     # column DP decomposed by the alternant formula and the monomial DP
     # decomposed by Kostka subtraction: same terms in the same order
     assume(_table_size("wedge" if wedge else "sym", p, d, n) <= 20_000)
@@ -357,3 +358,39 @@ def test_newton_identity_matches_the_cycle_index(wedge, p, d, n):
     want = plethysm_cycle_index(p, d, n, wedge)
     assert (got.n, got.degree) == (want.n, want.degree) == (n, p * d)
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def signed_products(draw):
+    """(terms, k, d, n): up to four signed Schur terms of at most n parts,
+    to be multiplied by p_k[h_d] over GL_n."""
+    n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 5)), \
+        draw(st.integers(0, 5))
+    lams = draw(st.lists(st.integers(0, 8).flatmap(
+        lambda size: st.sampled_from(tuple(partitions_of(size, n)))),
+        max_size=4, unique=True))
+    coefs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                          min_size=len(lams), max_size=len(lams)))
+    return dict(zip(lams, coefs)), k, d, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_products())
+@example(({(2, 1): 1, (3,): -2}, 2, 0, 3))     # d = 0: the terms themselves
+@example(({(4,): 1, (2,): 3}, 3, 2, 1))        # one variable
+@example(({(): 1}, 2, 3, 4))                   # lam = ()
+@example(({(2, 1): 2, (1, 1, 1): -1}, 5, 3, 3))  # k > n: one bead a runner
+@example(({(3, 1): 1, (2, 2): -1}, 1, 2, 2))   # Pieri with truncation
+def test_power_product_matches_pieri_and_alternant(case):
+    # horizontal strips on the k-abacus against the two rules they
+    # replaced, on signed sums of terms, so cancellation between the
+    # products of different lam shows too
+    terms, k, d, n = case
+    got = _power_product(terms, k, d, n, DEFAULT_CONFIG)
+    if k == 1:
+        want = {mu: c for mu, c in
+                _pieri_product(terms, d, n, DEFAULT_CONFIG).items() if c}
+    else:
+        want = _alternant_product(terms, k, list(monomials(d, n)), n,
+                                  DEFAULT_CONFIG, 0)
+    assert got == want

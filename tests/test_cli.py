@@ -144,12 +144,23 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decompose", "sym", "-p", "6", "-d", "2",
                            "-n", "9", "--max-entries", "10")
     assert code == 3
-    assert "alternant shifts: needed 45, cap 10" in err
-    # a large plethysm stops before it lists its C(19, 10) shifts
+    assert "Schur terms: needed 14, cap 10" in err
+    # a large plethysm stops within one lam's strips past the cap
     code, _, err = run_cli(capsys, "decompose", "wedge", "-p", "10", "-d", "10",
                            "-n", "10", "--max-entries", "20000")
     assert code == 3
-    assert "alternant shifts: needed 92378, cap 20000" in err
+    assert "Schur terms: needed 20005, cap 20000" in err
+    # no walk is n levels deep, and dimensions take one factor per box, so
+    # a thousand-odd variables answer
+    for args, first in [(("decompose", "sym", "-p", "2", "-d", "1", "-n",
+                          "1200"), "2,1"),
+                        (("decompose", "wedge", "-p", "2", "-d", "2", "-n",
+                          "1100"), "3 1,1"),
+                        (("syzygy", "-p", "1", "-q", "0", "-d", "2", "-n",
+                          "1200"), "total_multiplicity,0")]:
+        code, out, err = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0 and err == "", args
+        assert out.splitlines()[1] == first, args
     # Newton's identity lists nothing over the p(80) = 15,796,476 cycle
     # types of S_80, so p = 80 answers under the default caps
     code, out, err = run_cli(capsys, "decompose", "sym", "-p", "80", "-d", "0",
@@ -325,13 +336,13 @@ def test_broken_decomposition_is_an_internal_error(monkeypatch, capsys):
     # a Newton term off by one leaves a sum that m does not divide: a fault
     # of the program (exit 4), not a usage error (exit 2)
     from veroschur import characters
-    right = characters._alternant_product
+    right = characters._power_product
 
     def off_by_one(*args):
         (lam, c), *rest = right(*args).items()
         return dict([(lam, c + 1), *rest])
 
-    monkeypatch.setattr(characters, "_alternant_product", off_by_one)
+    monkeypatch.setattr(characters, "_power_product", off_by_one)
     code, out, err = run_cli(capsys, "decompose", "sym", "-p", "3", "-d", "3")
     assert code == 4 and out == ""
     assert err.startswith("internal error: NotACharacter: Newton sum ")

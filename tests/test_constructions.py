@@ -49,7 +49,7 @@ def test_remove_visible_boxes():
 def test_remove_visible_boxes_is_strip():
     # removal is a horizontal strip: adding it back via the strip rule
     # always recovers the original partition
-    from veroschur.partitions import pieri
+    from oracles import pieri
     for lam in partitions_of(8):
         for k in range(1, lam[0] + 1):
             smaller = remove_visible_boxes(lam, k)
@@ -83,7 +83,7 @@ def test_staircase_membership_example():
     # chain builds by horizontal strips of the advertised sizes
     sizes = [e for e in (1,) + res.witness.exponents if e > 0]
     prev = ()
-    from veroschur.partitions import pieri
+    from oracles import pieri
     for shape, size in zip(res.chain, sizes):
         assert shape in pieri(prev, size)
         prev = shape

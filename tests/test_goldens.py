@@ -10,9 +10,12 @@ them, and sit on both sides of n = p; the two Pieri-product hashes were
 taken before one box walker replaced the row-by-row strip recursion, and
 the seven sign-heavy ones from the cycle-index weight tables, before the
 plethysms were built as Pieri and alternant products, and the last four
-from the cycle-index products, before Newton's identity replaced them.  The cones hashes were
-taken from the enumerating lattice count, before the layered DP replaced
-it; none of these runs has enough levels to print a fit.  The syzygy
+from the cycle-index products, before Newton's identity replaced them;
+the last four decompose hashes were taken from the Pieri and alternant
+products, before horizontal strips on the k-abacus replaced both.  The
+cones hashes were taken from the enumerating lattice count, before the
+layered DP replaced it; none of these runs has enough levels to print a
+fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
 by each column's largest row, the four after the first five before one
 packed-weight search built all three Koszul bases, and the last three
@@ -60,6 +63,12 @@ DECOMPOSE_GOLDENS = {
     "wedge -p 12 -d 3 -n 5": "31c75253d323ad510114a8b970010fa57b6a8166d42171068a36d977f84fec88",
     "sym -p 16 -d 2 -n 4": "967d64ba3df97d417a6d6919759e722c7bd591c9a17d73b83cf20b4a7082fa02",
     "sym -p 30 -d 2 -n 2": "4b8aa528e48348ca5364391658e8cb6c5244dfcf834d06d474636a8c8e35c794",
+    # hashed from the Pieri and alternant products, before horizontal
+    # strips on the k-abacus replaced both
+    "sym -p 8 -d 4 -n 6": "4024ff2bbeb9cc7d5bedab007e48e5d11522057368ee6b3d455293294f79f5fd",
+    "wedge -p 10 -d 3 -n 6": "f7b3b7adaaa267dd8ef84bd1e2e2d71de08e64ce8082d482a3394c398a6e1714",
+    "wedge -p 6 -d 4 -n 8": "9b18ad68250c9ed3988131589ce4b22ed98dce8b35c9f56d965803815da042e4",
+    "tensor -p 6 -d 3 -n 10 --tensor-sym 2": "8616143a0465020e16b88a8c17466f1e766f72a84f503ecf9cdd5862092ed91b",
 }
 
 CONES_GOLDENS = {

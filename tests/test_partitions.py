@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veroschur.partitions import (add, conjugate, count_partitions, dominates,
-                                  gl_dimension, normalize, partitions_of, pieri,
+                                  gl_dimension, normalize, partitions_of,
                                   sym_group_irrep_dim, vectors_in_box)
 from veroschur.tableaux import horizontal_strips_down
 
-from oracles import pieri_rows, strips_down_rows
+from oracles import gl_dimension_weyl, pieri, pieri_rows, strips_down_rows
 
 
 def partitions_upto(n):
@@ -211,6 +211,23 @@ def test_gl_dimension():
     for n in (2, 3, 4):
         for k in range(1, 6):
             assert gl_dimension((k,), n) == count_compositions(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.sampled_from(tuple(partitions_of(n))), st.integers(0, 9))))
+def test_gl_dimension_matches_weyl_product(case):
+    # the hook-content product over the boxes equals Weyl's product over
+    # the pairs of rows, 0 when lam is longer than n
+    lam, n = case
+    assert gl_dimension(lam, n) == gl_dimension_weyl(lam, n)
+
+
+def test_gl_dimension_at_large_n():
+    # the hook-content product has one factor per box, not per pair of rows
+    assert gl_dimension((2, 2), 1100) == 1100 ** 2 * (1100 ** 2 - 1) // 12
+    assert gl_dimension((1,) * 1100, 1100) == 1
+    assert gl_dimension((1,) * 1101, 1100) == 0
 
 
 def count_compositions(k, n):
