@@ -13,21 +13,21 @@ per-coordinate maxima have closed forms (p/k for lam_k, 1 for every
 content entry), so building a section solves no linear program.
 `lattice_count` counts a slice by a forward DP over the coordinates whose
 states are the values of the prefix forms that later coordinates still
-need, so it builds no point; `enumerate_slice` lists the points, for the
-moment-map fibres.  `duality_rows` compares both lattice counts with the
-Pieri decomposition of the tensor power.
+need, so it builds no point; `moment_fibre_count` counts one fibre of the
+moment map by the same DP, with the row sums held at the shape.
+`duality_rows` compares both lattice counts with the Pieri decomposition
+of the tensor power.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from veroschur.characters import complexity, tensor_power_sym, total_multiplicity
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import count_partitions
-from veroschur.tableaux import RowContentMatrix, offdiag_pairs
+from veroschur.partitions import count_partitions, normalize, part
 
 Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
@@ -83,6 +83,27 @@ def shape_cone_section(p: int) -> ConeCrossSection:
     return _section(f"shapes(p={p})", dim, ineqs, interior, bounds)
 
 
+def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
+    """Row-major (i, j) with i < j: the content coordinates (0-based)."""
+    return tuple((i, j) for i in range(p) for j in range(i + 1, p))
+
+
+def _content_form(p: int, terms: Iterable[tuple[int, int, int]]) -> Functional:
+    """sum of sign * t_ij over (sign, i, j) as (coeffs, const) at level 1
+    on the content coordinates, with each diagonal t_jj put in as
+    1 - sum_{k<j} t_kj."""
+    col = {pair: idx for idx, pair in enumerate(offdiag_pairs(p))}
+    coeffs, const = [0] * len(col), 0
+    for sign, i, j in terms:
+        if i == j:
+            const += sign
+            for k in range(j):
+                coeffs[col[(k, j)]] -= sign
+        else:
+            coeffs[col[(i, j)]] += sign
+    return tuple(coeffs), const
+
+
 def content_cone_section(p: int) -> ConeCrossSection:
     """Slice of the cone of row-content matrices on coordinates t_ij, i<j
     (row-major), with diagonals substituted at level 1."""
@@ -90,27 +111,12 @@ def content_cone_section(p: int) -> ConeCrossSection:
         raise ValueError("p must be positive")
     pairs = offdiag_pairs(p)
     dim = len(pairs)
-    col = {pair: idx for idx, pair in enumerate(pairs)}
-
-    def form(terms: Iterable[tuple[int, int, int]]) -> Functional:
-        """sum of sign * t_ij over (sign, i, j) as (coeffs, const) at level
-        1, with each diagonal t_jj put in as 1 - sum_{k<j} t_kj."""
-        coeffs, const = [0] * dim, 0
-        for sign, i, j in terms:
-            if i == j:
-                const += sign
-                for k in range(j):
-                    coeffs[col[(k, j)]] -= sign
-            else:
-                coeffs[col[(i, j)]] += sign
-        return tuple(coeffs), const
-
     # t_ij >= 0, t_jj >= 0, and the tableau condition (2) at every i < j:
     # sum_{i<=k<j} t_ik - sum_{i<k<=j} t_{i+1,k} >= 0
-    ineqs = [form([(1, i, j)]) for i, j in pairs]
-    ineqs += [form([(1, j, j)]) for j in range(p)]
-    ineqs += [form([(1, i, k) for k in range(i, j)]
-                   + [(-1, i + 1, k) for k in range(i + 1, j + 1)])
+    ineqs = [_content_form(p, [(1, i, j)]) for i, j in pairs]
+    ineqs += [_content_form(p, [(1, j, j)]) for j in range(p)]
+    ineqs += [_content_form(p, [(1, i, k) for k in range(i, j)]
+                            + [(-1, i + 1, k) for k in range(i + 1, j + 1)])
               for i, j in pairs]
     # row-geometric interior point: strictly inside for every p since the
     # slack of condition (2) at (i, j) is (a_i + (j-i-1)(a_i - a_{i+1})) eps
@@ -123,78 +129,62 @@ def content_cone_section(p: int) -> ConeCrossSection:
     return _section(f"contents(p={p})", dim, ineqs, interior, bounds)
 
 
-def enumerate_slice(cone: ConeCrossSection, level: int,
-                    config: RunConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, ...]]:
-    """All integer points on the level-d slice, by interval propagation."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    dim = cone.ambient_dim
-    if dim == 0:
-        yield ()
-        return
-    ineqs = cone.inequalities
-    caps = [int(floor(u * level)) for u in cone.upper_bounds]
-    # suffix[f][k]: max possible contribution of coordinates >= k to f
-    suffix = []
-    for coeffs, _ in ineqs:
-        row = [0] * (dim + 1)
-        for k in range(dim - 1, -1, -1):
-            row[k] = row[k + 1] + (coeffs[k] * caps[k] if coeffs[k] > 0 else 0)
-        suffix.append(row)
-    consts = [const * level for _, const in ineqs]
-    point = [0] * dim
-    nodes = 0
-
-    def rec(k: int, partials: list[int]) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        config.check_nodes(nodes)
-        if k == dim:
-            yield tuple(point)
-            return
-        lo, hi = 0, caps[k]
-        for f, (coeffs, _) in enumerate(ineqs):
-            a = coeffs[k]
-            slack = partials[f] + suffix[f][k + 1]
-            if a < 0:
-                hi = min(hi, slack // (-a))
-            elif a > 0:
-                need = -slack
-                if need > 0:
-                    lo = max(lo, (need + a - 1) // a)
-            elif slack < 0:
-                return
-        for v in range(lo, hi + 1):
-            point[k] = v
-            new = [partials[f] + ineqs[f][0][k] * v for f in range(len(ineqs))]
-            yield from rec(k + 1, new)
-        point[k] = 0
-
-    yield from rec(0, list(consts))
-
-
 def lattice_count(cone: ConeCrossSection, level: int,
                   config: RunConfig = DEFAULT_CONFIG) -> int:
-    """Exact number of integer points on the level-d slice, by a forward DP
-    over the coordinates that builds no point.
+    """Exact number of integer points on the level-d slice, by the forward
+    DP of `_count_points`, which builds no point."""
+    return _count_points(*_at_level(cone, level), config)
 
-    Once x_0..x_{k-1} are fixed, the interval that `enumerate_slice` gives
-    x_k, and so everything after it, depends only on the values of the
-    prefix forms sum_{i<k} c_i x_i of the rows that still involve a
-    coordinate >= k.  A layer maps the values of the distinct nonzero such
-    forms to the number of prefixes that reach them; the last coordinate
-    adds its interval length in closed form.  `max_enum_nodes` bounds the
-    states expanded, checked before each layer is expanded, and
-    `max_table_entries` the states of the layer being filled, checked as
-    it fills.
+
+def moment_fibre_count(p: int, d: int, shape: Sequence[int],
+                       config: RunConfig = DEFAULT_CONFIG) -> int:
+    """Number of level-d content points that the moment map sends to
+    shape, a partition of p*d with at most p parts: the Kostka number
+    K_{shape,(d^p)}.
+
+    The DP of `lattice_count` runs on the content rows at level d plus,
+    for each row i >= 2, its sum sum_{j>=i} t_ij held at shape_i as two
+    opposite rows; the first row sum is then p*d minus the others.
     """
+    shape = normalize(shape)
+    if sum(shape) != p * d or len(shape) > p:
+        raise ValueError(f"{shape} is not a partition of {p * d} "
+                         f"with at most {p} parts")
+    rows, caps = _at_level(content_cone_section(p), d)
+    for i in range(1, p):
+        coeffs, const = _content_form(p, [(1, i, j) for j in range(i, p)])
+        gap = const * d - part(shape, i)
+        rows += [(coeffs, gap), (tuple(-c for c in coeffs), -gap)]
+    return _count_points(rows, caps, config)
+
+
+def _at_level(cone: ConeCrossSection,
+              level: int) -> tuple[list[Functional], list[int]]:
+    """The slice's rows and per-coordinate caps scaled to the level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    dim = cone.ambient_dim
-    if dim == 0:
-        return 1
     caps = [int(floor(u * level)) for u in cone.upper_bounds]
     rows = [(coeffs, const * level) for coeffs, const in cone.inequalities]
+    return rows, caps
+
+
+def _count_points(rows: list[Functional], caps: list[int],
+                  config: RunConfig) -> int:
+    """Number of integer x with 0 <= x <= caps and every row
+    coeffs . x + const >= 0, by a forward DP over the coordinates.
+
+    Once x_0..x_{k-1} are fixed, the interval left for x_k, and so
+    everything after it, depends only on the values of the prefix forms
+    sum_{i<k} c_i x_i of the rows that still involve a coordinate >= k.  A
+    layer maps the values of the distinct nonzero such forms to the number
+    of prefixes that reach them; the last coordinate adds its interval
+    length in closed form.  `max_enum_nodes` bounds the states expanded,
+    checked before each layer is expanded, and `max_table_entries` the
+    states of the layer being filled, checked as it fills.
+    """
+    dim = len(caps)
+    if dim == 0:
+        return int(all(const >= 0 for _, const in rows))
     forms: list[tuple[int, ...]] = []  # the key's prefix forms at level k
     layer: dict[tuple[int, ...], int] = {(): 1}
     total = nodes = 0
@@ -292,19 +282,6 @@ def duality_rows(p: int, levels: Iterable[int],
             shape_count == complexity(e) == count_partitions(p * d, p),
             content_count == total_multiplicity(e)))
     return rows
-
-
-def moment_map(m: RowContentMatrix) -> tuple[int, ...]:
-    """Project a row-content matrix to (lam_2, ..., lam_p, d)."""
-    shape = [sum(m.t[i][i:]) for i in range(m.p)]
-    return tuple(shape[1:]) + (m.d,)
-
-
-def content_points_as_matrices(p: int, d: int,
-                               config: RunConfig = DEFAULT_CONFIG) -> Iterator[RowContentMatrix]:
-    cone = content_cone_section(p)
-    for point in enumerate_slice(cone, d, config):
-        yield RowContentMatrix.from_offdiag(p, d, point)
 
 
 class FitResult(NamedTuple):

@@ -3,9 +3,9 @@
 Covers the duality between symmetric and exterior plethysms, positivity of
 doubled partitions in even plethysms, the staircase-exponent membership
 construction behind the twisted linear strand (its witness is the first
-tableaux.strip_chains chain), the twin and almost-triplet pattern censuses
-used for counting distinct Schur types, and exact ratio tables with their
-theoretical limits.  The almost-triplet census picks its construction from
+horizontal-strip chain, taken greedily), the twin and almost-triplet
+pattern censuses used for counting distinct Schur types, and exact ratio
+tables with their theoretical limits.  The almost-triplet census picks its construction from
 its inputs: single-wedge where that applies, blocked otherwise.
 """
 
@@ -22,9 +22,9 @@ from veroschur.characters import (complexity, sym_power_sym, tensor_power_sym,
                                   wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.koszul import KoszulSpec, syzygy_decompose
-from veroschur.partitions import (Partition, add, conjugate, dominates, length,
-                                  normalize, part, partitions_of,
-                                  sym_group_irrep_dim)
+from veroschur.partitions import (Partition, add, conjugate, dominates,
+                                  horizontal_strips_down, length, normalize,
+                                  part, partitions_of, sym_group_irrep_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,32 @@ def staircase_exponents(lam: Sequence[int], b: int, p: int) -> StaircaseWitness:
     return StaircaseWitness(lam, b, p, tuple(exponents), tuple(levels))
 
 
+def first_strip_chain(lam: Sequence[int],
+                      sizes: Sequence[int]) -> tuple[Partition, ...] | None:
+    """The first chain () < nu_1 < ... < nu_k = lam, returned without the
+    leading (), in which nu_i / nu_{i-1} is a horizontal strip of
+    sizes[i-1] boxes; None when there is none (the Kostka number is 0).
+
+    The chain is built from lam down, one step per size: each step takes
+    the first strip in horizontal_strips_down order whose shape dominates
+    the sorted sizes still to place.  That is Kostka positivity, so the
+    shape taken always completes and no step backtracks.  sizes may
+    contain zeros; a negative size or a total other than |lam| raises
+    ValueError.
+    """
+    shape = normalize(lam)
+    sizes = tuple(sizes)
+    if not dominates(shape, sorted(sizes, reverse=True)):
+        return None
+    chain = []
+    for k in range(len(sizes) - 1, -1, -1):
+        chain.append(shape)
+        rest = sorted(sizes[:k], reverse=True)
+        shape = next(nu for nu in horizontal_strips_down(shape, sizes[k])
+                     if dominates(nu, rest))
+    return tuple(reversed(chain))
+
+
 class MembershipResult(NamedTuple):
     verdict: str  # constructed | conditions-fail | pieri-fail
     witness: StaircaseWitness
@@ -178,11 +204,7 @@ def staircase_membership(lam: Sequence[int], b: int, p: int, d: int,
     if es[0] > d - 1:
         return MembershipResult(
             "conditions-fail", witness, f"e_0 = {es[0]} exceeds d-1 = {d-1}", ())
-    # imported here so that the ratio experiments do not load tableaux
-    from veroschur.tableaux import strip_chains
-
-    sizes = [e for e in (b + 1,) + es if e > 0]
-    chain = next(strip_chains(lam, sizes), None)
+    chain = first_strip_chain(lam, [e for e in (b + 1,) + es if e > 0])
     if chain is None:
         return MembershipResult("pieri-fail", witness,
                                 "no horizontal-strip chain found", ())

@@ -1,4 +1,5 @@
-"""Integer partitions: conjugation, dominance, vectors in a box, counts.
+"""Integer partitions: conjugation, dominance, vectors in a box, horizontal
+strips, counts.
 
 Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros; missing parts are treated as 0.  All counts are
@@ -102,6 +103,15 @@ def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
     if 0 <= rest <= ceil[0]:
         rec(0, rest)
     return out
+
+
+def horizontal_strips_down(lam: Sequence[int], k: int) -> list[Partition]:
+    """All nu <= lam with lam/nu a horizontal strip of k boxes: nu
+    interlaces lam from below, lam_{i+1} <= nu_i <= lam_i, in decreasing
+    lexicographic order."""
+    lam = normalize(lam)
+    lo = lam[1:] + (0,) if lam else ()
+    return [normalize(nu) for nu in vectors_in_box(lo, lam, sum(lam) - k)]
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:

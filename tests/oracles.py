@@ -12,20 +12,20 @@ from fractions import Fraction
 from functools import cache
 from itertools import (combinations, combinations_with_replacement, starmap,
                        takewhile)
-from math import factorial
+from math import factorial, floor
 from operator import add, eq, le, lt
 from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant)
-from veroschur.cones import ConeCrossSection
-from veroschur.config import DEFAULT_CONFIG, RunConfig
+from veroschur.cones import (ConeCrossSection, content_cone_section,
+                             offdiag_pairs)
+from veroschur.config import DEFAULT_CONFIG, FrozenRecord, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
-from veroschur.partitions import (Partition, dominates, normalize, part,
+from veroschur.partitions import (Partition, dominates,
+                                  horizontal_strips_down, normalize, part,
                                   partitions_of, vectors_in_box)
-from veroschur.tableaux import (RowContentMatrix, horizontal_strips_down,
-                                strip_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +708,35 @@ def sub(table: WeightTable, other: WeightTable) -> WeightTable:
 # ---------------------------------------------------------------------------
 # semistandard tableaux and their row-content encoding
 
+def strip_chains(lam: Sequence[int],
+                 mu: Sequence[int]) -> Iterator[tuple[Partition, ...]]:
+    """Chains () < nu_1 < ... < nu_k = lam in which nu_i / nu_{i-1} is a
+    horizontal strip of mu[i-1] boxes, returned without the leading ():
+    all of them, where constructions.first_strip_chain takes the first.
+
+    These are the SSYT of shape lam and weight mu, one chain each.  Strips
+    are tried in horizontal_strips_down order, and a shape nu is entered
+    only if nu dominates sorted(mu[:i]): that is Kostka positivity, so the
+    prune drops dead ends only.  mu may contain zeros; a negative entry or
+    a size other than |lam| raises ValueError.
+    """
+    lam = normalize(lam)
+    mu = tuple(mu)
+    floors = [tuple(sorted(mu[:i], reverse=True)) for i in range(len(mu) + 1)]
+
+    def chains(shape: Partition, k: int) -> Iterator[tuple[Partition, ...]]:
+        if not dominates(shape, floors[k]):
+            return
+        if k == 0:
+            yield ()
+            return
+        for nu in horizontal_strips_down(shape, mu[k - 1]):
+            for chain in chains(nu, k - 1):
+                yield chain + (shape,)
+
+    yield from chains(lam, len(mu))
+
+
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape lam and weight mu, counted
     as their strip chains; the program takes K_{lam,(d^p)} from the Pieri
@@ -772,6 +801,50 @@ def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
         yield Tableau(tuple(tuple(r) for r in rows if r))
 
 
+class RowContentMatrix(FrozenRecord):
+    """A tableau of weight (d, ..., d) with p rows as the p x p
+    upper-triangular matrix t where t[i][j] counts the labels j+1 in row
+    i+1, with both tableau conditions enforced at construction.  The
+    diagonal is forced by the weight; the off-diagonal entries are the
+    content cone's coordinates."""
+
+    __slots__ = ("p", "d", "t")
+
+    def __init__(self, p: int, d: int, t: tuple[tuple[int, ...], ...]) -> None:
+        if len(t) != p or any(len(row) != p for row in t):
+            raise ValueError("matrix must be p x p")
+        for i in range(p):
+            for j in range(i):
+                if t[i][j] != 0:
+                    raise ValueError(f"entry below diagonal at ({i},{j})")
+        for j in range(p):
+            col = sum(t[k][j] for k in range(j))
+            if t[j][j] != d - col:
+                raise ValueError(f"diagonal entry {j} inconsistent with level {d}")
+            if t[j][j] < 0:
+                raise ValueError(f"condition (1) fails at diagonal index {j}")
+        for i in range(p - 1):
+            for j in range(p):
+                lhs = sum(t[i][k] for k in range(i, j))
+                rhs = sum(t[i + 1][k] for k in range(i + 1, j + 1))
+                if lhs < rhs:
+                    raise ValueError(f"condition (2) fails at (i={i}, j={j})")
+        self._freeze(p, d, t)
+
+    @classmethod
+    def from_offdiag(cls, p: int, d: int, values: Sequence[int]) -> "RowContentMatrix":
+        """Build from the strictly-upper entries in offdiag_pairs order."""
+        pairs = offdiag_pairs(p)
+        if len(values) != len(pairs):
+            raise ValueError(f"expected {len(pairs)} entries, got {len(values)}")
+        t = [[0] * p for _ in range(p)]
+        for (i, j), v in zip(pairs, values):
+            t[i][j] = v
+        for j in range(p):
+            t[j][j] = d - sum(t[k][j] for k in range(j))
+        return cls(p, d, tuple(tuple(row) for row in t))
+
+
 def tableau_to_matrix(tab: Tableau, p: int, d: int) -> RowContentMatrix:
     """Row-content encoding of a weight-(d^p) tableau with at most p rows."""
     if len(tab.rows) > p:
@@ -798,7 +871,7 @@ def matrix_to_tableau(m: RowContentMatrix) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# cone slices by exact linear programming
+# cone slices by exact linear programming and by listing their points
 
 class Unbounded(Exception):
     """The linear program has unbounded objective."""
@@ -849,6 +922,66 @@ def simplex_max(objective: Sequence[Fraction],
         if bv < n:
             x[bv] = tab[i][total]
     return tab[m][total], tuple(x)
+
+
+def enumerate_slice(cone: ConeCrossSection,
+                    level: int) -> Iterator[tuple[int, ...]]:
+    """All integer points on the level-d slice, by interval propagation:
+    the listing that cones.lattice_count and cones.moment_fibre_count
+    count without building a point."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    dim = cone.ambient_dim
+    if dim == 0:
+        yield ()
+        return
+    ineqs = cone.inequalities
+    caps = [int(floor(u * level)) for u in cone.upper_bounds]
+    # suffix[f][k]: max possible contribution of coordinates >= k to f
+    suffix = []
+    for coeffs, _ in ineqs:
+        row = [0] * (dim + 1)
+        for k in range(dim - 1, -1, -1):
+            row[k] = row[k + 1] + (coeffs[k] * caps[k] if coeffs[k] > 0 else 0)
+        suffix.append(row)
+    point = [0] * dim
+
+    def rec(k: int, partials: list[int]) -> Iterator[tuple[int, ...]]:
+        if k == dim:
+            yield tuple(point)
+            return
+        lo, hi = 0, caps[k]
+        for f, (coeffs, _) in enumerate(ineqs):
+            a = coeffs[k]
+            slack = partials[f] + suffix[f][k + 1]
+            if a < 0:
+                hi = min(hi, slack // (-a))
+            elif a > 0:
+                need = -slack
+                if need > 0:
+                    lo = max(lo, (need + a - 1) // a)
+            elif slack < 0:
+                return
+        for v in range(lo, hi + 1):
+            point[k] = v
+            new = [partials[f] + ineqs[f][0][k] * v for f in range(len(ineqs))]
+            yield from rec(k + 1, new)
+        point[k] = 0
+
+    yield from rec(0, [const * level for _, const in ineqs])
+
+
+def content_points_as_matrices(p: int, d: int) -> Iterator[RowContentMatrix]:
+    """The level-d content points as row-content matrices, each validated
+    as a tableau by RowContentMatrix."""
+    for point in enumerate_slice(content_cone_section(p), d):
+        yield RowContentMatrix.from_offdiag(p, d, point)
+
+
+def moment_map(m: RowContentMatrix) -> tuple[int, ...]:
+    """Project a row-content matrix to (lam_2, ..., lam_p, d)."""
+    shape = [sum(m.t[i][i:]) for i in range(m.p)]
+    return tuple(shape[1:]) + (m.d,)
 
 
 def slice_maxima(cone: ConeCrossSection) -> tuple[Fraction, ...]:

@@ -11,9 +11,8 @@ from fractions import Fraction
 from veroschur.characters import (complexity, tensor_power_sym,
                                   tensor_with_sym, total_multiplicity,
                                   wedge_power_sym)
-from veroschur.cones import (content_cone_section, content_points_as_matrices,
-                             enumerate_slice, lattice_count, moment_map,
-                             shape_cone_section)
+from veroschur.cones import (content_cone_section, lattice_count,
+                             moment_fibre_count, shape_cone_section)
 from veroschur.config import RunConfig
 from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, newell_check,
@@ -23,10 +22,10 @@ from veroschur.constructions import (almost_triplet_census,
                                      twin_pattern_enumerate)
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
-from veroschur.partitions import count_partitions, normalize
+from veroschur.partitions import count_partitions, part, partitions_of
 from veroschur.verify import run_suite
 
-from oracles import kostka
+from oracles import content_points_as_matrices, kostka, moment_map
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -192,16 +191,16 @@ def test_criterion_11_pattern_censuses():
 def test_criterion_12_moment_fibers():
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4, 5):
-            fibers = {}
+            listed = {}
             for m in content_points_as_matrices(p, d):
                 key = moment_map(m)
-                fibers[key] = fibers.get(key, 0) + 1
-            shape_points = {pt + (d,) for pt
-                            in enumerate_slice(shape_cone_section(p), d)}
-            assert set(fibers) == shape_points, (p, d)
-            for key, size in fibers.items():
-                lam = normalize((p * d - sum(key[:-1]),) + key[:-1])
+                listed[key] = listed.get(key, 0) + 1
+            fibers = {}
+            for lam in partitions_of(p * d, max_parts=p):
+                size = moment_fibre_count(p, d, lam)
                 assert size == kostka(lam, (d,) * p), (p, d, lam)
+                fibers[tuple(part(lam, i) for i in range(1, p)) + (d,)] = size
+            assert fibers == listed, (p, d)
     _report(12, True, "fiber sizes are Kostka numbers; images coincide")
 
 

@@ -387,9 +387,11 @@ def test_broken_staircase_split_fails_the_staircase_suite(monkeypatch, capsys):
 
 
 def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
-    # a content-section point that is not a tableau is a failed check
-    # (exit 1 with a FAIL line), not invalid arguments (exit 2); dropping
-    # the last tableau inequality admits such points at p = 3
+    # a content section that admits points that are not tableaux is a
+    # failed check (exit 1 with a FAIL line), not invalid arguments (exit
+    # 2); dropping the last tableau inequality admits such points at p = 3,
+    # and at d = 1 they lie over no shape, so the fibres no longer cover
+    # the section
     import veroschur.cones
     from veroschur.verify import run_suite
     section = veroschur.cones.content_cone_section
@@ -400,7 +402,7 @@ def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
     checks = {c["name"]: c for c in run_suite("kostka-cone")["checks"]}
     fibers = checks["moment fibers p=3 d<=5"]
     assert not fibers["passed"]
-    assert "not a tableau: condition (2) fails" in fibers["detail"]
+    assert "d=1 image mismatch" in fibers["detail"]
     code, out, err = run_cli(capsys, "verify", "kostka-cone")
     assert code == 1 and err == ""
     assert "[FAIL] moment fibers p=3 d<=5" in out
@@ -459,9 +461,12 @@ ENTRY_POINT_RUNS = [
     pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
                  {"koszul", "intrank"}, id="syzygy"),
     pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
-                 {"cones", "tableaux"}, id="cones"),
+                 {"cones"}, id="cones"),
     pytest.param(["verify", "newell"],
                  {"constructions", "intrank", "koszul", "verify"}, id="verify"),
+    pytest.param(["verify", "staircase"],
+                 {"constructions", "intrank", "koszul", "verify"},
+                 id="verify-staircase"),
     pytest.param(["verify", "ratios"],
                  {"constructions", "intrank", "koszul", "verify"},
                  id="verify-ratios"),

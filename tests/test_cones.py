@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from veroschur import cones
 from veroschur.characters import (complexity, schur_decompose,
                                   tensor_power_sym, total_multiplicity)
-from veroschur.cones import (_section, content_cone_section,
-                             content_points_as_matrices, duality_rows,
-                             enumerate_slice, fit_leading_coefficient,
-                             lattice_count, moment_map, shape_cone_section)
+from veroschur.cones import (_section, content_cone_section, duality_rows,
+                             fit_leading_coefficient, lattice_count,
+                             moment_fibre_count, shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
-from veroschur.partitions import count_partitions, normalize, partitions_of
+from veroschur.partitions import (count_partitions, normalize, part,
+                                  partitions_of)
 
-from oracles import (Unbounded, char_tensor_sym, kostka, matrix_to_tableau,
-                     simplex_max, slice_maxima)
+from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
+                     content_points_as_matrices, enumerate_slice, kostka,
+                     matrix_to_tableau, moment_map, simplex_max, slice_maxima)
 
 
 def test_shape_cone_small():
@@ -104,7 +105,6 @@ def test_duality_rows_catch_a_wrong_cap(monkeypatch):
 
 
 def test_moment_map_examples():
-    from veroschur.tableaux import RowContentMatrix
     sup = RowContentMatrix.from_offdiag(3, 2, (0, 0, 0))
     assert moment_map(sup) == (2, 2, 2)
     single = RowContentMatrix.from_offdiag(2, 2, (2,))
@@ -222,6 +222,31 @@ def test_count_matches_enumeration(data):
     cone = SECTIONS[kind](p)
     assert lattice_count(cone, level) == \
         sum(1 for _ in enumerate_slice(cone, level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fibre_counts_match_listing(data):
+    # each listed point is checked to be a tableau by RowContentMatrix,
+    # and each fibre counted by the DP holds exactly the listed points
+    # over its shape; together the fibres cover the section
+    p = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, ORACLE_LEVELS["contents"][p]))
+    listed: dict[tuple[int, ...], int] = {}
+    for m in content_points_as_matrices(p, d):
+        key = moment_map(m)
+        listed[key] = listed.get(key, 0) + 1
+    counted = {tuple(part(lam, i) for i in range(1, p)) + (d,):
+               moment_fibre_count(p, d, lam)
+               for lam in partitions_of(p * d, max_parts=p)}
+    assert counted == listed
+    assert sum(counted.values()) == lattice_count(content_cone_section(p), d)
+
+
+def test_fibre_count_rejects_a_wrong_shape():
+    for shape in [(3,), (2, 1, 1), (5, -1)]:
+        with pytest.raises(ValueError):
+            moment_fibre_count(2, 2, shape)
 
 
 @st.composite

@@ -2,13 +2,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from veroschur.characters import (schur_decompose, sym_power_sym,
                                   total_multiplicity, wedge_power_sym)
 from veroschur.constructions import (almost_triplet_census,
-                                     doubled_plethysm_check, h0_projective,
-                                     max_n_green, mold, newell_check,
+                                     doubled_plethysm_check, first_strip_chain,
+                                     h0_projective, max_n_green, mold,
+                                     newell_check,
                                      ratio_experiment, remove_visible_boxes,
                                      sample_staircase_inputs,
                                      staircase_exponents, staircase_membership,
@@ -17,7 +18,8 @@ from veroschur.constructions import (almost_triplet_census,
 from veroschur.partitions import partitions_of
 
 from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
-                     has_twin_pattern, kostka, twin_expand)
+                     has_twin_pattern, kostka, strip_chain, strip_chains,
+                     twin_expand)
 
 
 def test_newell_small():
@@ -87,6 +89,36 @@ def test_staircase_membership_example():
     for shape, size in zip(res.chain, sizes):
         assert shape in pieri(prev, size)
         prev = shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6), st.integers(0, 10 ** 4))
+# zero sizes, with and without a chain, and a weight that lam does not
+# dominate
+@example(sizes=[2, 0, 2], pick=2)
+@example(sizes=[0, 2, 0], pick=1)
+@example(sizes=[2, 2], pick=4)
+def test_greedy_strip_chain_matches_oracles(sizes, pick):
+    # the greedy chain is the first of all chains and the one that the
+    # backtracking search finds; there is none exactly when the Kostka
+    # number vanishes
+    shapes = list(partitions_of(sum(sizes)))
+    lam = shapes[pick % len(shapes)]
+    first = first_strip_chain(lam, sizes)
+    assert first == next(strip_chains(lam, sizes), None) == \
+        strip_chain(lam, tuple(sizes))
+    assert (first is None) == (kostka(lam, sizes) == 0)
+
+
+def test_first_strip_chain_examples():
+    assert first_strip_chain((2, 1), (1, 1, 1)) == ((1,), (2,), (2, 1))
+    assert first_strip_chain((2,), (0, 2, 0)) == ((), (2,), (2,))
+    assert first_strip_chain((1, 1), (2,)) is None
+    assert first_strip_chain((), ()) == ()
+    with pytest.raises(ValueError):
+        first_strip_chain((2,), (3,))
+    with pytest.raises(ValueError):
+        first_strip_chain((1,), (2, -1))
 
 
 def test_staircase_membership_verdicts():

@@ -73,3 +73,47 @@ def test_every_definition_is_reached_from_the_cli():
                     todo.append(node)
     unreached = sorted(f"{module}.{name}" for module, name in checked - reached)
     assert not unreached, f"not reachable from cli.main: {unreached}"
+
+
+# the functions in the package that call themselves, as module.outer.inner;
+# each recursion is as deep as some input, so a new one is added here on
+# purpose or not at all
+RECURSIVE = {
+    "constructions.twin_pattern_enumerate.rec",
+    "koszul._levels.extend",
+    "partitions.partitions_of.rec",
+    "partitions.vectors_in_box.rec",
+}
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether node calls name, as name(...), self.name(...) or
+    cls.name(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id in ("self", "cls"):
+        return func.attr == name
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def _self_recursive(node: ast.AST, prefix: str):
+    """Qualified names of the functions under node that call themselves."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                any(_calls(sub, child.name) for sub in ast.walk(child)):
+            yield name
+        yield from _self_recursive(child, name)
+
+
+def test_recursions_are_the_known_ones():
+    found = set()
+    for path in Path(veroschur.__file__).parent.glob("*.py"):
+        found.update(_self_recursive(ast.parse(path.read_text(), str(path)),
+                                     path.stem))
+    assert found == RECURSIVE

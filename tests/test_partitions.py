@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veroschur.partitions import (add, conjugate, count_partitions, dominates,
-                                  gl_dimension, normalize, partitions_of,
+                                  gl_dimension, horizontal_strips_down,
+                                  normalize, partitions_of,
                                   sym_group_irrep_dim, vectors_in_box)
-from veroschur.tableaux import horizontal_strips_down
 
 from oracles import gl_dimension_weyl, pieri, pieri_rows, strips_down_rows
 

@@ -12,8 +12,9 @@ from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
 from veroschur.constructions import RatioRow, staircase_exponents
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
-from veroschur.tableaux import RowContentMatrix
 from veroschur.verify import Check
+
+from oracles import RowContentMatrix
 
 CAPS = ("max_table_entries", "max_matrix_dim", "max_enum_nodes")
 FLAGS = {"max_table_entries": "--max-entries", "max_matrix_dim": "--max-dim",
