@@ -14,7 +14,9 @@ content entry), so building a section solves no linear program.
 `lattice_count` counts a slice by a forward DP over the coordinates whose
 states are the values of the prefix forms that later coordinates still
 need, so it builds no point; `moment_fibre_count` counts one fibre of the
-moment map by the same DP, with the row sums held at the shape.
+moment map by the same DP, with the row sums held at the shape.  The
+content coordinates run column by column, bottom row first, because that
+order keeps the DP's live prefix forms few (see `offdiag_pairs`).
 `duality_rows` compares both lattice counts with the Pieri decomposition
 of the tensor power.
 """
@@ -84,8 +86,17 @@ def shape_cone_section(p: int) -> ConeCrossSection:
 
 
 def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    """Row-major (i, j) with i < j: the content coordinates (0-based)."""
-    return tuple((i, j) for i in range(p) for j in range(i + 1, p))
+    """The content coordinates (i, j), i < j (0-based), column by column,
+    bottom row first: sort key (j, -i).
+
+    The DP of `_count_points` keys a layer by the prefix forms that later
+    coordinates still need.  The diagonal t_jj = 1 - sum_{k<j} t_kj couples
+    column j, and condition (2) at (i, j) couples rows i and i + 1 up to
+    column j, so in this order a finished column leaves few forms live; in
+    row-major order most of them stay live to the last row (13,849 states
+    expanded against 1,101 at p = 6, d = 3).
+    """
+    return tuple((i, j) for j in range(p) for i in reversed(range(j)))
 
 
 def _content_form(p: int, terms: Iterable[tuple[int, int, int]]) -> Functional:
@@ -106,7 +117,8 @@ def _content_form(p: int, terms: Iterable[tuple[int, int, int]]) -> Functional:
 
 def content_cone_section(p: int) -> ConeCrossSection:
     """Slice of the cone of row-content matrices on coordinates t_ij, i<j
-    (row-major), with diagonals substituted at level 1."""
+    (in `offdiag_pairs` order: column by column, bottom row first), with
+    diagonals substituted at level 1."""
     if p < 1:
         raise ValueError("p must be positive")
     pairs = offdiag_pairs(p)

@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant)
-from veroschur.cones import (ConeCrossSection, content_cone_section,
-                             offdiag_pairs)
+from veroschur.cones import (ConeCrossSection, _at_level, _count_points,
+                             content_cone_section, offdiag_pairs)
 from veroschur.config import DEFAULT_CONFIG, FrozenRecord, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
@@ -969,6 +969,17 @@ def enumerate_slice(cone: ConeCrossSection,
         point[k] = 0
 
     yield from rec(0, [const * level for _, const in ineqs])
+
+
+def row_major_count(p: int, d: int,
+                    config: RunConfig = DEFAULT_CONFIG) -> int:
+    """The level-d content count by the DP of cones._count_points with the
+    coordinates in row-major order, the order that column order replaced."""
+    rows, caps = _at_level(content_cone_section(p), d)
+    index = {pair: k for k, pair in enumerate(offdiag_pairs(p))}
+    perm = [index[pair] for pair in sorted(index)]
+    rows = [(tuple(coeffs[k] for k in perm), const) for coeffs, const in rows]
+    return _count_points(rows, [caps[k] for k in perm], config)
 
 
 def content_points_as_matrices(p: int, d: int) -> Iterator[RowContentMatrix]:

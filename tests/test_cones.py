@@ -18,7 +18,8 @@ from veroschur.partitions import (count_partitions, normalize, part,
 
 from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
                      content_points_as_matrices, enumerate_slice, kostka,
-                     matrix_to_tableau, moment_map, simplex_max, slice_maxima)
+                     matrix_to_tableau, moment_map, row_major_count,
+                     simplex_max, slice_maxima)
 
 
 def test_shape_cone_small():
@@ -178,13 +179,13 @@ def test_enumeration_node_cap():
 
 
 def test_layer_cap_trips_as_the_layer_fills():
-    # without a check per new state the level-2 count at p = 10 holds a
-    # 592,578-state layer; here it stops at the first state over the cap,
-    # after fewer than 250,000 expanded states (about a second)
+    # without a check per new state the level-12 count at p = 8 fills a
+    # 118,329-state layer after 129,213 expanded states; here it stops at
+    # the first state over the cap (about a second)
     cfg = RunConfig(max_table_entries=100_000, max_enum_nodes=250_000)
     start = time.perf_counter()
     with pytest.raises(CapExceeded) as exc:
-        lattice_count(content_cone_section(10), 2, cfg)
+        lattice_count(content_cone_section(8), 12, cfg)
     assert time.perf_counter() - start < 10
     assert (exc.value.what, exc.value.setting, exc.value.needed) == \
         ("lattice count layer states", "max_table_entries", 100_001)
@@ -193,12 +194,19 @@ def test_layer_cap_trips_as_the_layer_fills():
 
 def test_count_expands_states_not_points():
     # enumerating the 44,288 points takes about 300,000 nodes; the DP
-    # expands 13,849 states
-    tight = RunConfig(max_enum_nodes=20_000)
+    # expands 1,101 states
+    tight = RunConfig(max_enum_nodes=1_200)
     assert lattice_count(content_cone_section(6), 3, tight) == 44288
     with pytest.raises(CapExceeded) as exc:
-        lattice_count(content_cone_section(6), 3, RunConfig(max_enum_nodes=5_000))
+        lattice_count(content_cone_section(6), 3, RunConfig(max_enum_nodes=1_000))
     assert exc.value.setting == "max_enum_nodes"
+
+
+def test_column_order_keeps_layers_small():
+    # the largest layer at p = 6, d = 4 holds 596 states in column order
+    # and 16,045 in row-major order
+    small = RunConfig(max_table_entries=1_000)
+    assert lattice_count(content_cone_section(6), 4, small) == 478711
 
 
 def test_counts_beyond_enumeration():
@@ -241,6 +249,26 @@ def test_fibre_counts_match_listing(data):
                for lam in partitions_of(p * d, max_parts=p)}
     assert counted == listed
     assert sum(counted.values()) == lattice_count(content_cone_section(p), d)
+
+
+# largest level per p at which the row-major count stays under about 0.1 s
+ROW_MAJOR_LEVELS = {1: 20, 2: 20, 3: 20, 4: 12, 5: 5, 6: 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_column_order_matches_row_order(data):
+    p = data.draw(st.sampled_from(sorted(ROW_MAJOR_LEVELS)))
+    d = data.draw(st.integers(0, ROW_MAJOR_LEVELS[p]))
+    assert lattice_count(content_cone_section(p), d) == row_major_count(p, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.integers(1, 4), d=st.integers(0, 4))
+def test_fibres_sum_to_the_row_order_count(p, d):
+    assert sum(moment_fibre_count(p, d, lam)
+               for lam in partitions_of(p * d, max_parts=p)) == \
+        row_major_count(p, d)
 
 
 def test_fibre_count_rejects_a_wrong_shape():

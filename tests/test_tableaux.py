@@ -120,7 +120,7 @@ def test_row_content_matrix_invariant_errors():
     with pytest.raises(ValueError, match=r"condition \(1\)"):
         RowContentMatrix.from_offdiag(2, 2, (3,))
     with pytest.raises(ValueError, match=r"condition \(2\)"):
-        RowContentMatrix.from_offdiag(3, 2, (0, 0, 2))
+        RowContentMatrix.from_offdiag(3, 2, (0, 2, 0))
 
 
 def all_content_matrices(p, d):
