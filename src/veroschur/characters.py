@@ -73,9 +73,7 @@ class WeightTable(Record):
                 raise ValueError(f"bad dominant weight {w} for degree {degree}")
             if c <= 0:
                 raise ValueError(f"nonpositive entry at {w}")
-        self.n = n
-        self.degree = degree
-        self.entries = dict(sorted(entries.items(), reverse=True))
+        self._freeze(n, degree, dict(sorted(entries.items(), reverse=True)))
 
     def dimension(self) -> int:
         return sum(c * orbit_size(w) for w, c in self.entries.items())
@@ -94,9 +92,7 @@ class SchurExpansion(Record):
                 raise ValueError(f"bad term {lam} for n={n}, degree {degree}")
             if c <= 0:
                 raise ValueError(f"nonpositive multiplicity at {lam}")
-        self.n = n
-        self.degree = degree
-        self.terms = dict(sorted(terms.items(), reverse=True))
+        self._freeze(n, degree, dict(sorted(terms.items(), reverse=True)))
 
     def multiplicity(self, lam: Sequence[int]) -> int:
         return self.terms.get(normalize(lam), 0)

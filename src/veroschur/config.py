@@ -1,7 +1,10 @@
-"""Run configuration: resource caps and output options, and the base
-classes of the validated records: plain __slots__ classes, because a
+"""Run configuration: resource caps and output options, and Record, the
+one base of the validated records: a plain __slots__ class, because a
 dataclass costs every fresh process the import of inspect and a compiled
-__init__, __eq__ and __repr__ per class."""
+__init__, __eq__ and __repr__ per class.
+
+A record whose __init__ validates its arguments subclasses Record; a
+record that validates nothing is a NamedTuple."""
 
 from __future__ import annotations
 
@@ -20,10 +23,16 @@ class CapExceeded(RuntimeError):
 
 
 class Record:
-    """Equality and repr over the fields named in __slots__, as a
-    dataclass gives them; a Record is mutable and unhashable."""
+    """A frozen record over the fields named in __slots__: its __init__
+    validates the arguments and stores them with _freeze.  It compares
+    equal only to a record of the same class with the same values, has a
+    dataclass's repr, and is hashable when its values are."""
 
     __slots__ = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -33,24 +42,13 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join([f"{k}={getattr(self, k)!r}"
                             for k in self.__slots__])
         return f"{self.__class__.__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A Record that is hashable and rejects assignment; its __init__
-    validates the arguments and stores them with _freeze."""
-
-    __slots__ = ()
-
-    def _freeze(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -59,7 +57,7 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class RunConfig(FrozenRecord):
+class RunConfig(Record):
     """Caps are in units of table entries / matrix side / search nodes.
 
     For cone lattice counts, max_enum_nodes bounds the DP states expanded

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import ceil, comb, factorial, floor
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,15 +30,10 @@ from veroschur.partitions import (Partition, add, conjugate, dominates,
 # ---------------------------------------------------------------------------
 # plethysm identities
 
-class CheckReport(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...]
-
-
 def newell_check(p: int, d: int, n: int,
-                 config: RunConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Verify both shift identities between symmetric and exterior
-    plethysms: multiplicities of lam in Sym^p Sym^d match those of
+                 config: RunConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
+    """The failures of the two shift identities between symmetric and
+    exterior plethysms: multiplicities of lam in Sym^p Sym^d match those of
     lam + (1^p) in wedge^p Sym^{d+1}, and vice versa."""
     if n < p:
         raise ValueError("need n >= p")
@@ -62,13 +57,13 @@ def newell_check(p: int, d: int, n: int,
             rhs = base_side.multiplicity(lam)
             if lhs != rhs:
                 failures.append(f"{name} at {lam}: {lhs} != {rhs}")
-    return CheckReport(not failures, tuple(failures))
+    return tuple(failures)
 
 
 def doubled_plethysm_check(p: int, d: int, n: int,
-                           config: RunConfig = DEFAULT_CONFIG) -> CheckReport:
-    """Every doubled partition 2*lam with lam |- p*d of length <= p occurs
-    in Sym^p Sym^{2d}, together with the two exterior-power consequences."""
+                           config: RunConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
+    """Failures of: every doubled partition 2*lam with lam |- p*d of length
+    <= p occurs in Sym^p Sym^{2d}, with the two exterior-power consequences."""
     if n < p:
         raise ValueError("need n >= p")
     column = (1,) * p
@@ -92,7 +87,7 @@ def doubled_plethysm_check(p: int, d: int, n: int,
             failures.append(f"2*{lam}+({p}) missing from Sym^{p}Sym^{2*d+1}")
         if wedge_2d2.multiplicity(add(add(padded, column), row)) != m1:
             failures.append(f"second wedge identity fails at 2*{lam}")
-    return CheckReport(not failures, tuple(failures))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +311,13 @@ def twin_pattern_enumerate(p: int, b: int, d: int) -> int:
     if n <= 4:
         return len(_restriction_types(p, b, d, n))
     B, lo, hi, upper = _twin_bounds(p, b, d, n)
-    k = (n - 3) // 2
+    k = (n - 3) // 2  # free values below lam1, weakly decreasing
     count = 0
     for lam1 in range(lo, hi + 1):
         top = min(upper(lam1), lam1)
-
-        def rec(remaining: int, bound: int) -> int:
-            if remaining == 0:
-                return 1
-            return sum(rec(remaining - 1, v) for v in range(lo, bound + 1))
-
-        if top >= lo:
-            count += rec(k, top)
+        # k >= 1 as n >= 5, so an empty range of values counts none
+        for _ in combinations_with_replacement(range(lo, top + 1), k):
+            count += 1
     return count
 
 
@@ -338,11 +328,7 @@ def _restriction_types(p: int, b: int, d: int, n: int) -> set[Partition]:
     types: set[Partition] = set()
     for es in combinations(range(d), p + 1):
         weight = tuple(sorted(es + (b + 1,), reverse=True))
-        total = sum(weight)
-        if n - 1 == 1:
-            types.add((total,))
-            continue
-        for lam in partitions_of(total, max_parts=n - 1):
+        for lam in partitions_of(sum(weight), max_parts=n - 1):
             if dominates(lam, weight):
                 types.add(lam)
     return types

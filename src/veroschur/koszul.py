@@ -67,7 +67,7 @@ from typing import Iterator, NamedTuple
 
 from veroschur.characters import (SchurExpansion, Weight, WeightTable,
                                   schur_decompose, sym_power_sym)
-from veroschur.config import DEFAULT_CONFIG, FrozenRecord, Record, RunConfig
+from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec, rank_sparse
 from veroschur.partitions import add, partitions_of, vectors_in_box
 
@@ -76,8 +76,8 @@ Wedge = tuple[int, ...]  # increasing indices into the wedge factors
 Levels = tuple[list[Wedge] | int, list[Wedge], list[Wedge]]
 
 
-class KoszulSpec(FrozenRecord):
-    """Parameters of one syzygy computation over C^n.
+class KoszulSpec(Record):
+    """Parameters of one syzygy computation over C^n, validated here.
 
     n defaults to p + q + 1, which is faithful for the untwisted (b = 0)
     decompositions; for b > 0 the result is the length <= n truncation.
@@ -123,21 +123,18 @@ class SparseIntMatrix(NamedTuple):
     rows: tuple[SparseVec, ...]
 
 
-class KoszulBlock(Record):
-    """One dominant weight block of the complex.
+class KoszulBlock(NamedTuple):
+    """One dominant weight block of the complex; it validates nothing, so
+    it is a NamedTuple, not a config.Record.
 
     d_in is None on the linear strand (p >= 1 and a left term of
     symmetric degree 0), where it is injective and its rank is dims[0].
     """
 
-    __slots__ = ("weight", "dims", "d_in", "d_out")
-
-    def __init__(self, weight: Weight, dims: tuple[int, int, int],
-                 d_in: SparseIntMatrix | None, d_out: SparseIntMatrix) -> None:
-        self.weight = weight
-        self.dims = dims
-        self.d_in = d_in
-        self.d_out = d_out
+    weight: Weight
+    dims: tuple[int, int, int]
+    d_in: SparseIntMatrix | None
+    d_out: SparseIntMatrix
 
     def cohomology_dim(self) -> int:
         # ranks on rows, cleared in the cohomology direction: the pivot of

@@ -115,23 +115,23 @@ def horizontal_strips_down(lam: Sequence[int], k: int) -> list[Partition]:
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, in decreasing lexicographic order."""
-    if n < 0:
+    """All partitions of n, in decreasing lexicographic order, by a walk
+    over a stack of (rest, largest part allowed, parts so far).  A part is
+    at least the rest over the parts still allowed, so every branch ends in
+    a partition; the children are pushed smallest part first, so the
+    largest pops first."""
+    slots = n if max_parts is None else max_parts
+    if n < 0 or n > 0 and slots < 1:
         return
-
-    def rec(remaining: int, bound: int, slots: int | None, built: list[int]):
-        if remaining == 0:
-            yield tuple(built)
-            return
-        if slots is not None and slots == 0:
-            return
-        for v in range(min(bound, remaining), 0, -1):
-            built.append(v)
-            yield from rec(remaining - v, v,
-                           None if slots is None else slots - 1, built)
-            built.pop()
-
-    yield from rec(n, n, max_parts, [])
+    stack = [(n, n, ())]
+    while stack:
+        rest, bound, built = stack.pop()
+        if rest == 0:
+            yield built
+            continue
+        left = slots - len(built)
+        for v in range((rest + left - 1) // left, min(bound, rest) + 1):
+            stack.append((rest - v, v, built + (v,)))
 
 
 def count_partitions(n: int, max_parts: int | None = None) -> int:

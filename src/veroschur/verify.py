@@ -38,9 +38,9 @@ def suite_newell(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            rep = constructions.newell_check(p, d, p, config)
-            out.append(Check(f"newell p={p} d={d}", rep.ok,
-                             "; ".join(rep.failures) or "all shifts match"))
+            failures = constructions.newell_check(p, d, p, config)
+            out.append(Check(f"newell p={p} d={d}", not failures,
+                             "; ".join(failures) or "all shifts match"))
     return out
 
 
@@ -50,9 +50,9 @@ def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            rep = constructions.doubled_plethysm_check(p, d, p, config)
-            out.append(Check(f"doubling p={p} d={d}", rep.ok,
-                             "; ".join(rep.failures) or "all doubled types present"))
+            failures = constructions.doubled_plethysm_check(p, d, p, config)
+            out.append(Check(f"doubling p={p} d={d}", not failures,
+                             "; ".join(failures) or "all doubled types present"))
     return out
 
 

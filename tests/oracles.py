@@ -20,12 +20,37 @@ from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant)
 from veroschur.cones import (ConeCrossSection, _at_level, _count_points,
                              content_cone_section, offdiag_pairs)
-from veroschur.config import DEFAULT_CONFIG, FrozenRecord, RunConfig
+from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.partitions import (Partition, dominates,
                                   horizontal_strips_down, normalize, part,
                                   partitions_of, vectors_in_box)
+
+
+# ---------------------------------------------------------------------------
+# partitions by the recursion that the stack walk of partitions.partitions_of
+# replaced
+
+def partitions_rec(n: int, max_parts: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, in decreasing lexicographic order, by one
+    recursion per part."""
+    if n < 0:
+        return
+
+    def rec(remaining: int, bound: int, slots: int | None, built: list[int]):
+        if remaining == 0:
+            yield tuple(built)
+            return
+        if slots is not None and slots == 0:
+            return
+        for v in range(min(bound, remaining), 0, -1):
+            built.append(v)
+            yield from rec(remaining - v, v,
+                           None if slots is None else slots - 1, built)
+            built.pop()
+
+    yield from rec(n, n, max_parts, [])
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +826,7 @@ def enumerate_ssyt(lam: Sequence[int], mu: Sequence[int]) -> Iterator[Tableau]:
         yield Tableau(tuple(tuple(r) for r in rows if r))
 
 
-class RowContentMatrix(FrozenRecord):
+class RowContentMatrix(Record):
     """A tableau of weight (d, ..., d) with p rows as the p x p
     upper-triangular matrix t where t[i][j] counts the labels j+1 in row
     i+1, with both tableau conditions enforced at construction.  The

@@ -25,7 +25,7 @@ from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
 def test_newell_small():
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            assert newell_check(p, d, p).ok, (p, d)
+            assert not newell_check(p, d, p), (p, d)
 
 
 def test_newell_p2_d2_shift_values():
@@ -37,7 +37,7 @@ def test_newell_p2_d2_shift_values():
 def test_doubling_small():
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            assert doubled_plethysm_check(p, d, p).ok, (p, d)
+            assert not doubled_plethysm_check(p, d, p), (p, d)
 
 
 def test_remove_visible_boxes():

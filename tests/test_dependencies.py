@@ -1,8 +1,11 @@
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import veroschur
+from veroschur.config import Record
 
 
 def test_program_imports_only_stdlib():
@@ -77,11 +80,13 @@ def test_every_definition_is_reached_from_the_cli():
 
 # the functions in the package that call themselves, as module.outer.inner;
 # each recursion is as deep as some input, so a new one is added here on
-# purpose or not at all
+# purpose or not at all.  These two stay: vectors_in_box is hot, and its
+# depth is its free coordinates; _levels.extend is as deep as p + 1, and an
+# explicit stack for it is no shorter and holds either every sibling's
+# candidate list or a frame per child, where a level-by-level loop would
+# hold every inner node of the search
 RECURSIVE = {
-    "constructions.twin_pattern_enumerate.rec",
     "koszul._levels.extend",
-    "partitions.partitions_of.rec",
     "partitions.vectors_in_box.rec",
 }
 
@@ -117,3 +122,20 @@ def test_recursions_are_the_known_ones():
         found.update(_self_recursive(ast.parse(path.read_text(), str(path)),
                                      path.stem))
     assert found == RECURSIVE
+
+
+def test_every_record_validates_in_init():
+    # the record rule of veroschur.config: a record whose __init__
+    # validates its arguments subclasses Record, and one that validates
+    # nothing is a NamedTuple, so every Record subclass defines __init__
+    for module in pkgutil.iter_modules(veroschur.__path__):
+        importlib.import_module(f"veroschur.{module.name}")
+    records, todo = [], list(Record.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("veroschur."):
+            records.append(cls)
+    assert records
+    assert [cls.__qualname__ for cls in records
+            if "__init__" not in vars(cls)] == []

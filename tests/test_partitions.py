@@ -9,7 +9,8 @@ from veroschur.partitions import (add, conjugate, count_partitions, dominates,
                                   normalize, partitions_of,
                                   sym_group_irrep_dim, vectors_in_box)
 
-from oracles import gl_dimension_weyl, pieri, pieri_rows, strips_down_rows
+from oracles import (gl_dimension_weyl, partitions_rec, pieri, pieri_rows,
+                     strips_down_rows)
 
 
 def partitions_upto(n):
@@ -167,6 +168,17 @@ def test_partitions_of_order_and_bounds():
     assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                       (1, 1, 1, 1)]
     assert list(partitions_of(5, max_parts=2)) == [(5,), (4, 1), (3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.none() | st.integers(0, max(n, 0) + 1))))
+def test_partitions_walk_matches_the_recursion(case):
+    # the stack walk lists what the recursion it replaced lists, in the
+    # same order, with and without a bound on the number of parts
+    n, max_parts = case
+    assert list(partitions_of(n, max_parts)) == \
+        list(partitions_rec(n, max_parts))
 
 
 def brute_syt_count(shape):
