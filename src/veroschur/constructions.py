@@ -1,12 +1,12 @@
-"""Explicit subfunctor constructions and the ratio experiment harness.
+"""Explicit subfunctor constructions and pattern censuses.
 
 Covers the duality between symmetric and exterior plethysms, positivity of
 doubled partitions in even plethysms, the staircase-exponent membership
 construction behind the twisted linear strand (its witness is the first
-horizontal-strip chain, taken greedily), the twin and almost-triplet
-pattern censuses used for counting distinct Schur types, and exact ratio
-tables with their theoretical limits.  The almost-triplet census picks its construction from
-its inputs: single-wedge where that applies, blocked otherwise.
+horizontal-strip chain, taken greedily), and the twin and almost-triplet
+pattern censuses used for counting distinct Schur types.  The
+almost-triplet census picks its construction from its inputs:
+single-wedge where that applies, blocked otherwise.
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import ceil, comb, factorial, floor
-from typing import Callable, NamedTuple, Sequence
+from math import ceil, comb, floor
+from typing import NamedTuple, Sequence
 
-from veroschur.characters import (complexity, sym_power_sym, tensor_power_sym,
-                                  tensor_with_sym, total_multiplicity,
-                                  wedge_power_sym)
+from veroschur.characters import sym_power_sym, wedge_power_sym
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.koszul import KoszulSpec, syzygy_decompose
 from veroschur.partitions import (Partition, add, conjugate, dominates,
                                   horizontal_strips_down, length, normalize,
-                                  part, partitions_of, sym_group_irrep_dim)
+                                  part, partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -431,116 +428,3 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
         molds.add(mold(normalize(tuple(c + o for c, o in zip(core, offsets)))))
         count += 1
     return PatternReport(n, count, parameters, len(molds))
-
-
-# ---------------------------------------------------------------------------
-# ratio experiments
-
-class RatioRow(NamedTuple):
-    d: int
-    numerator: int
-    denominator: int
-    ratio: Fraction
-
-
-class RatioTable(NamedTuple):
-    experiment: str
-    parameters: dict
-    limit: Fraction
-    rows: tuple[RatioRow, ...]
-
-
-def _experiment_registry() -> dict[str, Callable]:
-    def syzygy_share(params, d, config):
-        p = params["p"]
-        num = total_multiplicity(syzygy_decompose(KoszulSpec(p, 1, 0, d, p + 1),
-                                                  config))
-        den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
-        return num, den
-
-    def sym_vs_wedge(params, d, config):
-        p = params["p"]
-        num = total_multiplicity(sym_power_sym(p, d, p, config))
-        den = total_multiplicity(wedge_power_sym(p, d, p, config))
-        return num, den
-
-    def twist(params, d, config, stat):
-        p, b = params["p"], params["b"]
-        base = tensor_power_sym(p, d, p, config)
-        twisted = tensor_with_sym(base.with_n(p + 1), b, config)
-        return stat(twisted), stat(base)
-
-    def wedge_tensor_share(params, d, config):
-        p = params["p"]
-        w = wedge_power_sym(p, d, p, config).with_n(p + 1)
-        num = total_multiplicity(tensor_with_sym(w, d, config))
-        den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
-        return num, den
-
-    def schur_share(params, d, config):
-        p, mu = params["p"], normalize(params["mu"])
-        if sum(mu) != p:
-            raise ValueError("mu must be a partition of p")
-        nt = total_multiplicity(tensor_power_sym(p, d, p, config))
-        if mu == (p,):
-            num = total_multiplicity(sym_power_sym(p, d, p, config))
-        elif mu == (1,) * p:
-            num = total_multiplicity(wedge_power_sym(p, d, p, config))
-        elif mu == (2, 1):
-            ns = total_multiplicity(sym_power_sym(3, d, 3, config))
-            nw = total_multiplicity(wedge_power_sym(3, d, 3, config))
-            rem = nt - ns - nw
-            if rem % 2:
-                raise AssertionError("mixed component multiplicity not even")
-            num = rem // 2
-        else:
-            raise ValueError(f"unsupported mu {mu}; use (p), (1^p) or (2,1)")
-        return num, nt
-
-    # name -> (counts at one d, theoretical limit, required parameters)
-    return {
-        "syzygy-share": (syzygy_share,
-                         lambda pr: Fraction(pr["p"], factorial(pr["p"] + 1)),
-                         ("p",)),
-        "sym-vs-wedge": (sym_vs_wedge, lambda pr: Fraction(1), ("p",)),
-        "twist-total": (lambda pr, d, c: twist(pr, d, c, total_multiplicity),
-                        lambda pr: Fraction(comb(pr["b"] + pr["p"], pr["p"])),
-                        ("p", "b")),
-        "twist-types": (lambda pr, d, c: twist(pr, d, c, complexity),
-                        lambda pr: Fraction(pr["b"] + 1), ("p", "b")),
-        "wedge-tensor-share": (wedge_tensor_share,
-                               lambda pr: Fraction(1, factorial(pr["p"])),
-                               ("p",)),
-        "schur-share": (schur_share,
-                        lambda pr: Fraction(sym_group_irrep_dim(pr["mu"]),
-                                            factorial(pr["p"])),
-                        ("p", "mu")),
-    }
-
-
-EXPERIMENTS = tuple(sorted(_experiment_registry()))
-
-
-def ratio_experiment(experiment: str, parameters: dict,
-                     d_values: Sequence[int],
-                     config: RunConfig = DEFAULT_CONFIG) -> RatioTable:
-    """Exact ratio table for one named limit statement.
-
-    Each row holds the two exact counts at one d and their ratio; the
-    theoretical limit is attached for comparison by the caller.
-    """
-    registry = _experiment_registry()
-    if experiment not in registry:
-        raise ValueError(f"unknown experiment {experiment!r}; "
-                         f"choose from {', '.join(EXPERIMENTS)}")
-    fn, limit_fn, required = registry[experiment]
-    missing = [key for key in required if key not in parameters]
-    if missing:
-        raise ValueError(f"experiment {experiment!r} needs parameter(s) "
-                         f"{', '.join(missing)}")
-    rows = []
-    for d in sorted(set(d_values)):
-        num, den = fn(parameters, d, config)
-        rows.append(RatioRow(d, num, den, Fraction(num, den)))
-    return RatioTable(experiment, dict(parameters), limit_fn(parameters),
-                      tuple(rows))

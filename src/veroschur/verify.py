@@ -1,25 +1,31 @@
-"""Named verification suites bundling the library's cross-checks.
+"""Named verification suites bundling the library's cross-checks, and the
+ratio experiments.
 
 Each suite runs a fixed set of exact identities or tolerance checks at
 desk-scale parameters and returns machine-readable verdicts.  The CLI
 exposes them under `verify`; the acceptance tests call them directly.
 
-Every suite but kostka-cone runs the Koszul layer, so koszul is imported
-here; a suite imports constructions or cones when it runs, so that a
-`verify` process loads only what its suite uses.
+A ratio experiment divides two exact counts at a level d and compares the
+ratio with its theoretical limit: `EXPERIMENTS` names them, `ratio_counts`
+runs one, and `ratio_check` builds every ratio verdict, those of the
+ratios suite and that of `verify ratios --theorem`.
+
+A suite imports the layers it runs beyond characters and partitions
+(koszul, constructions, cones) when it runs, so that a `verify` process
+loads only what its suite uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from math import comb, factorial
+from typing import NamedTuple, Sequence
 
-from veroschur.characters import (tensor_power_sym, tensor_with_sym,
+from veroschur.characters import (complexity, sym_power_sym, tensor_power_sym,
+                                  tensor_with_sym, total_multiplicity,
                                   wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
-                              raicu_predicted_kp0, syzygy_decompose)
-from veroschur.partitions import partitions_of
+from veroschur.partitions import normalize, partitions_of, sym_group_irrep_dim
 
 
 class Check(NamedTuple):
@@ -28,9 +34,134 @@ class Check(NamedTuple):
     detail: str
 
 
-def _ratio_within(ratio: Fraction, limit: Fraction, tol: Fraction) -> bool:
-    return abs(ratio - limit) <= tol * abs(limit)
+# ---------------------------------------------------------------------------
+# ratio experiments: each gives its two exact counts at one level d
 
+def _syzygy_share(params: dict, d: int, config: RunConfig) -> tuple[int, int]:
+    from veroschur.koszul import KoszulSpec, syzygy_decompose
+
+    p = params["p"]
+    num = total_multiplicity(syzygy_decompose(KoszulSpec(p, 1, 0, d, p + 1),
+                                              config))
+    den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
+    return num, den
+
+
+def _sym_vs_wedge(params: dict, d: int, config: RunConfig) -> tuple[int, int]:
+    p = params["p"]
+    num = total_multiplicity(sym_power_sym(p, d, p, config))
+    den = total_multiplicity(wedge_power_sym(p, d, p, config))
+    return num, den
+
+
+def _twist(params: dict, d: int, config: RunConfig, stat) -> tuple[int, int]:
+    p, b = params["p"], params["b"]
+    base = tensor_power_sym(p, d, p, config)
+    twisted = tensor_with_sym(base.with_n(p + 1), b, config)
+    return stat(twisted), stat(base)
+
+
+def _wedge_tensor_share(params: dict, d: int,
+                        config: RunConfig) -> tuple[int, int]:
+    p = params["p"]
+    w = wedge_power_sym(p, d, p, config).with_n(p + 1)
+    num = total_multiplicity(tensor_with_sym(w, d, config))
+    den = total_multiplicity(tensor_power_sym(p + 1, d, p + 1, config))
+    return num, den
+
+
+def _schur_share(params: dict, d: int, config: RunConfig) -> tuple[int, int]:
+    p, mu = params["p"], normalize(params["mu"])
+    if sum(mu) != p:
+        raise ValueError("mu must be a partition of p")
+    nt = total_multiplicity(tensor_power_sym(p, d, p, config))
+    if mu == (p,):
+        num = total_multiplicity(sym_power_sym(p, d, p, config))
+    elif mu == (1,) * p:
+        num = total_multiplicity(wedge_power_sym(p, d, p, config))
+    elif mu == (2, 1):
+        ns = total_multiplicity(sym_power_sym(3, d, 3, config))
+        nw = total_multiplicity(wedge_power_sym(3, d, 3, config))
+        rem = nt - ns - nw
+        if rem % 2:
+            raise AssertionError("mixed component multiplicity not even")
+        num = rem // 2
+    else:
+        raise ValueError(f"unsupported mu {mu}; use (p), (1^p) or (2,1)")
+    return num, nt
+
+
+# name -> (counts at one d, theoretical limit, required parameters); the
+# names are in sorted order, the order an unknown name's message lists
+EXPERIMENTS = {
+    "schur-share": (_schur_share,
+                    lambda pr: Fraction(sym_group_irrep_dim(pr["mu"]),
+                                        factorial(pr["p"])),
+                    ("p", "mu")),
+    "sym-vs-wedge": (_sym_vs_wedge, lambda pr: Fraction(1), ("p",)),
+    "syzygy-share": (_syzygy_share,
+                     lambda pr: Fraction(pr["p"], factorial(pr["p"] + 1)),
+                     ("p",)),
+    "twist-total": (lambda pr, d, c: _twist(pr, d, c, total_multiplicity),
+                    lambda pr: Fraction(comb(pr["b"] + pr["p"], pr["p"])),
+                    ("p", "b")),
+    "twist-types": (lambda pr, d, c: _twist(pr, d, c, complexity),
+                    lambda pr: Fraction(pr["b"] + 1), ("p", "b")),
+    "wedge-tensor-share": (_wedge_tensor_share,
+                           lambda pr: Fraction(1, factorial(pr["p"])),
+                           ("p",)),
+}
+
+
+def ratio_counts(experiment: str, parameters: dict, d_values: Sequence[int],
+                 config: RunConfig = DEFAULT_CONFIG
+                 ) -> tuple[Fraction, dict[int, tuple[int, int]]]:
+    """The theoretical limit of one named experiment and its exact
+    (numerator, denominator) at each level d, in increasing d.
+
+    An unknown experiment, a missing parameter and a parameter the
+    experiment does not take each raise ValueError.
+    """
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; "
+                         f"choose from {', '.join(EXPERIMENTS)}")
+    count, limit, required = EXPERIMENTS[experiment]
+    missing = [key for key in required if key not in parameters]
+    if missing:
+        raise ValueError(f"experiment {experiment!r} needs parameter(s) "
+                         f"{', '.join(missing)}")
+    extra = [key for key in parameters if key not in required]
+    if extra:
+        raise ValueError(f"experiment {experiment!r} does not take "
+                         f"parameter(s) {', '.join(extra)}")
+    pairs = {d: count(parameters, d, config) for d in sorted(set(d_values))}
+    return limit(parameters), pairs
+
+
+def ratio_check(name: str, experiment: str, parameters: dict,
+                d_values: Sequence[int], tol: Fraction,
+                config: RunConfig = DEFAULT_CONFIG, gap: bool = True) -> Check:
+    """Check one experiment's ratio at its largest level d against the
+    limit: it passes within tol * |limit|.
+
+    With gap (the ratios suite) the detail reports the relative gap at
+    that level, and with several levels the gap must also shrink from the
+    smallest d to the largest.  Without it (`--theorem`, whose limit may
+    be 0) nothing is divided by the limit and the detail reports tol.
+    """
+    limit, pairs = ratio_counts(experiment, parameters, d_values, config)
+    ratios = [Fraction(num, den) for num, den in pairs.values()]
+    ok = abs(ratios[-1] - limit) <= tol * abs(limit)
+    detail = f"ratio {ratios[-1]} vs limit {limit}, "
+    if not gap:
+        return Check(name, ok, detail + f"tolerance {tol}")
+    first, last = (abs(r - limit) / limit for r in (ratios[0], ratios[-1]))
+    return Check(name, ok and (len(ratios) == 1 or last < first),
+                 detail + f"relative gap {float(last):.4f}")
+
+
+# ---------------------------------------------------------------------------
+# suites
 
 def suite_newell(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     from veroschur import constructions
@@ -57,6 +188,9 @@ def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_raicu(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur.koszul import (KoszulSpec, raicu_predicted_kp0,
+                                  syzygy_decompose)
+
     out = []
     for p in (0, 1):
         for d in (2, 3, 4):
@@ -70,6 +204,9 @@ def suite_raicu(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
+    from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
+                                  syzygy_decompose)
+
     out = []
     e = syzygy_decompose(KoszulSpec(1, 1, 0, 2, 2), config)
     out.append(Check("first-syzygy of the conic", e.terms == {(2, 2): 1},
@@ -170,39 +307,24 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_ratios(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
-    from veroschur import constructions
-
-    out = []
-
-    def trend(name: str, experiment: str, params: dict, ds: tuple[int, ...],
-              tol: Fraction, improving: bool = True) -> None:
-        table = constructions.ratio_experiment(experiment, params, ds, config)
-        gaps = {row.d: abs(row.ratio - table.limit) / table.limit
-                for row in table.rows}
-        final = table.rows[-1]
-        ok = _ratio_within(final.ratio, table.limit, tol)
-        if improving and gaps[ds[-1]] >= gaps[ds[0]]:
-            ok = False
-        out.append(Check(name, ok,
-                         f"ratio {final.ratio} vs limit {table.limit}, "
-                         f"relative gap {float(gaps[ds[-1]]):.4f}"))
-
-    trend("syzygy share p=1 within 10% of 1/2 at d=30",
-          "syzygy-share", {"p": 1}, (10, 30), Fraction(1, 10))
-    trend("syzygy share p=2 within 35% of 1/3 at d=10",
-          "syzygy-share", {"p": 2}, (6, 10), Fraction(35, 100))
-    trend("sym vs wedge within 5% at d=40",
-          "sym-vs-wedge", {"p": 2}, (20, 40), Fraction(5, 100))
-    trend("wedge-tensor share within 15% of 1/2 at d=20",
-          "wedge-tensor-share", {"p": 2}, (10, 20), Fraction(15, 100))
+    # name, experiment, parameters, levels d, relative tolerance at the
+    # last level; with two levels the gap must also shrink
+    runs = [
+        ("syzygy share p=1 within 10% of 1/2 at d=30",
+         "syzygy-share", {"p": 1}, (10, 30), Fraction(1, 10)),
+        ("syzygy share p=2 within 35% of 1/3 at d=10",
+         "syzygy-share", {"p": 2}, (6, 10), Fraction(35, 100)),
+        ("sym vs wedge within 5% at d=40",
+         "sym-vs-wedge", {"p": 2}, (20, 40), Fraction(5, 100)),
+        ("wedge-tensor share within 15% of 1/2 at d=20",
+         "wedge-tensor-share", {"p": 2}, (10, 20), Fraction(15, 100)),
+    ]
     for b in (1, 2):
-        trend(f"twist total b={b} within 10% at d=40",
-              "twist-total", {"p": 2, "b": b}, (40,), Fraction(1, 10),
-              improving=False)
-        trend(f"twist types b={b} within 10% at d=40",
-              "twist-types", {"p": 2, "b": b}, (40,), Fraction(1, 10),
-              improving=False)
-    return out
+        runs += [(f"twist total b={b} within 10% at d=40",
+                  "twist-total", {"p": 2, "b": b}, (40,), Fraction(1, 10)),
+                 (f"twist types b={b} within 10% at d=40",
+                  "twist-types", {"p": 2, "b": b}, (40,), Fraction(1, 10))]
+    return [ratio_check(*run, config) for run in runs]
 
 
 def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
@@ -237,21 +359,6 @@ def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     return out
 
 
-def single_ratio_check(experiment: str, parameters: dict, d_max: int,
-                       tolerance: Fraction = Fraction(1, 10),
-                       config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
-    """Targeted trend check for one experiment at explicit parameters."""
-    from veroschur import constructions
-
-    table = constructions.ratio_experiment(experiment, parameters, (d_max,),
-                                           config)
-    final = table.rows[0]
-    ok = _ratio_within(final.ratio, table.limit, tolerance)
-    return [Check(f"{experiment} {parameters} at d={d_max}", ok,
-                  f"ratio {final.ratio} vs limit {table.limit}, "
-                  f"tolerance {tolerance}")]
-
-
 SUITES = {
     "newell": suite_newell,
     "doubling": suite_doubling,
@@ -277,8 +384,10 @@ def run_suite(name: str, config: RunConfig = DEFAULT_CONFIG,
             d_max = 20
         if d_max < 1:
             raise ValueError(f"--d-max must be at least 1, got {d_max}")
-        checks = single_ratio_check(theorem, parameters or {}, d_max,
-                                    config=config)
+        parameters = parameters or {}
+        checks = [ratio_check(f"{theorem} {parameters} at d={d_max}",
+                              theorem, parameters, (d_max,), Fraction(1, 10),
+                              config, gap=False)]
     else:
         checks = SUITES[name](config)
     return {

@@ -16,14 +16,14 @@ from veroschur.cones import (content_cone_section, lattice_count,
 from veroschur.config import RunConfig
 from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, newell_check,
-                                     ratio_experiment, sample_staircase_inputs,
+                                     sample_staircase_inputs,
                                      staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.koszul import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, syzygy_decompose)
 from veroschur.partitions import count_partitions, part, partitions_of
-from veroschur.verify import run_suite
+from veroschur.verify import ratio_counts, run_suite
 
 from oracles import content_points_as_matrices, kostka, moment_map
 
@@ -110,11 +110,11 @@ def test_criterion_06_syzygy_share_trends():
 
 
 def test_criterion_07_sym_wedge_and_mixed_trends():
-    table = ratio_experiment("sym-vs-wedge", {"p": 2}, (40,))
-    r = table.rows[-1].ratio
+    _, pairs = ratio_counts("sym-vs-wedge", {"p": 2}, (40,))
+    r = Fraction(*pairs[40])
     assert abs(r - 1) <= Fraction(5, 100)
-    table = ratio_experiment("wedge-tensor-share", {"p": 2}, (20,))
-    r2 = table.rows[-1].ratio
+    _, pairs = ratio_counts("wedge-tensor-share", {"p": 2}, (20,))
+    r2 = Fraction(*pairs[20])
     assert abs(r2 - Fraction(1, 2)) <= Fraction(15, 100) * Fraction(1, 2)
     _report(7, True, f"sym/wedge ratio {r} at d=40; mixed share {float(r2):.4f}"
             " at d=20")
@@ -123,13 +123,13 @@ def test_criterion_07_sym_wedge_and_mixed_trends():
 def test_criterion_08_twist_ratios():
     details = []
     for b in (1, 2):
-        tn = ratio_experiment("twist-total", {"p": 2, "b": b}, (40,))
-        rn = tn.rows[-1].ratio
-        assert abs(rn - tn.limit) <= Fraction(1, 10) * tn.limit, (b, rn)
-        tc = ratio_experiment("twist-types", {"p": 2, "b": b}, (40,))
-        rc = tc.rows[-1].ratio
-        assert abs(rc - tc.limit) <= Fraction(1, 10) * tc.limit, (b, rc)
-        details.append(f"b={b}: N {float(rn):.3f}/{tn.limit} c {float(rc):.3f}/{tc.limit}")
+        ln, pairs = ratio_counts("twist-total", {"p": 2, "b": b}, (40,))
+        rn = Fraction(*pairs[40])
+        assert abs(rn - ln) <= Fraction(1, 10) * ln, (b, rn)
+        lc, pairs = ratio_counts("twist-types", {"p": 2, "b": b}, (40,))
+        rc = Fraction(*pairs[40])
+        assert abs(rc - lc) <= Fraction(1, 10) * lc, (b, rc)
+        details.append(f"b={b}: N {float(rn):.3f}/{ln} c {float(rc):.3f}/{lc}")
     _report(8, True, "; ".join(details))
 
 

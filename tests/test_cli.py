@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import veroschur
 from veroschur.cli import build_parser, main
-from veroschur.constructions import EXPERIMENTS
-from veroschur.verify import SUITES
+from veroschur.verify import EXPERIMENTS, SUITES
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +285,14 @@ def test_verify_targeted_ratio(capsys):
                            "twist-total", "-p", "2")
     assert code == 2
     assert "needs parameter(s) b" in err
+    # so is a parameter the experiment does not take, instead of being
+    # ignored while the check name shows it
+    code, out, err = run_cli(capsys, "verify", "ratios", "--theorem",
+                             "sym-vs-wedge", "-p", "3", "-b", "2", "--mu",
+                             "2,1", "--d-max", "5")
+    assert code == 2 and out == ""
+    assert err == ("error: experiment 'sym-vs-wedge' does not take "
+                   "parameter(s) b, mu\n")
 
 
 def test_verify_theorem_runs_at_d_max(capsys):
@@ -294,6 +301,11 @@ def test_verify_theorem_runs_at_d_max(capsys):
                            "sym-vs-wedge", "-p", "2", "--d-max", "1")
     assert code == 0
     assert "sym-vs-wedge {'p': 2} at d=1: ratio 1 vs limit 1" in out
+    # a zero limit passes at ratio 0: the check never divides by the limit
+    code, out, _ = run_cli(capsys, "verify", "ratios", "--theorem",
+                           "syzygy-share", "-p", "0", "--d-max", "3")
+    assert code == 0
+    assert "ratio 0 vs limit 0, tolerance 1/10" in out
     # only a missing --d-max means 20; a level below 1 is a usage error
     code, out, err = run_cli(capsys, "verify", "ratios", "--theorem",
                              "syzygy-share", "-p", "1", "--d-max", "0")
@@ -412,7 +424,7 @@ def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
     # a vanishing the classical bound does not predict fails its check
     # (exit 1) instead of tripping an assert
     from veroschur.verify import run_suite
-    monkeypatch.setattr("veroschur.verify.green_vanishing_predicted",
+    monkeypatch.setattr("veroschur.koszul.green_vanishing_predicted",
                         lambda p, q, b, d: False)
     checks = run_suite("green")["checks"]
     vanishing = [c for c in checks if c["name"].startswith("green vanishing")]
@@ -452,7 +464,7 @@ def test_verify_choices_are_the_suites():
     assert list(suite.choices) == sorted(SUITES)
 
 
-# one small command per subcommand, and the ratios suite, with the
+# one small command per subcommand, and three verify runs, with the
 # veroschur modules beyond veroschur, config, characters and partitions
 # that it may load
 ENTRY_POINT_RUNS = [
@@ -462,14 +474,14 @@ ENTRY_POINT_RUNS = [
                  {"koszul", "intrank"}, id="syzygy"),
     pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
                  {"cones"}, id="cones"),
-    pytest.param(["verify", "newell"],
-                 {"constructions", "intrank", "koszul", "verify"}, id="verify"),
-    pytest.param(["verify", "staircase"],
-                 {"constructions", "intrank", "koszul", "verify"},
+    pytest.param(["verify", "newell"], {"constructions", "verify"},
+                 id="verify"),
+    pytest.param(["verify", "staircase"], {"constructions", "verify"},
                  id="verify-staircase"),
-    pytest.param(["verify", "ratios"],
-                 {"constructions", "intrank", "koszul", "verify"},
+    pytest.param(["verify", "ratios"], {"intrank", "koszul", "verify"},
                  id="verify-ratios"),
+    pytest.param(["verify", "ratios", "--theorem", "sym-vs-wedge", "-p", "3",
+                  "--d-max", "18"], {"verify"}, id="verify-theorem"),
 ]
 
 
@@ -510,7 +522,7 @@ def _argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     special = {
-        "theorem": st.sampled_from(EXPERIMENTS + ("bogus",)),
+        "theorem": st.sampled_from(tuple(EXPERIMENTS) + ("bogus",)),
         "mu": st.sampled_from(["2,1", "1", "3", "1,1,1", "1,2", "x", ""]),
         "config": st.sampled_from([str(tmp / name) for name in
                                    ("good.cfg", "bad.cfg", "missing.cfg")]),

@@ -9,13 +9,13 @@ from veroschur.characters import (schur_decompose, sym_power_sym,
 from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, first_strip_chain,
                                      h0_projective, max_n_green, mold,
-                                     newell_check,
-                                     ratio_experiment, remove_visible_boxes,
+                                     newell_check, remove_visible_boxes,
                                      sample_staircase_inputs,
                                      staircase_exponents, staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
 from veroschur.partitions import partitions_of
+from veroschur.verify import EXPERIMENTS, ratio_check, ratio_counts
 
 from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
                      has_twin_pattern, kostka, strip_chain, strip_chains,
@@ -292,35 +292,38 @@ def test_census_members_satisfy_membership():
 
 
 def test_ratio_experiment_tables():
-    table = ratio_experiment("sym-vs-wedge", {"p": 2}, (10, 20))
-    assert table.limit == 1
-    assert [r.d for r in table.rows] == [10, 20]
-    for row in table.rows:
-        assert row.ratio == Fraction(row.numerator, row.denominator)
-    table = ratio_experiment("twist-total", {"p": 2, "b": 1}, (12,))
-    assert table.limit == comb(3, 2)
-    table = ratio_experiment("twist-types", {"p": 2, "b": 2}, (12,))
-    assert table.limit == 3
-    with pytest.raises(ValueError):
-        ratio_experiment("nope", {}, (3,))
+    limit, pairs = ratio_counts("sym-vs-wedge", {"p": 2}, (10, 20))
+    assert limit == 1
+    assert list(pairs) == [10, 20]
+    # the verdict reports the ratio of the pair at the largest level
+    check = ratio_check("c", "sym-vs-wedge", {"p": 2}, (10, 20), Fraction(1))
+    assert check.detail.startswith(f"ratio {Fraction(*pairs[20])} vs limit 1,")
+    limit, _ = ratio_counts("twist-total", {"p": 2, "b": 1}, (12,))
+    assert limit == comb(3, 2)
+    limit, _ = ratio_counts("twist-types", {"p": 2, "b": 2}, (12,))
+    assert limit == 3
+    # an unknown name lists the experiments in sorted order
+    with pytest.raises(ValueError, match=", ".join(sorted(EXPERIMENTS)) + "$"):
+        ratio_counts("nope", {}, (3,))
+    with pytest.raises(ValueError, match=r"does not take parameter\(s\) b$"):
+        ratio_counts("sym-vs-wedge", {"p": 2, "b": 1}, (3,))
 
 
 def test_ratio_experiment_schur_share():
-    table = ratio_experiment("schur-share", {"p": 3, "mu": (2, 1)}, (4, 6))
-    assert table.limit == Fraction(2, 6)
+    limit, pairs = ratio_counts("schur-share", {"p": 3, "mu": (2, 1)}, (4, 6))
+    assert limit == Fraction(2, 6)
     # mixed-component count agrees with direct subtraction of the
     # decomposed weight tables
-    for row in table.rows:
-        d = row.d
+    for d, (num, den) in pairs.items():
         nt = total_multiplicity(schur_decompose(char_tensor_sym(3, d, 3)))
         ns = total_multiplicity(schur_decompose(char_sym_sym(3, d, 3)))
         nw = total_multiplicity(schur_decompose(char_wedge_sym(3, d, 3)))
-        assert row.numerator == (nt - ns - nw) // 2
-        assert row.denominator == nt
+        assert num == (nt - ns - nw) // 2
+        assert den == nt
 
 
 def test_ratio_experiment_syzygy_share():
-    table = ratio_experiment("syzygy-share", {"p": 1}, (4, 8))
-    assert table.limit == Fraction(1, 2)
-    assert [r.numerator for r in table.rows] == [2, 4]  # floor(d/2)
-    assert [r.denominator for r in table.rows] == [5, 9]  # d + 1
+    limit, pairs = ratio_counts("syzygy-share", {"p": 1}, (4, 8))
+    assert limit == Fraction(1, 2)
+    assert [num for num, _ in pairs.values()] == [2, 4]  # floor(d/2)
+    assert [den for _, den in pairs.values()] == [5, 9]  # d + 1

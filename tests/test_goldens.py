@@ -1,4 +1,4 @@
-"""Byte-for-byte goldens for commands that perfbench does not run.
+"""Byte-for-byte goldens, mostly for commands that perfbench does not run.
 
 Each suite hash is the SHA-256 of the JSON that `verify SUITE --format json`
 printed before the constructions layer was reduced to one strip-chain
@@ -20,8 +20,10 @@ hashes were taken before the sparse rank became a column reduction keyed
 by each column's largest row, the four after the first five before one
 packed-weight search built all three Koszul bases, and the last three
 (b >= d, q >= 1) while b >= d still ran over the full ring instead of the
-Artinian quotient; perfbench runs none of these commands.  A refactor that changes any answer, label or key order changes
-the hash.
+Artinian quotient; perfbench runs none of these commands.  The ratio
+hashes were taken before the ratio experiments moved from constructions
+into verify; perfbench runs the first three of them.  A refactor that
+changes any answer, label or key order changes the hash.
 """
 
 import hashlib
@@ -97,6 +99,17 @@ SYZYGY_GOLDENS = {
     "-p 2 -q 2 -b 4 -d 2 -n 3": "4edd836a9ce7900103d317038e50d47b67babae4657350a228ed4625069fc492",
 }
 
+RATIO_GOLDENS = {
+    "ratios": "6dc5d35ddda18c7c7817508b1dfa2c5e0a79aea00415993ae4a4ea63f6391f80",
+    "ratios --theorem wedge-tensor-share -p 3 --d-max 8": "2bbb78803134287ee33e9b9d751fbb8f894d95ac107120d6154fdf7967c96067",
+    "ratios --theorem sym-vs-wedge -p 3 --d-max 18": "38479f06d536704836db1f3e6948751264ef561df38abbb279ce4ecaf340c580",
+    "ratios --theorem syzygy-share -p 1 --d-max 30": "a90272a747f09b85b803e057a7279019c1da688beaea44b6bde3cf7f48700f16",
+    "ratios --theorem twist-total -p 2 -b 1 --d-max 12": "de3b14a3e89ca5a3e188dda3c64ce2464e94bf97d3b2af8a2652ec291f9992a8",
+    "ratios --theorem twist-types -p 2 -b 2 --d-max 12": "018c8b7c944545b839aeb2dca7e19398380b4ed286e6c3b175e7999720b5c7e9",
+    "ratios --theorem schur-share -p 3 --mu 2,1 --d-max 12": "0480f0b05b2e3735303029cd19eb68eef8b40f61485e98d2399e22c4b63fb700",
+}
+
+
 @pytest.mark.parametrize("suite", sorted(GOLDENS))
 def test_verify_suite_output_is_unchanged(suite, capsys):
     code = main(["verify", suite, "--format", "json"])
@@ -127,3 +140,11 @@ def test_syzygy_output_is_unchanged(args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SYZYGY_GOLDENS[args]
+
+
+@pytest.mark.parametrize("args", list(RATIO_GOLDENS))
+def test_ratios_output_is_unchanged(args, capsys):
+    code = main(["verify", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIO_GOLDENS[args]

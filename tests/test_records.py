@@ -10,7 +10,7 @@ from veroschur.characters import SchurExpansion, WeightTable
 from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
-from veroschur.constructions import RatioRow, staircase_exponents
+from veroschur.constructions import staircase_exponents
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
 from veroschur.verify import Check
 
@@ -118,7 +118,6 @@ FROZEN = {
     "FitResult": lambda: FitResult(1, Fraction(1), Fraction(1), Fraction(0)),
     "ConeCrossSection": lambda: shape_cone_section(2),
     "StaircaseWitness": lambda: staircase_exponents((4, 3), 0, 1),
-    "RatioRow": lambda: RatioRow(1, 1, 2, Fraction(1, 2)),
     "Check": lambda: Check("c", True, "ok"),
 }
 
