@@ -10,7 +10,8 @@ entry points are:
   that govern complexity and total multiplicity (integer inequalities with
   closed-form slice bounds, no linear programming),
 * :mod:`veroschur.constructions` -- explicit subfunctor constructions and
-  the ratio experiment harness,
+  pattern censuses,
+* :mod:`veroschur.verify` -- the named check suites and the ratio experiments,
 * :mod:`veroschur.cli` -- the command line interface.
 """
 

@@ -13,10 +13,10 @@ per-coordinate maxima have closed forms (p/k for lam_k, 1 for every
 content entry), so building a section solves no linear program.
 `lattice_count` counts a slice by a forward DP over the coordinates whose
 states are the values of the prefix forms that later coordinates still
-need, so it builds no point; `moment_fibre_count` counts one fibre of the
-moment map by the same DP, with the row sums held at the shape.  The
-content coordinates run column by column, bottom row first, because that
-order keeps the DP's live prefix forms few (see `offdiag_pairs`).
+need, so it builds no point; `moment_fibres` reads every fibre of the moment
+map off the last layer of the same DP, keyed by the row sums.  The content
+coordinates run column by column, bottom row first, because that order
+keeps the DP's live prefix forms few (see `offdiag_pairs`).
 `duality_rows` compares both lattice counts with the Pieri decomposition
 of the tensor power.
 """
@@ -27,9 +27,10 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable, NamedTuple, Sequence
 
-from veroschur.characters import complexity, tensor_power_sym, total_multiplicity
+from veroschur.characters import (complexity, is_dominant, tensor_power_sym,
+                                  total_multiplicity)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import count_partitions, normalize, part
+from veroschur.partitions import Partition, count_partitions, normalize
 
 Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
@@ -145,29 +146,23 @@ def lattice_count(cone: ConeCrossSection, level: int,
                   config: RunConfig = DEFAULT_CONFIG) -> int:
     """Exact number of integer points on the level-d slice, by the forward
     DP of `_count_points`, which builds no point."""
-    return _count_points(*_at_level(cone, level), config)
+    return sum(_count_points(*_at_level(cone, level), config).values())
 
 
-def moment_fibre_count(p: int, d: int, shape: Sequence[int],
-                       config: RunConfig = DEFAULT_CONFIG) -> int:
-    """Number of level-d content points that the moment map sends to
-    shape, a partition of p*d with at most p parts: the Kostka number
-    K_{shape,(d^p)}.
-
-    The DP of `lattice_count` runs on the content rows at level d plus,
-    for each row i >= 2, its sum sum_{j>=i} t_ij held at shape_i as two
-    opposite rows; the first row sum is then p*d minus the others.
-    """
-    shape = normalize(shape)
-    if sum(shape) != p * d or len(shape) > p:
-        raise ValueError(f"{shape} is not a partition of {p * d} "
-                         f"with at most {p} parts")
-    rows, caps = _at_level(content_cone_section(p), d)
-    for i in range(1, p):
-        coeffs, const = _content_form(p, [(1, i, j) for j in range(i, p)])
-        gap = const * d - part(shape, i)
-        rows += [(coeffs, gap), (tuple(-c for c in coeffs), -gap)]
-    return _count_points(rows, caps, config)
+def moment_fibres(p: int, d: int,
+                  config: RunConfig = DEFAULT_CONFIG) -> dict[Partition, int]:
+    """The size of every nonempty level-d fibre of the moment map by its
+    shape lam, the Kostka numbers K_{lam,(d^p)}, from one DP pass whose
+    output forms are the row sums lam_i of rows i >= 2 less their constant
+    d (t_ii is d - sum_{k<i} t_ki): a last-layer key v gives the weight
+    (d - sum(v), d + v_2, ..., d + v_p).  A point of a wrong section whose
+    weight is not a partition lies over no shape, so it is in no fibre."""
+    forms = [_content_form(p, [(1, i, j) for j in range(i, p)])[0]
+             for i in range(1, p)]
+    layer = _count_points(*_at_level(content_cone_section(p), d), config, forms)
+    weights = ((d - sum(key), *(d + v for v in key)) for key in layer)
+    return {normalize(lam): ways for lam, ways in zip(weights, layer.values())
+            if is_dominant(lam)}
 
 
 def _at_level(cone: ConeCrossSection,
@@ -180,27 +175,29 @@ def _at_level(cone: ConeCrossSection,
     return rows, caps
 
 
-def _count_points(rows: list[Functional], caps: list[int],
-                  config: RunConfig) -> int:
+def _count_points(rows: list[Functional], caps: list[int], config: RunConfig,
+                  outputs: Sequence[tuple[int, ...]] = ()
+                  ) -> dict[tuple[int, ...], int]:
     """Number of integer x with 0 <= x <= caps and every row
-    coeffs . x + const >= 0, by a forward DP over the coordinates.
+    coeffs . x + const >= 0, by the values of the output forms (distinct
+    and nonzero coefficient tuples), by a forward DP over the coordinates.
 
     Once x_0..x_{k-1} are fixed, the interval left for x_k, and so
     everything after it, depends only on the values of the prefix forms
     sum_{i<k} c_i x_i of the rows that still involve a coordinate >= k.  A
-    layer maps the values of the distinct nonzero such forms to the number
-    of prefixes that reach them; the last coordinate adds its interval
-    length in closed form.  `max_enum_nodes` bounds the states expanded,
-    checked before each layer is expanded, and `max_table_entries` the
-    states of the layer being filled, checked as it fills.
+    layer maps the values of the distinct nonzero such forms, and of the
+    outputs' prefixes, to the number of prefixes that reach them, so the
+    last layer, which is returned, is keyed by the outputs' values in order
+    ({(): count} without outputs).  A coordinate after which no form is
+    live adds its interval length in closed form.  `max_enum_nodes` bounds
+    the states expanded, checked before each layer is expanded, and
+    `max_table_entries` the states of the layer being filled, as it fills.
     """
-    dim = len(caps)
-    if dim == 0:
-        return int(all(const >= 0 for _, const in rows))
+    # a constant row holds or fails at every point alike
+    layer = {} if any(const < 0 for c, const in rows if not any(c)) else {(): 1}
     forms: list[tuple[int, ...]] = []  # the key's prefix forms at level k
-    layer: dict[tuple[int, ...], int] = {(): 1}
-    total = nodes = 0
-    for k in range(dim):
+    nodes = 0
+    for k in range(len(caps)):
         slot = {form: i for i, form in enumerate(forms)}
         zero = len(forms)  # the zero form's slot in key + (0,)
         lo0, hi0 = 0, caps[k]
@@ -209,9 +206,8 @@ def _count_points(rows: list[Functional], caps: list[int],
         # check: the level that last moved its form left its slack >= 0
         checks: dict[tuple[int, int], int] = {}
         for coeffs, const in rows:
-            # a row past its last coordinate holds; a constant row holds or
-            # fails at every level alike
-            if not any(coeffs[k:]) and any(coeffs):
+            # a row past its last coordinate holds
+            if not any(coeffs[k:]):
                 continue
             a = coeffs[k]
             base = const + sum(c * caps[j] for j, c in enumerate(coeffs)
@@ -231,13 +227,15 @@ def _count_points(rows: list[Functional], caps: list[int],
         # the next key: each next form's value read from its slot in
         # key + (0,), plus its coefficient of x_k times x_k
         live = [c[:k + 1] for c, _ in rows if any(c[k + 1:])]
+        live += [c[:k + 1] for c in outputs]
         nxt_forms = list(dict.fromkeys(f for f in live if any(f)))
         slots = [slot.get(f[:k], zero) for f in nxt_forms]
         steps = [f[k] for f in nxt_forms]
-        last = k == dim - 1
+        closed = not nxt_forms
         nodes += len(layer)
         config.check_nodes(nodes, "lattice count states expanded")
         nxt: dict[tuple[int, ...], int] = {}
+        total = 0
         for key, ways in layer.items():
             lo, hi = lo0, hi0
             for s, a, base in uppers:
@@ -250,7 +248,7 @@ def _count_points(rows: list[Functional], caps: list[int],
                     lo = t
             if lo > hi:
                 continue
-            if last:
+            if closed:  # the next layer holds the one key ()
                 total += ways * (hi - lo + 1)
                 continue
             ext = key + (0,)
@@ -262,8 +260,8 @@ def _count_points(rows: list[Functional], caps: list[int],
                 else:
                     nxt[new] = ways
                     config.check_table(len(nxt), "lattice count layer states")
-        forms, layer = nxt_forms, nxt
-    return total
+        forms, layer = nxt_forms, {(): total} if total else nxt
+    return layer
 
 
 class DualityRow(NamedTuple):

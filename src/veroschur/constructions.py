@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import ceil, comb, floor
 from typing import NamedTuple, Sequence
 
@@ -321,14 +321,16 @@ def twin_pattern_enumerate(p: int, b: int, d: int) -> int:
 def _restriction_types(p: int, b: int, d: int, n: int) -> set[Partition]:
     """Distinct Schur types of length <= n-1 in the direct sum of
     Sym^{e_0} (x) ... (x) Sym^{e_p} (x) Sym^{b+1} over strictly decreasing
-    exponent tuples in [0, d-1]."""
-    types: set[Partition] = set()
+    exponent tuples in [0, d-1].  A lam with at most n-1 parts dominates a
+    weight of its size exactly when its first n-2 prefix sums do, so
+    dominance is tested once per (size, those prefix sums)."""
+    weights = {}
     for es in combinations(range(d), p + 1):
-        weight = tuple(sorted(es + (b + 1,), reverse=True))
-        for lam in partitions_of(sum(weight), max_parts=n - 1):
-            if dominates(lam, weight):
-                types.add(lam)
-    return types
+        weight = sorted(es + (b + 1,), reverse=True)
+        weights.setdefault((sum(weight), *accumulate(weight[:n - 2])), weight)
+    return {lam for weight in weights.values()
+            for lam in partitions_of(sum(weight), max_parts=n - 1)
+            if dominates(lam, weight)}
 
 
 def mold(lam: Sequence[int]) -> Partition:

@@ -292,14 +292,12 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
         for d in range(1, 6):
             # the Kostka numbers K_{lam,(d^p)}, by the Pieri rule
             kostka = tensor_power_sym(p, d, p, config)
-            total = 0
+            fibres = cones.moment_fibres(p, d, config)
             for lam in partitions_of(p * d, max_parts=p):
-                size = cones.moment_fibre_count(p, d, lam, config)
-                total += size
-                if size != kostka.multiplicity(lam):
+                if fibres.get(lam, 0) != kostka.multiplicity(lam):
                     details.append(f"d={d} fiber at {lam}")
             # every content point lies over some shape
-            if total != cones.lattice_count(contents, d, config):
+            if sum(fibres.values()) != cones.lattice_count(contents, d, config):
                 details.append(f"d={d} image mismatch")
         out.append(Check(f"moment fibers p={p} d<=5", not details,
                          "; ".join(details) or "fibers are Kostka numbers"))

@@ -18,8 +18,9 @@ from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant)
-from veroschur.cones import (ConeCrossSection, _at_level, _count_points,
-                             content_cone_section, offdiag_pairs)
+from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
+                             _count_points, content_cone_section,
+                             offdiag_pairs)
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
@@ -952,8 +953,8 @@ def simplex_max(objective: Sequence[Fraction],
 def enumerate_slice(cone: ConeCrossSection,
                     level: int) -> Iterator[tuple[int, ...]]:
     """All integer points on the level-d slice, by interval propagation:
-    the listing that cones.lattice_count and cones.moment_fibre_count
-    count without building a point."""
+    the listing that cones.lattice_count and cones.moment_fibres count
+    without building a point."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     dim = cone.ambient_dim
@@ -1004,7 +1005,21 @@ def row_major_count(p: int, d: int,
     index = {pair: k for k, pair in enumerate(offdiag_pairs(p))}
     perm = [index[pair] for pair in sorted(index)]
     rows = [(tuple(coeffs[k] for k in perm), const) for coeffs, const in rows]
-    return _count_points(rows, [caps[k] for k in perm], config)
+    return sum(_count_points(rows, [caps[k] for k in perm], config).values())
+
+
+def moment_fibre_count(p: int, d: int, shape: Sequence[int],
+                       config: RunConfig = DEFAULT_CONFIG) -> int:
+    """K_{shape,(d^p)} for a partition shape of p*d with at most p parts,
+    by the per-shape DP that cones.moment_fibres replaced: the content rows
+    at level d plus, for each row i >= 2, its sum held at shape_i as two
+    opposite rows."""
+    rows, caps = _at_level(content_cone_section(p), d)
+    for i in range(1, p):
+        coeffs, const = _content_form(p, [(1, i, j) for j in range(i, p)])
+        gap = const * d - part(shape, i)
+        rows += [(coeffs, gap), (tuple(-c for c in coeffs), -gap)]
+    return sum(_count_points(rows, caps, config).values())
 
 
 def content_points_as_matrices(p: int, d: int) -> Iterator[RowContentMatrix]:

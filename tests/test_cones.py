@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 from veroschur import cones
 from veroschur.characters import (complexity, schur_decompose,
                                   tensor_power_sym, total_multiplicity)
-from veroschur.cones import (_section, content_cone_section, duality_rows,
+from veroschur.cones import (_at_level, _count_points, _section,
+                             content_cone_section, duality_rows,
                              fit_leading_coefficient, lattice_count,
-                             moment_fibre_count, shape_cone_section)
+                             moment_fibres, shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.partitions import (count_partitions, normalize, part,
                                   partitions_of)
 
 from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
                      content_points_as_matrices, enumerate_slice, kostka,
-                     matrix_to_tableau, moment_map, row_major_count,
-                     simplex_max, slice_maxima)
+                     matrix_to_tableau, moment_fibre_count, moment_map,
+                     row_major_count, simplex_max, slice_maxima)
 
 
 def test_shape_cone_small():
@@ -244,10 +245,12 @@ def test_fibre_counts_match_listing(data):
     for m in content_points_as_matrices(p, d):
         key = moment_map(m)
         listed[key] = listed.get(key, 0) + 1
+    fibres = moment_fibres(p, d)
     counted = {tuple(part(lam, i) for i in range(1, p)) + (d,):
-               moment_fibre_count(p, d, lam)
+               fibres.get(lam, 0)
                for lam in partitions_of(p * d, max_parts=p)}
     assert counted == listed
+    assert set(fibres) <= set(partitions_of(p * d, max_parts=p))
     assert sum(counted.values()) == lattice_count(content_cone_section(p), d)
 
 
@@ -266,15 +269,35 @@ def test_column_order_matches_row_order(data):
 @settings(max_examples=20, deadline=None)
 @given(p=st.integers(1, 4), d=st.integers(0, 4))
 def test_fibres_sum_to_the_row_order_count(p, d):
-    assert sum(moment_fibre_count(p, d, lam)
-               for lam in partitions_of(p * d, max_parts=p)) == \
-        row_major_count(p, d)
+    assert sum(moment_fibres(p, d).values()) == row_major_count(p, d)
 
 
-def test_fibre_count_rejects_a_wrong_shape():
-    for shape in [(3,), (2, 1, 1), (5, -1)]:
-        with pytest.raises(ValueError):
-            moment_fibre_count(2, 2, shape)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fibres_match_pieri_and_per_shape_counts(data):
+    p = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(0, ORACLE_LEVELS["contents"][p]))
+    fibres = moment_fibres(p, d)
+    assert fibres == tensor_power_sym(p, d, p).terms
+    assert {lam: moment_fibre_count(p, d, lam)
+            for lam in partitions_of(p * d, max_parts=p)} == \
+        {lam: fibres.get(lam, 0) for lam in partitions_of(p * d, max_parts=p)}
+
+
+def test_fibre_pass_caps():
+    # p = 6, d = 3: the fibre pass keeps five row sums in every key, so its
+    # largest layer holds 553 states (the plain count's: 215) and it
+    # expands 1,997 states (the plain count: 1,101)
+    with pytest.raises(CapExceeded) as exc:
+        moment_fibres(6, 3, RunConfig(max_table_entries=300))
+    assert (exc.value.what, exc.value.needed) == \
+        ("lattice count layer states", 301)
+    with pytest.raises(CapExceeded) as exc:
+        moment_fibres(6, 3, RunConfig(max_enum_nodes=1_500))
+    assert exc.value.what == "lattice count states expanded"
+    assert lattice_count(content_cone_section(6), 3,
+                         RunConfig(max_table_entries=300,
+                                   max_enum_nodes=1_500)) == 44288
 
 
 @st.composite
@@ -298,6 +321,21 @@ def small_systems(draw):
 def test_count_matches_enumeration_on_random_systems(cone, level):
     assert lattice_count(cone, level) == \
         sum(1 for _ in enumerate_slice(cone, level))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_output_forms_group_the_enumeration(data):
+    cone = data.draw(small_systems())
+    level = data.draw(st.integers(0, 4))
+    form = st.tuples(*[st.integers(-2, 2)] * cone.ambient_dim).filter(any)
+    outputs = data.draw(st.lists(form, min_size=1, max_size=3, unique=True))
+    grouped: dict[tuple[int, ...], int] = {}
+    for x in enumerate_slice(cone, level):
+        key = tuple(sum(c * v for c, v in zip(f, x)) for f in outputs)
+        grouped[key] = grouped.get(key, 0) + 1
+    assert _count_points(*_at_level(cone, level), RunConfig(), outputs) == \
+        grouped
 
 
 def test_fit_exact_polynomials():
