@@ -36,7 +36,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: pretty)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: 0)")
+                        help="seed of the draws; only verify staircase draws "
+                             "anything, and seed 0 (the default) draws with "
+                             "20240, while the JSON reports 0")
     parser.add_argument("--max-entries", type=int, default=None,
                         help="cap on Schur terms, Koszul basis elements, "
                              "lattice layer states and cones levels")

@@ -39,13 +39,12 @@ class ConeCrossSection(NamedTuple):
     """Level-1 slice of a rational cone as integer inequalities.
 
     upper_bounds are the exact per-coordinate maxima over the slice, in
-    closed form (so the slice is bounded); interior_point satisfies every
-    inequality strictly, certifying that the slice has full ambient
-    dimension.
+    closed form (so the slice is bounded), one per ambient coordinate;
+    interior_point satisfies every inequality strictly, certifying that
+    the slice has full ambient dimension.
     """
 
     label: str
-    ambient_dim: int
     inequalities: tuple[Functional, ...]
     interior_point: tuple[Fraction, ...]
     upper_bounds: tuple[Fraction, ...]
@@ -55,10 +54,10 @@ class ConeCrossSection(NamedTuple):
                 for coeffs, const in self.inequalities]
 
 
-def _section(label: str, dim: int, ineqs: list[Functional],
+def _section(label: str, ineqs: list[Functional],
              interior: tuple[Fraction, ...],
              bounds: tuple[Fraction, ...]) -> ConeCrossSection:
-    cone = ConeCrossSection(label, dim, tuple(ineqs), interior, bounds)
+    cone = ConeCrossSection(label, tuple(ineqs), interior, bounds)
     if any(s <= 0 for s in cone.evaluate(interior)):
         raise ValueError(f"interior point fails strictly for {label}")
     return cone
@@ -83,7 +82,7 @@ def shape_cone_section(p: int) -> ConeCrossSection:
     # lam_k <= (lam_1 + ... + lam_k)/k <= p/k, attained at
     # lam_1 = ... = lam_k = p/k
     bounds = tuple(Fraction(p, k) for k in range(2, p + 1))
-    return _section(f"shapes(p={p})", dim, ineqs, interior, bounds)
+    return _section(f"shapes(p={p})", ineqs, interior, bounds)
 
 
 def offdiag_pairs(p: int) -> tuple[tuple[int, int], ...]:
@@ -139,7 +138,7 @@ def content_cone_section(p: int) -> ConeCrossSection:
     # t_kj >= 0 and t_jj = 1 - sum_{k<j} t_kj >= 0 give t_kj <= 1,
     # attained by the standard tableau whose first column is 0, ..., k-1, j
     bounds = (Fraction(1),) * dim
-    return _section(f"contents(p={p})", dim, ineqs, interior, bounds)
+    return _section(f"contents(p={p})", ineqs, interior, bounds)
 
 
 def lattice_count(cone: ConeCrossSection, level: int,

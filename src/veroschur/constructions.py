@@ -27,22 +27,20 @@ from veroschur.partitions import (Partition, add, conjugate, dominates,
 # ---------------------------------------------------------------------------
 # plethysm identities
 
-def newell_check(p: int, d: int, n: int,
+def newell_check(p: int, d: int,
                  config: RunConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
     """The failures of the two shift identities between symmetric and
     exterior plethysms: multiplicities of lam in Sym^p Sym^d match those of
-    lam + (1^p) in wedge^p Sym^{d+1}, and vice versa."""
-    if n < p:
-        raise ValueError("need n >= p")
+    lam + (1^p) in wedge^p Sym^{d+1}, and vice versa.  The plethysms are
+    taken over C^p: each Sym^e factor adds one Pieri strip, so none of
+    their terms has more than p rows, and a larger n gives the same ones."""
     column = (1,) * p
     failures = []
     pairs = [
         ("wedge(d+1) vs sym(d)",
-         wedge_power_sym(p, d + 1, n, config),
-         sym_power_sym(p, d, n, config)),
+         wedge_power_sym(p, d + 1, p, config), sym_power_sym(p, d, p, config)),
         ("sym(d+1) vs wedge(d)",
-         sym_power_sym(p, d + 1, n, config),
-         wedge_power_sym(p, d, n, config)),
+         sym_power_sym(p, d + 1, p, config), wedge_power_sym(p, d, p, config)),
     ]
     for name, shifted_side, base_side in pairs:
         lams = set(base_side.terms)
@@ -57,18 +55,17 @@ def newell_check(p: int, d: int, n: int,
     return tuple(failures)
 
 
-def doubled_plethysm_check(p: int, d: int, n: int,
+def doubled_plethysm_check(p: int, d: int,
                            config: RunConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
     """Failures of: every doubled partition 2*lam with lam |- p*d of length
-    <= p occurs in Sym^p Sym^{2d}, with the two exterior-power consequences."""
-    if n < p:
-        raise ValueError("need n >= p")
+    <= p occurs in Sym^p Sym^{2d}, with the two exterior-power consequences.
+    The plethysms are taken over C^p, as in newell_check."""
     column = (1,) * p
     row = (p,)
-    sym_2d = sym_power_sym(p, 2 * d, n, config)
-    sym_2d1 = sym_power_sym(p, 2 * d + 1, n, config)
-    wedge_2d1 = wedge_power_sym(p, 2 * d + 1, n, config)
-    wedge_2d2 = wedge_power_sym(p, 2 * d + 2, n, config)
+    sym_2d = sym_power_sym(p, 2 * d, p, config)
+    sym_2d1 = sym_power_sym(p, 2 * d + 1, p, config)
+    wedge_2d1 = wedge_power_sym(p, 2 * d + 1, p, config)
+    wedge_2d2 = wedge_power_sym(p, 2 * d + 2, p, config)
     failures = []
     for lam in partitions_of(p * d, max_parts=p):
         dbl = tuple(2 * v for v in lam)
@@ -106,9 +103,6 @@ def remove_visible_boxes(lam: Sequence[int], k: int) -> Partition:
 class StaircaseWitness(NamedTuple):
     """Strictly decreasing exponent staircase splitting L0 = |lam| - (b+1)."""
 
-    lam: Partition
-    b: int
-    p: int
     exponents: tuple[int, ...]
     levels: tuple[int, ...]
 
@@ -134,7 +128,7 @@ def staircase_exponents(lam: Sequence[int], b: int, p: int) -> StaircaseWitness:
         exponents.append(e)
         level -= e
         levels.append(level)
-    return StaircaseWitness(lam, b, p, tuple(exponents), tuple(levels))
+    return StaircaseWitness(tuple(exponents), tuple(levels))
 
 
 def first_strip_chain(lam: Sequence[int],
@@ -260,7 +254,6 @@ def max_n_green(p: int, b: int, q: int, d: int) -> int:
 # pattern censuses
 
 class PatternReport(NamedTuple):
-    n: int
     partitions: int
     parameters: dict
     molds: int
@@ -303,18 +296,24 @@ def twin_pattern_count_closed(p: int, b: int, d: int) -> tuple[int, dict]:
 
 
 def twin_pattern_enumerate(p: int, b: int, d: int) -> int:
-    """Independent direct enumeration of the twin census set."""
+    """Direct enumeration of the twin census set, independent of the
+    closed form: for n <= 4 the restriction types, for n >= 5 a listing of
+    lam_1 from ceil(B) to pd/2 with (n - 3) // 2 weakly decreasing free
+    parts from ceil(B) to lam_1, each part tested against the pattern
+    conditions.  B is restated here and no range is taken from
+    _twin_bounds, so a wrong bound there shows as a count that differs."""
     n = max_n_green(p, b, 1, d)
     if n <= 4:
         return len(_restriction_types(p, b, d, n))
-    B, lo, hi, upper = _twin_bounds(p, b, d, n)
-    k = (n - 3) // 2  # free values below lam1, weakly decreasing
+    lo = ceil(max(Fraction(b + 2), Fraction(p * (p + 1) // 2 + b + 1, n - 1)))
     count = 0
-    for lam1 in range(lo, hi + 1):
-        top = min(upper(lam1), lam1)
-        # k >= 1 as n >= 5, so an empty range of values counts none
-        for _ in combinations_with_replacement(range(lo, top + 1), k):
-            count += 1
+    for lam1 in range(lo, p * d // 2 + 1):
+        cap = (Fraction(2 * (p - n + 1) * lam1, (n - 2) * (n - 3))
+               - Fraction((p + 1) * (p + 2), 2 * (n - 3)))
+        for free in combinations_with_replacement(range(lo, lam1 + 1),
+                                                  (n - 3) // 2):
+            count += all(2 * lam1 + (n - 3) * f <= p * d and f <= cap
+                         for f in free)
     return count
 
 
@@ -429,4 +428,4 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
         core += [1] * (n - 1 - len(core))
         molds.add(mold(normalize(tuple(c + o for c, o in zip(core, offsets)))))
         count += 1
-    return PatternReport(n, count, parameters, len(molds))
+    return PatternReport(count, parameters, len(molds))

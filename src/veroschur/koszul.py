@@ -115,26 +115,21 @@ class KoszulSpec(Record):
         return self.n >= self.p + self.q + 1
 
 
-class SparseIntMatrix(NamedTuple):
-    """Rows as {column: value}; shapes explicit so zero blocks are typed."""
-
-    nrows: int
-    ncols: int
-    rows: tuple[SparseVec, ...]
-
-
 class KoszulBlock(NamedTuple):
     """One dominant weight block of the complex; it validates nothing, so
     it is a NamedTuple, not a config.Record.
 
+    d_in and d_out are their rows, one {column: value} per target element,
+    with a column per source element: d_out is dims[2] x dims[1] and d_in
+    dims[1] x dims[0], so a map with no rows is still typed by dims.
     d_in is None on the linear strand (p >= 1 and a left term of
     symmetric degree 0), where it is injective and its rank is dims[0].
     """
 
     weight: Weight
     dims: tuple[int, int, int]
-    d_in: SparseIntMatrix | None
-    d_out: SparseIntMatrix
+    d_in: tuple[SparseVec, ...] | None
+    d_out: tuple[SparseVec, ...]
 
     def cohomology_dim(self) -> int:
         # ranks on rows, cleared in the cohomology direction: the pivot of
@@ -142,19 +137,18 @@ class KoszulBlock(NamedTuple):
         # that is a combination of the rows before it, so it is cleared
         # from the second reduction
         pivots: set[int] = set()
-        dim = self.dims[1] - rank_sparse(self.d_out.rows, pivots=pivots)
+        dim = self.dims[1] - rank_sparse(self.d_out, pivots=pivots)
         if self.d_in is None:
             dim -= self.dims[0]
         else:
-            dim -= rank_sparse(self.d_in.rows, skip=pivots)
+            dim -= rank_sparse(self.d_in, skip=pivots)
         if dim < 0:
             raise RuntimeError(f"negative cohomology at weight {self.weight}")
         return dim
 
 
-def _levels(spec: KoszulSpec, weight: Weight,
-            config: RunConfig) -> tuple[list[Weight], Levels]:
-    """Wedge factors under weight and the left, middle and right bases.
+def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
+    """The left, middle and right bases at weight.
 
     Each basis element is a Wedge of indices into the wedge factors under
     the weight; its symmetric factor is weight minus their sum.  Every
@@ -186,14 +180,14 @@ def _levels(spec: KoszulSpec, weight: Weight,
     counted = p >= 1 and left_degree == 0
     empty: Levels = (0 if counted else [], [], [])
     if min(weight) < 0 or sum(weight) != spec.total_degree:
-        return [], empty
+        return empty
     # no level p + 1 when it is counted or the left term has a negative
     # symmetric degree
     deepest = p + 1 if left_degree >= 0 and not counted else p
     lowest = max(p - 1, 0)
     slack = (deepest + 1) * top
     if max(weight) > slack:
-        return [], empty
+        return empty
     # a field holds a rest or a slack under its guard bit
     width = max(max(weight), slack).bit_length() + 1
     guard = sum(1 << (i * width + width - 1) for i in range(2 * spec.n))
@@ -250,14 +244,14 @@ def _levels(spec: KoszulSpec, weight: Weight,
                           if (root - m) & guard == guard])
     mid, right = levels[p], levels[p - 1] if p else []
     if counted:
-        return monos, (left, mid, right)
-    return monos, (levels[p + 1] if deepest > p else [], mid, right)
+        return left, mid, right
+    return levels[p + 1] if deepest > p else [], mid, right
 
 
 def _differential(sources: list[Wedge],
-                  targets: list[Wedge]) -> SparseIntMatrix:
-    """Matrix of the Koszul differential from sources to targets, with
-    one row per target.
+                  targets: list[Wedge]) -> tuple[SparseVec, ...]:
+    """The rows of the Koszul differential from sources to targets, one
+    {source index: sign} per target; the caller's dims give its shape.
 
     Term i of a source drops its i-th index with sign (-1)^i.  The face
     lies under the same weight, but its symmetric factor gained the
@@ -275,7 +269,7 @@ def _differential(sources: list[Wedge],
             row = get(w[:i] + w[i + 1:])
             if row is not None:
                 rows[row][j] = sign
-    return SparseIntMatrix(len(targets), len(sources), tuple(rows))
+    return tuple(rows)
 
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
@@ -285,7 +279,7 @@ def block_at_weight(spec: KoszulSpec, weight: Weight,
     On the linear strand, p >= 1 with q = 1 and b = 0 or with q = 0 and
     b = d, the left term is only counted and the block carries no d_in.
     """
-    _, (left, mid, right) = _levels(spec, weight, config)
+    left, mid, right = _levels(spec, weight, config)
     d_out = _differential(mid, right)
     if isinstance(left, int):
         return KoszulBlock(weight, (left, len(mid), len(right)), None, d_out)
@@ -344,10 +338,9 @@ def syzygy_decompose(spec: KoszulSpec,
     return schur_decompose(cohomology_table(spec, config), config)
 
 
-def green_vanishing_predicted(p: int, q: int, b: int, d: int) -> bool:
-    """Classical vanishing for the untwisted case: true when q >= 2, d >= p."""
-    if b != 0:
-        raise ValueError("untwisted predicate requires b = 0")
+def green_vanishing_predicted(p: int, q: int, d: int) -> bool:
+    """Classical vanishing for the untwisted case (b = 0): true when
+    q >= 2, d >= p."""
     return q >= 2 and d >= p
 
 

@@ -169,7 +169,7 @@ def suite_newell(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            failures = constructions.newell_check(p, d, p, config)
+            failures = constructions.newell_check(p, d, config)
             out.append(Check(f"newell p={p} d={d}", not failures,
                              "; ".join(failures) or "all shifts match"))
     return out
@@ -181,7 +181,7 @@ def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     out = []
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            failures = constructions.doubled_plethysm_check(p, d, p, config)
+            failures = constructions.doubled_plethysm_check(p, d, config)
             out.append(Check(f"doubling p={p} d={d}", not failures,
                              "; ".join(failures) or "all doubled types present"))
     return out
@@ -221,7 +221,7 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
                      str(e.terms)))
     for p in (1, 2, 3):
         for d in (p, p + 1):
-            predicted = green_vanishing_predicted(p, 2, 0, d)
+            predicted = green_vanishing_predicted(p, 2, d)
             for n in (2, 3):
                 e = syzygy_decompose(KoszulSpec(p, 2, 0, d, n), config)
                 out.append(Check(f"green vanishing p={p} q=2 d={d} n={n}",
@@ -242,12 +242,11 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     return out
 
 
-def suite_staircase(config: RunConfig = DEFAULT_CONFIG,
-                    count: int = 100) -> list[Check]:
+def suite_staircase(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     from veroschur import constructions
 
     samples = constructions.sample_staircase_inputs(
-        count, seed=config.seed or 20240)
+        100, seed=config.seed or 20240)
     constructed = conditions = 0
     bad: list[str] = []
     for lam, b, p, d, n in samples:

@@ -23,7 +23,7 @@ from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
                              offdiag_pairs)
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec
-from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
+from veroschur.koszul import KoszulBlock, KoszulSpec
 from veroschur.partitions import (Partition, dominates,
                                   horizontal_strips_down, normalize, part,
                                   partitions_of, vectors_in_box)
@@ -174,9 +174,9 @@ def elements_at_weight(k: int, e: int, d: int, n: int, target: Weight,
 
 
 def element_differential(sources: list[Element],
-                         targets: list[Element]) -> SparseIntMatrix:
-    """Matrix of the Koszul differential keyed by (wedge, g) elements; a
-    term whose element is not a target is zero."""
+                         targets: list[Element]) -> tuple[SparseVec, ...]:
+    """Rows of the Koszul differential keyed by (wedge, g) elements, one
+    per target; a term whose element is not a target is zero."""
     index = {el: i for i, el in enumerate(targets)}
     rows: list[SparseVec] = [{} for _ in targets]
     for j, (wedge, g) in enumerate(sources):
@@ -186,7 +186,7 @@ def element_differential(sources: list[Element],
             row = index.get((rest, prod))
             if row is not None:
                 rows[row][j] = 1 if i % 2 == 0 else -1
-    return SparseIntMatrix(len(targets), len(sources), tuple(rows))
+    return tuple(rows)
 
 
 def unreduced_cohomology(spec: KoszulSpec) -> dict[Weight, int]:
@@ -253,30 +253,33 @@ def blocks_by_product(spec: KoszulSpec) -> list[KoszulBlock]:
 # ---------------------------------------------------------------------------
 # sparse matrices
 
-def compose(outer: SparseIntMatrix, inner: SparseIntMatrix) -> SparseIntMatrix:
-    """outer @ inner (apply inner first)."""
-    if inner.nrows != outer.ncols:
-        raise ValueError("shape mismatch")
+# A matrix is its rows, as a Koszul block stores it; its column count comes
+# from the block's dims.
+
+def compose(outer: tuple[SparseVec, ...],
+            inner: tuple[SparseVec, ...]) -> tuple[SparseVec, ...]:
+    """outer @ inner (apply inner first); a column of outer is a row of
+    inner, so one past its rows raises IndexError."""
     out = []
-    for row in outer.rows:
+    for row in outer:
         acc: SparseVec = {}
         for mid, v in row.items():
-            for c, w in inner.rows[mid].items():
+            for c, w in inner[mid].items():
                 nv = acc.get(c, 0) + v * w
                 if nv:
                     acc[c] = nv
                 else:
                     acc.pop(c, None)
         out.append(acc)
-    return SparseIntMatrix(outer.nrows, inner.ncols, tuple(out))
+    return tuple(out)
 
 
-def is_zero(m: SparseIntMatrix) -> bool:
-    return all(not r for r in m.rows)
+def is_zero(rows: tuple[SparseVec, ...]) -> bool:
+    return all(not r for r in rows)
 
 
-def dense(m: SparseIntMatrix) -> list[list[int]]:
-    return [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
+def dense(rows: tuple[SparseVec, ...], ncols: int) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def rank_dense(rows: list[list[int]]) -> int:
@@ -957,7 +960,7 @@ def enumerate_slice(cone: ConeCrossSection,
     without building a point."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    dim = cone.ambient_dim
+    dim = len(cone.upper_bounds)
     if dim == 0:
         yield ()
         return
@@ -1040,7 +1043,7 @@ def slice_maxima(cone: ConeCrossSection) -> tuple[Fraction, ...]:
     slice coordinate is nonnegative, so the LP's x >= 0 adds nothing."""
     lhs = [[-c for c in coeffs] for coeffs, _ in cone.inequalities]
     rhs = [const for _, const in cone.inequalities]
-    dim = cone.ambient_dim
+    dim = len(cone.upper_bounds)
     return tuple(simplex_max([int(i == j) for i in range(dim)], lhs, rhs)[0]
                  for j in range(dim))
 

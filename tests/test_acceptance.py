@@ -54,7 +54,7 @@ def test_criterion_02_koszul_baseline():
     for p in (1, 2, 3):
         for d in (p, p + 1):
             for n in (2, 3):
-                assert green_vanishing_predicted(p, 2, 0, d)
+                assert green_vanishing_predicted(p, 2, d)
                 ok = ok and not syzygy_decompose(KoszulSpec(p, 2, 0, d, n)).terms
     _report(2, ok, "conic syzygy, elementary and Green vanishing all exact")
 
@@ -63,7 +63,7 @@ def test_criterion_03_newell():
     failures = []
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            failures += newell_check(p, d, p)
+            failures += newell_check(p, d)
     _report(3, not failures, "both shift identities hold for p<=3, d<=4"
             if not failures else "; ".join(failures))
 
@@ -72,7 +72,7 @@ def test_criterion_04_doubled_positivity():
     failures = []
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            failures += doubled_plethysm_check(p, d, p)
+            failures += doubled_plethysm_check(p, d)
     _report(4, not failures, "doubled types and wedge corollaries for p<=3, d<=3"
             if not failures else "; ".join(failures))
 

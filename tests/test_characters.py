@@ -132,6 +132,15 @@ def test_support_is_bounded_length():
             e = schur_decompose(char_tensor_sym(p, d, p + 1))
             expected = {lam for lam in partitions_of(p * d, max_parts=p)}
             assert set(e.terms) == expected
+    # so every plethysm of a p-th power is settled over C^p: at n = p + 1
+    # and p + 2 it has the terms it has at n = p, and the plethysm checks
+    # of constructions take no n
+    for power in (sym_power_sym, wedge_power_sym, tensor_power_sym):
+        for p in (1, 2, 3, 4):
+            for d in (0, 1, 2, 3, 4):
+                at_p = power(p, d, p).terms
+                for n in (p + 1, p + 2):
+                    assert power(p, d, n).terms == at_p, (power, p, d, n)
 
 
 def test_functorial_sum_p2():

@@ -425,7 +425,7 @@ def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
     # (exit 1) instead of tripping an assert
     from veroschur.verify import run_suite
     monkeypatch.setattr("veroschur.koszul.green_vanishing_predicted",
-                        lambda p, q, b, d: False)
+                        lambda p, q, d: False)
     checks = run_suite("green")["checks"]
     vanishing = [c for c in checks if c["name"].startswith("green vanishing")]
     assert len(vanishing) == 12

@@ -25,14 +25,14 @@ from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
 
 def test_shape_cone_small():
     cone = shape_cone_section(2)
-    assert cone.ambient_dim == 1
+    assert len(cone.upper_bounds) == 1
     assert cone.upper_bounds == (Fraction(1),)
     assert [lattice_count(cone, d) for d in (0, 1, 2, 5)] == [1, 2, 3, 6]
 
 
 def test_content_cone_small():
     cone = content_cone_section(2)
-    assert cone.ambient_dim == 1
+    assert len(cone.upper_bounds) == 1
     assert [lattice_count(cone, d) for d in (0, 1, 2, 5)] == [1, 2, 3, 6]
 
 
@@ -49,7 +49,7 @@ def test_interior_points_are_strict():
             assert all(s > 0 for s in slacks), cone.label
     # a point on the boundary certifies nothing
     with pytest.raises(ValueError, match="interior point fails"):
-        _section("ray", 1, [((1,), 0)], (Fraction(0),), (Fraction(1),))
+        _section("ray", [((1,), 0)], (Fraction(0),), (Fraction(1),))
 
 
 def test_inequalities_are_integers():
@@ -308,14 +308,14 @@ def small_systems(draw):
     row = st.tuples(st.tuples(*[st.integers(-2, 2)] * dim), st.integers(-1, 4))
     rows = draw(st.lists(row, min_size=0, max_size=6))
     bounds = tuple(Fraction(draw(st.integers(0, 6)), 2) for _ in range(dim))
-    return cones.ConeCrossSection("random", dim, tuple(rows),
+    return cones.ConeCrossSection("random", tuple(rows),
                                   (Fraction(0),) * dim, bounds)
 
 
 @settings(max_examples=150, deadline=None)
 @given(cone=small_systems(), level=st.integers(0, 4))
 # a constant row that fails empties the slice at every positive level
-@example(cone=cones.ConeCrossSection("empty", 2, (((0, 0), -1), ((1, -1), 0)),
+@example(cone=cones.ConeCrossSection("empty", (((0, 0), -1), ((1, -1), 0)),
                                      (Fraction(0),) * 2, (Fraction(1),) * 2),
          level=1)
 def test_count_matches_enumeration_on_random_systems(cone, level):
@@ -328,7 +328,7 @@ def test_count_matches_enumeration_on_random_systems(cone, level):
 def test_output_forms_group_the_enumeration(data):
     cone = data.draw(small_systems())
     level = data.draw(st.integers(0, 4))
-    form = st.tuples(*[st.integers(-2, 2)] * cone.ambient_dim).filter(any)
+    form = st.tuples(*[st.integers(-2, 2)] * len(cone.upper_bounds)).filter(any)
     outputs = data.draw(st.lists(form, min_size=1, max_size=3, unique=True))
     grouped: dict[tuple[int, ...], int] = {}
     for x in enumerate_slice(cone, level):

@@ -25,7 +25,7 @@ from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
 def test_newell_small():
     for p in (1, 2, 3):
         for d in (1, 2, 3, 4):
-            assert not newell_check(p, d, p), (p, d)
+            assert not newell_check(p, d), (p, d)
 
 
 def test_newell_p2_d2_shift_values():
@@ -37,7 +37,7 @@ def test_newell_p2_d2_shift_values():
 def test_doubling_small():
     for p in (1, 2, 3):
         for d in (1, 2, 3):
-            assert not doubled_plethysm_check(p, d, p), (p, d)
+            assert not doubled_plethysm_check(p, d), (p, d)
 
 
 def test_remove_visible_boxes():
@@ -193,10 +193,12 @@ def test_twin_census_closed_form_equals_enumeration():
     for d in range(5, 31):
         assert twin_pattern_count_closed(3, 1, d)[0] == \
             twin_pattern_enumerate(3, 1, d)
-    # a regime with the full pattern machinery (n = 5)
-    for d in (10, 13, 16):
-        assert twin_pattern_count_closed(14, 1, d)[0] == \
-            twin_pattern_enumerate(14, 1, d)
+    # regimes with the full pattern machinery: n = 5 at p = 14 and n = 6 at
+    # p = 20, where the enumeration lists lam and takes no range from the
+    # closed form
+    for p, d in ((14, 10), (14, 13), (14, 16), (20, 12), (20, 16)):
+        assert twin_pattern_count_closed(p, 1, d)[0] == \
+            twin_pattern_enumerate(p, 1, d)
 
 
 def test_mold():

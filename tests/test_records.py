@@ -11,7 +11,7 @@ from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
 from veroschur.constructions import staircase_exponents
-from veroschur.koszul import KoszulBlock, KoszulSpec, SparseIntMatrix
+from veroschur.koszul import KoszulBlock, KoszulSpec
 from veroschur.verify import Check
 
 from oracles import RowContentMatrix
@@ -113,7 +113,6 @@ FROZEN = {
     "RunConfig": lambda: RunConfig(seed=1),
     "KoszulSpec": lambda: KoszulSpec(1, 1, 0, 2),
     "RowContentMatrix": lambda: RowContentMatrix.from_offdiag(2, 2, (1,)),
-    "SparseIntMatrix": lambda: SparseIntMatrix(0, 2, ()),
     "DualityRow": lambda: DualityRow(1, 2, 3, True, True),
     "FitResult": lambda: FitResult(1, Fraction(1), Fraction(1), Fraction(0)),
     "ConeCrossSection": lambda: shape_cone_section(2),
@@ -146,8 +145,7 @@ def test_record_equality_is_by_value_and_type():
     # assignment and are unhashable
     a = SchurExpansion(2, 2, {(2,): 1})
     assert a == SchurExpansion(2, 2, {(2,): 1}) != SchurExpansion(3, 2, {(2,): 1})
-    m = SparseIntMatrix(0, 0, ())
-    assert KoszulBlock((1,), (0, 0, 0), None, m) == KoszulBlock((1,), (0, 0, 0), None, m)
+    assert KoszulBlock((1,), (0, 0, 0), None, ()) == KoszulBlock((1,), (0, 0, 0), None, ())
     for record in (a, WeightTable(1, 0)):
         with pytest.raises(AttributeError):
             record.n = 3
