@@ -2,11 +2,12 @@
 
 Covers the duality between symmetric and exterior plethysms, positivity of
 doubled partitions in even plethysms, the staircase-exponent membership
-construction behind the twisted linear strand (its witness is the first
-horizontal-strip chain, taken greedily), and the twin and almost-triplet
-pattern censuses used for counting distinct Schur types.  The
-almost-triplet census picks its construction from its inputs:
-single-wedge where that applies, blocked otherwise.
+construction behind the twisted linear strand (its result holds the
+exponents of the split and the first horizontal-strip chain, taken
+greedily), and the twin and almost-triplet pattern censuses used for
+counting distinct Schur types.  The almost-triplet census picks its
+construction from its inputs: single-wedge where that applies, blocked
+otherwise; its report holds two counts, members and distinct molds.
 """
 
 from __future__ import annotations
@@ -100,19 +101,13 @@ def remove_visible_boxes(lam: Sequence[int], k: int) -> Partition:
     return conjugate(normalize(tuple(cols)))
 
 
-class StaircaseWitness(NamedTuple):
-    """Strictly decreasing exponent staircase splitting L0 = |lam| - (b+1)."""
+def staircase_exponents(lam: Sequence[int], b: int, p: int) -> tuple[int, ...]:
+    """Greedy staircase split e_i = ceil(L_i/(p+1-i) + (p-i)/2) of
+    L_0 = |lam| - (b+1), where L_{i+1} = L_i - e_i.
 
-    exponents: tuple[int, ...]
-    levels: tuple[int, ...]
-
-
-def staircase_exponents(lam: Sequence[int], b: int, p: int) -> StaircaseWitness:
-    """Greedy staircase split e_i = ceil(L_i/(p+1-i) + (p-i)/2).
-
-    Yields e_0 > e_1 > ... > e_p >= 0 with sum L_0 whenever
-    L_0 >= p(p+1)/2; the final level is always exactly zero.  The
-    staircase suite of verify checks these invariants.
+    Yields p + 1 exponents e_0 > e_1 > ... > e_p >= 0 with sum L_0
+    whenever L_0 >= p(p+1)/2.  The staircase suite of verify checks these
+    invariants against lam, b and p, not against the levels of the split.
     """
     lam = normalize(lam)
     if b < 0 or p < 0:
@@ -120,15 +115,13 @@ def staircase_exponents(lam: Sequence[int], b: int, p: int) -> StaircaseWitness:
     level = sum(lam) - (b + 1)
     if level < p * (p + 1) // 2:
         raise ValueError(f"L0 = {level} below staircase minimum {p*(p+1)//2}")
-    levels = [level]
     exponents = []
     for i in range(p + 1):
         r = p + 1 - i
         e = -((-2 * level - r * (r - 1)) // (2 * r))  # ceil(level/r + (r-1)/2)
         exponents.append(e)
         level -= e
-        levels.append(level)
-    return StaircaseWitness(tuple(exponents), tuple(levels))
+    return tuple(exponents)
 
 
 def first_strip_chain(lam: Sequence[int],
@@ -159,8 +152,7 @@ def first_strip_chain(lam: Sequence[int],
 
 class MembershipResult(NamedTuple):
     verdict: str  # constructed | conditions-fail | pieri-fail
-    witness: StaircaseWitness
-    reason: str
+    exponents: tuple[int, ...]
     chain: tuple[Partition, ...]
 
 
@@ -179,22 +171,15 @@ def staircase_membership(lam: Sequence[int], b: int, p: int, d: int,
         raise ValueError(f"need length(lam) = n-1 <= p+2, got {lam} with n={n}")
     if part(lam, n - 2) <= b + 1:
         raise ValueError(f"need last part > {b + 1}")
-    witness = staircase_exponents(lam, b, p)
-    es = witness.exponents
+    es = staircase_exponents(lam, b, p)
     trimmed = remove_visible_boxes(lam, b + 1)
-    for j in range(1, n - 1):
-        if sum(trimmed[:j]) < sum(es[:j]):
-            return MembershipResult(
-                "conditions-fail", witness,
-                f"partial sums fail at index {j}", ())
-    if es[0] > d - 1:
-        return MembershipResult(
-            "conditions-fail", witness, f"e_0 = {es[0]} exceeds d-1 = {d-1}", ())
+    if es[0] > d - 1 or any(sum(trimmed[:j]) < sum(es[:j])
+                            for j in range(1, n - 1)):
+        return MembershipResult("conditions-fail", es, ())
     chain = first_strip_chain(lam, [e for e in (b + 1,) + es if e > 0])
     if chain is None:
-        return MembershipResult("pieri-fail", witness,
-                                "no horizontal-strip chain found", ())
-    return MembershipResult("constructed", witness, "", chain)
+        return MembershipResult("pieri-fail", es, ())
+    return MembershipResult("constructed", es, chain)
 
 
 def sample_staircase_inputs(count: int, seed: int) -> list[tuple[Partition, int, int, int, int]]:
@@ -214,8 +199,7 @@ def sample_staircase_inputs(count: int, seed: int) -> list[tuple[Partition, int,
         if deficit > 0:
             lam[0] += deficit
         lam_t = normalize(tuple(lam))
-        witness = staircase_exponents(lam_t, b, p)
-        d = witness.exponents[0] + 1 + rng.randint(0, 3)
+        d = staircase_exponents(lam_t, b, p)[0] + 1 + rng.randint(0, 3)
         out.append((lam_t, b, p, d, m + 1))
     return out
 
@@ -255,7 +239,6 @@ def max_n_green(p: int, b: int, q: int, d: int) -> int:
 
 class PatternReport(NamedTuple):
     partitions: int
-    parameters: dict
     molds: int
 
 
@@ -270,21 +253,20 @@ def _twin_bounds(p: int, b: int, d: int, n: int):
                      - Fraction((p + 1) * (p + 2), 2 * (n - 3)))
         return int(floor(min(terms)))
 
-    return B, lam1_lo, lam1_hi, upper
+    return lam1_lo, lam1_hi, upper
 
 
-def twin_pattern_count_closed(p: int, b: int, d: int) -> tuple[int, dict]:
+def twin_pattern_count_closed(p: int, b: int, d: int) -> int:
     """Count the twin-pattern partitions used to certify many distinct
     Schur types in the twisted linear strand, in closed form over the free
     values.  There is none for n in {3, 4}, where twin_pattern_enumerate
     lists the restriction types directly."""
     n = max_n_green(p, b, 1, d)
     if n == 2:
-        count = (p + 1) * (d - 1 - p) + 1 if d >= p + 1 else 0
-        return count, {"n": n, "B": None, "lam1_range": None}
+        return (p + 1) * (d - 1 - p) + 1 if d >= p + 1 else 0
     if n in (3, 4):
         raise ValueError("no closed form for n in {3, 4}; use enumeration")
-    B, lo, hi, upper = _twin_bounds(p, b, d, n)
+    lo, hi, upper = _twin_bounds(p, b, d, n)
     k = (n - 3) // 2  # free values below lam1
     total = 0
     for lam1 in range(lo, hi + 1):
@@ -292,7 +274,7 @@ def twin_pattern_count_closed(p: int, b: int, d: int) -> tuple[int, dict]:
         width = top - lo + 1
         if width > 0:
             total += comb(width - 1 + k, k)
-    return total, {"n": n, "B": B, "lam1_range": (lo, hi)}
+    return total
 
 
 def twin_pattern_enumerate(p: int, b: int, d: int) -> int:
@@ -358,8 +340,8 @@ def _triple_expand(mu: Partition, copies: int) -> tuple[int, ...]:
 
 
 def _single_wedge(p: int, b: int, n: int, d: int):
-    """Size s, offsets and parameters of the single-wedge construction, or
-    None unless d >= p + 2 and 6 | (n-1)(d-r-1-eps)."""
+    """Size s and offsets of the single-wedge construction, or None unless
+    d >= p + 2 and 6 | (n-1)(d-r-1-eps)."""
     r = next(r for r in (1, 2, 3) if (d - r) % 3 == 1)
     eps = (d - r - 1) % 2
     raw = (n - 1) * (d - r - 1 - eps)
@@ -368,15 +350,13 @@ def _single_wedge(p: int, b: int, n: int, d: int):
     s = raw // 6
     extra = sum(d - r - 1 - k for k in range(p - n + 2)) + b + 1
     offsets = [eps * (n - 1) + extra] + [0] * (n - 2)
-    return s, offsets, {"p": p, "b": b, "d": d, "r": r, "epsilon": eps,
-                        "mu_size": s, "path": "single-wedge"}
+    return s, offsets
 
 
 def _blocked(p: int, b: int, n: int, d: int):
-    """Size s, offsets and parameters of the blocked construction: one
-    wedge block of size n-1 carrying the triple family, the rest covered by
-    odd-degree rectangles of height 3 and single rows, all at distinct
-    degrees."""
+    """Size s and offsets of the blocked construction: one wedge block of
+    size n-1 carrying the triple family, the rest covered by odd-degree
+    rectangles of height 3 and single rows, all at distinct degrees."""
     d1 = next((v for v in range(d - 1, 0, -1) if v % 6 == 1), None)
     if d1 is None or d1 < 2:
         raise ValueError("no usable leading degree below d")
@@ -397,9 +377,7 @@ def _blocked(p: int, b: int, n: int, d: int):
         for i in range(h):
             offsets[i] += deg
     offsets[0] += b + 1
-    return s, offsets, {"p": p, "b": b, "d": d, "d1": d1, "mu_size": s,
-                        "heights": tuple(heights), "degrees": tuple(degrees),
-                        "path": "multi-wedge"}
+    return s, offsets
 
 
 def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
@@ -419,7 +397,7 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
         raise ValueError("requires n >= 4 for triple groups")
     if d < 3 * ((p + 1) // (n - 3)) + 3:
         raise ValueError(f"requires d >= {3 * ((p + 1) // (n - 3)) + 3}")
-    s, offsets, parameters = _single_wedge(p, b, n, d) or _blocked(p, b, n, d)
+    s, offsets = _single_wedge(p, b, n, d) or _blocked(p, b, n, d)
     copies = (n - 1) // 3
     molds: set[Partition] = set()
     count = 0
@@ -428,4 +406,4 @@ def almost_triplet_census(p: int, b: int, n: int, d: int) -> PatternReport:
         core += [1] * (n - 1 - len(core))
         molds.add(mold(normalize(tuple(c + o for c, o in zip(core, offsets)))))
         count += 1
-    return PatternReport(count, parameters, len(molds))
+    return PatternReport(count, len(molds))

@@ -2,8 +2,9 @@
 ratio experiments.
 
 Each suite runs a fixed set of exact identities or tolerance checks at
-desk-scale parameters and returns machine-readable verdicts.  The CLI
-exposes them under `verify`; the acceptance tests call them directly.
+desk-scale parameters and returns machine-readable verdicts; a verdict
+built from a list of failures comes from `_verdict`.  The CLI exposes
+them under `verify`; the acceptance tests call them directly.
 
 A ratio experiment divides two exact counts at a level d and compares the
 ratio with its theoretical limit: `EXPERIMENTS` names them, `ratio_counts`
@@ -32,6 +33,12 @@ class Check(NamedTuple):
     name: str
     passed: bool
     detail: str
+
+
+def _verdict(name: str, failures: Sequence[str], ok_detail: str) -> Check:
+    """A check that passes when there are no failures; its detail lists
+    them, or is ok_detail when there are none."""
+    return Check(name, not failures, "; ".join(failures) or ok_detail)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +173,19 @@ def ratio_check(name: str, experiment: str, parameters: dict,
 def suite_newell(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     from veroschur import constructions
 
-    out = []
-    for p in (1, 2, 3):
-        for d in (1, 2, 3, 4):
-            failures = constructions.newell_check(p, d, config)
-            out.append(Check(f"newell p={p} d={d}", not failures,
-                             "; ".join(failures) or "all shifts match"))
-    return out
+    return [_verdict(f"newell p={p} d={d}",
+                     constructions.newell_check(p, d, config),
+                     "all shifts match")
+            for p in (1, 2, 3) for d in (1, 2, 3, 4)]
 
 
 def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     from veroschur import constructions
 
-    out = []
-    for p in (1, 2, 3):
-        for d in (1, 2, 3):
-            failures = constructions.doubled_plethysm_check(p, d, config)
-            out.append(Check(f"doubling p={p} d={d}", not failures,
-                             "; ".join(failures) or "all doubled types present"))
-    return out
+    return [_verdict(f"doubling p={p} d={d}",
+                     constructions.doubled_plethysm_check(p, d, config),
+                     "all doubled types present")
+            for p in (1, 2, 3) for d in (1, 2, 3)]
 
 
 def suite_raicu(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
@@ -250,26 +251,23 @@ def suite_staircase(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     constructed = conditions = 0
     bad: list[str] = []
     for lam, b, p, d, n in samples:
-        w = constructions.staircase_exponents(lam, b, p)
-        es = w.exponents
-        if sum(es) != w.levels[0] or w.levels[-1] != 0 or \
-                any(es[i] <= es[i + 1] for i in range(len(es) - 1)) or es[-1] < 0:
-            # membership peels the split off lam as horizontal strips,
-            # which needs the exponents to sum to the level
+        es = constructions.staircase_exponents(lam, b, p)
+        # checked against the inputs: membership peels the split off lam
+        # as horizontal strips, which needs p + 1 exponents summing to
+        # |lam| - (b + 1)
+        if len(es) != p + 1 or sum(es) != sum(lam) - (b + 1) or \
+                any(e <= f for e, f in zip(es, es[1:])) or es[-1] < 0:
             bad.append(f"exponent invariants fail for {lam} b={b} p={p}")
             continue
-        res = constructions.staircase_membership(lam, b, p, d, n)
-        if res.verdict == "constructed":
+        verdict = constructions.staircase_membership(lam, b, p, d, n).verdict
+        if verdict == "constructed":
             constructed += 1
-            if res.chain[-1] != lam:
-                bad.append(f"chain does not end at {lam}")
-        elif res.verdict == "conditions-fail":
+        elif verdict == "conditions-fail":
             conditions += 1
         else:
             bad.append(f"pieri-fail at {lam} b={b} p={p} d={d} n={n}")
-    return [Check("staircase membership suite", not bad,
-                  "; ".join(bad) or
-                  f"{constructed} constructed, {conditions} conditions-fail")]
+    return [_verdict("staircase membership suite", bad,
+                     f"{constructed} constructed, {conditions} conditions-fail")]
 
 
 def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
@@ -283,8 +281,8 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
                 details.append(f"d={r.d} type count {r.shape_count}")
             if not r.multiplicity_ok:
                 details.append(f"d={r.d} multiplicity {r.content_count}")
-        out.append(Check(f"cone duality p={p} d<=6", not details,
-                         "; ".join(details) or "lattice counts match characters"))
+        out.append(_verdict(f"cone duality p={p} d<=6", details,
+                            "lattice counts match characters"))
     for p in (1, 2, 3):
         contents = cones.content_cone_section(p)
         details = []
@@ -298,8 +296,8 @@ def suite_kostka_cone(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
             # every content point lies over some shape
             if sum(fibres.values()) != cones.lattice_count(contents, d, config):
                 details.append(f"d={d} image mismatch")
-        out.append(Check(f"moment fibers p={p} d<=5", not details,
-                         "; ".join(details) or "fibers are Kostka numbers"))
+        out.append(_verdict(f"moment fibers p={p} d<=5", details,
+                            "fibers are Kostka numbers"))
     return out
 
 
@@ -333,13 +331,12 @@ def suite_patterns(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
                          (14, (10, 13, 16), "d in {10,13,16} (n=5)")):
         details = []
         for d in ds:
-            closed = constructions.twin_pattern_count_closed(p, 1, d)[0]
+            closed = constructions.twin_pattern_count_closed(p, 1, d)
             direct = constructions.twin_pattern_enumerate(p, 1, d)
             if closed != direct:
                 details.append(f"d={d}: {closed} != {direct}")
-        out.append(Check(f"twin census closed form vs enumeration p={p} b=1 "
-                         f"{label}", not details,
-                         "; ".join(details) or "all equal"))
+        out.append(_verdict(f"twin census closed form vs enumeration p={p} "
+                            f"b=1 {label}", details, "all equal"))
     counts = {}
     for n in (7, 10, 13):
         p = n - 1

@@ -398,6 +398,48 @@ def test_broken_staircase_split_fails_the_staircase_suite(monkeypatch, capsys):
     assert "exponent invariants fail" in out
 
 
+def test_split_at_the_wrong_level_fails_the_staircase_suite(monkeypatch,
+                                                            capsys):
+    # a split that is consistent with its own levels but taken at
+    # |lam| - (b + 2) fails the check against the inputs (exit 1 with a
+    # FAIL line), before membership compares shapes of different sizes
+    # (which raises ValueError, read as invalid arguments, exit 2)
+    import veroschur.constructions as constructions
+    split = constructions.staircase_exponents
+
+    def wrong_level(lam, b, p):
+        return split(lam, b + 1, p)
+
+    monkeypatch.setattr(constructions, "staircase_exponents", wrong_level)
+    monkeypatch.setattr("veroschur.verify.staircase_exponents", wrong_level,
+                        raising=False)
+    code, out, err = run_cli(capsys, "verify", "staircase")
+    assert code == 1 and err == ""
+    assert "[FAIL] staircase membership suite" in out
+    assert "exponent invariants fail" in out
+
+
+def test_split_one_exponent_short_fails_the_staircase_suite(monkeypatch,
+                                                            capsys):
+    # starting the split's loop at i = 1 leaves p exponents that still sum
+    # to the level, strictly decreasing (the last step takes e = level):
+    # only the count p + 1 of exponents tells it apart
+    import veroschur.constructions as constructions
+    split = constructions.staircase_exponents
+
+    def no_first_step(lam, b, p):
+        constructions.range = lambda stop: range(1, stop)
+        try:
+            return split(lam, b, p)
+        finally:
+            del constructions.range
+
+    monkeypatch.setattr(constructions, "staircase_exponents", no_first_step)
+    code, out, err = run_cli(capsys, "verify", "staircase")
+    assert code == 1 and err == ""
+    assert "exponent invariants fail" in out
+
+
 def test_non_tableau_point_fails_the_kostka_cone_suite(monkeypatch, capsys):
     # a content section that admits points that are not tableaux is a
     # failed check (exit 1 with a FAIL line), not invalid arguments (exit

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from veroschur.characters import (schur_decompose, sym_power_sym,
                                   total_multiplicity, wedge_power_sym)
-from veroschur.constructions import (almost_triplet_census,
+from veroschur.constructions import (_single_wedge, almost_triplet_census,
                                      doubled_plethysm_check, first_strip_chain,
                                      h0_projective, max_n_green, mold,
                                      newell_check, remove_visible_boxes,
@@ -59,10 +59,10 @@ def test_remove_visible_boxes_is_strip():
 
 
 def test_staircase_exponents_examples():
-    w = staircase_exponents((2, 1, 1), 0, 1)  # L0 = 3
-    assert w.exponents == (2, 1) and w.levels == (3, 1, 0)
-    w = staircase_exponents((13,), 0, 2)  # L0 = 12
-    assert w.exponents == (5, 4, 3) and w.levels[-1] == 0
+    es = staircase_exponents((2, 1, 1), 0, 1)  # L0 = 3
+    assert es == (2, 1) and sum(es) == 3
+    es = staircase_exponents((13,), 0, 2)  # L0 = 12
+    assert es == (5, 4, 3) and sum(es) == 12
     with pytest.raises(ValueError):
         staircase_exponents((2,), 0, 2)  # L0 = 1 below staircase minimum
 
@@ -70,12 +70,11 @@ def test_staircase_exponents_examples():
 def test_staircase_exponents_always_exact():
     for p in (1, 2, 3, 4):
         for total in range(p * (p + 1) // 2, 120):
-            w = staircase_exponents((total + 1,), 0, p)
-            es = w.exponents
+            es = staircase_exponents((total + 1,), 0, p)
+            assert len(es) == p + 1
             assert sum(es) == total
             assert all(es[i] > es[i + 1] for i in range(p))
             assert es[-1] >= 0
-            assert w.levels[-1] == 0
 
 
 def test_staircase_membership_example():
@@ -83,7 +82,7 @@ def test_staircase_membership_example():
     assert res.verdict == "constructed"
     assert res.chain[-1] == (4, 2)
     # chain builds by horizontal strips of the advertised sizes
-    sizes = [e for e in (1,) + res.witness.exponents if e > 0]
+    sizes = [e for e in (1,) + res.exponents if e > 0]
     prev = ()
     from oracles import pieri
     for shape, size in zip(res.chain, sizes):
@@ -133,10 +132,9 @@ def test_staircase_random_suite():
     assert len(samples) == 100
     for lam, b, p, d, n in samples:
         res = staircase_membership(lam, b, p, d, n)
-        w = res.witness
-        assert sum(w.exponents) == sum(lam) - (b + 1)
-        assert all(w.exponents[i] > w.exponents[i + 1]
-                   for i in range(len(w.exponents) - 1))
+        es = res.exponents
+        assert sum(es) == sum(lam) - (b + 1)
+        assert all(es[i] > es[i + 1] for i in range(len(es) - 1))
         assert res.verdict in ("constructed", "conditions-fail")
         if res.verdict == "constructed":
             assert res.chain[-1] == lam
@@ -150,7 +148,7 @@ def test_membership_agrees_with_kostka_positivity():
     # dominates the staircase, so membership must match Kostka positivity
     for lam, b, p, d, n in sample_staircase_inputs(40, seed=5):
         res = staircase_membership(lam, b, p, d, n)
-        weight = tuple(sorted((b + 1,) + res.witness.exponents, reverse=True))
+        weight = tuple(sorted((b + 1,) + res.exponents, reverse=True))
         weight = tuple(v for v in weight if v)
         if res.verdict == "constructed":
             assert kostka(lam, weight) > 0
@@ -191,13 +189,13 @@ def test_twin_pattern_predicate_and_expand():
 
 def test_twin_census_closed_form_equals_enumeration():
     for d in range(5, 31):
-        assert twin_pattern_count_closed(3, 1, d)[0] == \
+        assert twin_pattern_count_closed(3, 1, d) == \
             twin_pattern_enumerate(3, 1, d)
     # regimes with the full pattern machinery: n = 5 at p = 14 and n = 6 at
     # p = 20, where the enumeration lists lam and takes no range from the
     # closed form
     for p, d in ((14, 10), (14, 13), (14, 16), (20, 12), (20, 16)):
-        assert twin_pattern_count_closed(p, 1, d)[0] == \
+        assert twin_pattern_count_closed(p, 1, d) == \
             twin_pattern_enumerate(p, 1, d)
 
 
@@ -229,9 +227,9 @@ def test_almost_triplet_census():
 def test_almost_triplet_multi_wedge():
     # d < p + 2, and d >= p + 2 with a non-integral triple size: both reach
     # the blocked construction from the inputs alone
-    for args in ((9, 1, 10, 10), (4, 1, 5, 11)):
-        rep = almost_triplet_census(*args)
-        assert rep.parameters["path"] == "multi-wedge", args
+    for p, b, n, d in ((9, 1, 10, 10), (4, 1, 5, 11)):
+        assert _single_wedge(p, b, n, d) is None, (p, n, d)
+        rep = almost_triplet_census(p, b, n, d)
         assert rep.molds == rep.partitions > 0
 
 
@@ -249,7 +247,8 @@ def test_almost_triplet_route_follows_applicability():
                 except ValueError:
                     assert not single, (p, n, d)
                     continue
-                path = rep.parameters["path"]
+                path = ("multi-wedge" if _single_wedge(p, 1, n, d) is None
+                        else "single-wedge")
                 assert path == ("single-wedge" if single else "multi-wedge"), \
                     (p, n, d)
                 assert rep.molds == rep.partitions
@@ -284,7 +283,7 @@ def test_census_members_satisfy_membership():
     p, b = 14, 1
     d = 40
     from veroschur.constructions import _twin_bounds
-    B, lo, hi, upper = _twin_bounds(p, b, d, 5)
+    lo, hi, upper = _twin_bounds(p, b, d, 5)
     lam1 = lo + 2
     top = min(upper(lam1), lam1)
     assert top >= lo

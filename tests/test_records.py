@@ -10,7 +10,6 @@ from veroschur.characters import SchurExpansion, WeightTable
 from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
-from veroschur.constructions import staircase_exponents
 from veroschur.koszul import KoszulBlock, KoszulSpec
 from veroschur.verify import Check
 
@@ -116,7 +115,6 @@ FROZEN = {
     "DualityRow": lambda: DualityRow(1, 2, 3, True, True),
     "FitResult": lambda: FitResult(1, Fraction(1), Fraction(1), Fraction(0)),
     "ConeCrossSection": lambda: shape_cone_section(2),
-    "StaircaseWitness": lambda: staircase_exponents((4, 3), 0, 1),
     "Check": lambda: Check("c", True, "ok"),
 }
 
