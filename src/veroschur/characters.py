@@ -41,8 +41,9 @@ Weight = tuple[int, ...]
 
 
 class NotACharacter(Exception):
-    """A computed character is not a nonnegative sum of irreducible
-    characters: a fault of the program, not of its arguments."""
+    """A computed character (a WeightTable or SchurExpansion) is malformed
+    or not a nonnegative sum of irreducible characters: a fault of the
+    program, not of its arguments."""
 
 
 def is_dominant(w: Sequence[int]) -> bool:
@@ -70,9 +71,9 @@ class WeightTable(Record):
         entries = {} if entries is None else entries
         for w, c in entries.items():
             if len(w) != n or sum(w) != degree or not is_dominant(w):
-                raise ValueError(f"bad dominant weight {w} for degree {degree}")
+                raise NotACharacter(f"bad dominant weight {w} for degree {degree}")
             if c <= 0:
-                raise ValueError(f"nonpositive entry at {w}")
+                raise NotACharacter(f"nonpositive entry at {w}")
         self._freeze(n, degree, dict(sorted(entries.items(), reverse=True)))
 
     def dimension(self) -> int:
@@ -88,10 +89,11 @@ class SchurExpansion(Record):
                  terms: dict[Partition, int] | None = None) -> None:
         terms = {} if terms is None else terms
         for lam, c in terms.items():
-            if normalize(lam) != lam or len(lam) > n or sum(lam) != degree:
-                raise ValueError(f"bad term {lam} for n={n}, degree {degree}")
+            if sorted(lam, reverse=True) != list(lam) or lam and lam[-1] < 1 \
+                    or len(lam) > n or sum(lam) != degree:
+                raise NotACharacter(f"bad term {lam} for n={n}, degree {degree}")
             if c <= 0:
-                raise ValueError(f"nonpositive multiplicity at {lam}")
+                raise NotACharacter(f"nonpositive multiplicity at {lam}")
         self._freeze(n, degree, dict(sorted(terms.items(), reverse=True)))
 
     def multiplicity(self, lam: Sequence[int]) -> int:

@@ -297,9 +297,7 @@ class FitResult(NamedTuple):
     """Leading-coefficient estimate by divided differences on the last two
     windows of samples; relative_change is the convergence diagnostic."""
 
-    degree: int
     estimate: Fraction
-    previous: Fraction
     relative_change: Fraction
 
 
@@ -333,4 +331,4 @@ def fit_leading_coefficient(samples: Sequence[tuple[int, int]],
         change = Fraction(0) if prev == 0 else Fraction(1)
     else:
         change = abs(last - prev) / abs(last)
-    return FitResult(degree, last, prev, change)
+    return FitResult(last, change)

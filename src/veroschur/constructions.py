@@ -3,11 +3,12 @@
 Covers the duality between symmetric and exterior plethysms, positivity of
 doubled partitions in even plethysms, the staircase-exponent membership
 construction behind the twisted linear strand (its result holds the
-exponents of the split and the first horizontal-strip chain, taken
-greedily), and the twin and almost-triplet pattern censuses used for
-counting distinct Schur types.  The almost-triplet census picks its
-construction from its inputs: single-wedge where that applies, blocked
-otherwise; its report holds two counts, members and distinct molds.
+exponents of the split and the first horizontal-strip chain, peeled in
+closed form, bottom row first), and the twin and almost-triplet pattern
+censuses used for counting distinct Schur types.  The almost-triplet
+census picks its construction from its inputs: single-wedge where that
+applies, blocked otherwise; its report holds two counts, members and
+distinct molds.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import NamedTuple, Sequence
 from veroschur.characters import sym_power_sym, wedge_power_sym
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.partitions import (Partition, add, conjugate, dominates,
-                                  horizontal_strips_down, length, normalize,
-                                  part, partitions_of)
+                                  length, normalize, part, partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +130,29 @@ def first_strip_chain(lam: Sequence[int],
     leading (), in which nu_i / nu_{i-1} is a horizontal strip of
     sizes[i-1] boxes; None when there is none (the Kostka number is 0).
 
-    The chain is built from lam down, one step per size: each step takes
-    the first strip in horizontal_strips_down order whose shape dominates
-    the sorted sizes still to place.  That is Kostka positivity, so the
-    shape taken always completes and no step backtracks.  sizes may
+    Each step, last size first, peels its k boxes from the bottom row up,
+    row i giving at most shape_i - shape_{i+1}: rows i and below lose
+    min(k, shape_i) in all, so row i keeps max(shape_i - k, 0) +
+    min(k, shape_{i+1}).  No strip of k boxes removes fewer from any top
+    block of rows, so this shape is the first strip down in decreasing lex
+    order and dominates every other; by Kostka positivity (Macdonald
+    I.6-I.7) it completes the chain whenever any strip does, and the peel
+    fails, with k > shape_0, exactly when K_{lam,sizes} = 0.  sizes may
     contain zeros; a negative size or a total other than |lam| raises
     ValueError.
     """
     shape = normalize(lam)
     sizes = tuple(sizes)
-    if not dominates(shape, sorted(sizes, reverse=True)):
-        return None
+    if min(sizes, default=0) < 0 or sum(sizes) != sum(shape):
+        raise ValueError(f"strip sizes {sizes} must be nonnegative and "
+                         f"add up to |{shape}|")
     chain = []
-    for k in range(len(sizes) - 1, -1, -1):
+    for k in reversed(sizes):
         chain.append(shape)
-        rest = sorted(sizes[:k], reverse=True)
-        shape = next(nu for nu in horizontal_strips_down(shape, sizes[k])
-                     if dominates(nu, rest))
+        if k > part(shape, 0):
+            return None
+        shape = normalize([max(v - k, 0) + min(k, part(shape, i + 1))
+                           for i, v in enumerate(shape)])
     return tuple(reversed(chain))
 
 

@@ -1,5 +1,5 @@
-"""Integer partitions: conjugation, dominance, vectors in a box, horizontal
-strips, counts.
+"""Integer partitions: conjugation, dominance, vectors in a box, counts,
+and the hook-length dimension formulas.
 
 Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros; missing parts are treated as 0.  All counts are
@@ -8,7 +8,7 @@ exact Python integers.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, perm
 from operator import gt
 from typing import Iterator, Sequence
 
@@ -105,15 +105,6 @@ def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
     return out
 
 
-def horizontal_strips_down(lam: Sequence[int], k: int) -> list[Partition]:
-    """All nu <= lam with lam/nu a horizontal strip of k boxes: nu
-    interlaces lam from below, lam_{i+1} <= nu_i <= lam_i, in decreasing
-    lexicographic order."""
-    lam = normalize(lam)
-    lo = lam[1:] + (0,) if lam else ()
-    return [normalize(nu) for nu in vectors_in_box(lo, lam, sum(lam) - k)]
-
-
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of n, in decreasing lexicographic order, by a walk
     over a stack of (rest, largest part allowed, parts so far).  A part is
@@ -148,31 +139,31 @@ def count_partitions(n: int, max_parts: int | None = None) -> int:
     return ways[n]
 
 
+def _hook_product(lam: Partition) -> int:
+    """Product of the hook lengths of the boxes of lam."""
+    conj = conjugate(lam)
+    out = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            out *= row - j + conj[j] - i - 1
+    return out
+
+
 def sym_group_irrep_dim(mu: Sequence[int]) -> int:
     """Number of standard Young tableaux of shape mu (hook lengths)."""
     mu = normalize(mu)
-    n = sum(mu)
-    if n == 0:
-        return 1
-    conj = conjugate(mu)
-    denom = 1
-    for i, row in enumerate(mu):
-        for j in range(row):
-            denom *= row - j + conj[j] - i - 1
-    return factorial(n) // denom
+    return factorial(sum(mu)) // _hook_product(mu)
 
 
 def gl_dimension(lam: Sequence[int], n: int) -> int:
     """Dimension of the irreducible GL_n representation of highest weight
     lam: the product over the boxes of lam of (n + content) / hook
-    (Stanley, EC2 7.21.2)."""
+    (Stanley, EC2 7.21.2); the boxes of row i give (n - i) up to
+    (n - i + lam_i - 1)."""
     lam = normalize(lam)
     if len(lam) > n:
         return 0
-    conj = conjugate(lam)
-    num = den = 1
+    num = 1
     for i, row in enumerate(lam):
-        for j in range(row):
-            num *= n + j - i
-            den *= row - j + conj[j] - i - 1
-    return num // den
+        num *= perm(n - i + row - 1, row)
+    return num // _hook_product(lam)

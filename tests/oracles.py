@@ -24,8 +24,7 @@ from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec
-from veroschur.partitions import (Partition, dominates,
-                                  horizontal_strips_down, normalize, part,
+from veroschur.partitions import (Partition, dominates, normalize, part,
                                   partitions_of, vectors_in_box)
 
 
@@ -110,6 +109,16 @@ def pieri_rows(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
 
     rec(0, b, [])
     return tuple(out)
+
+
+def horizontal_strips_down(lam: Sequence[int], k: int) -> list[Partition]:
+    """All nu <= lam with lam/nu a horizontal strip of k boxes: nu
+    interlaces lam from below, lam_{i+1} <= nu_i <= lam_i, in decreasing
+    lexicographic order.  constructions.first_strip_chain peels the first
+    of them in closed form, without listing the others."""
+    lam = normalize(lam)
+    lo = lam[1:] + (0,) if lam else ()
+    return [normalize(nu) for nu in vectors_in_box(lo, lam, sum(lam) - k)]
 
 
 def strips_down_rows(lam: Sequence[int], k: int) -> Iterator[Partition]:

@@ -264,11 +264,11 @@ def test_alternant_products_are_capped_before_they_run():
 
 
 def test_weight_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotACharacter):
         WeightTable(2, 4, {(1, 3): 1})  # not dominant
-    with pytest.raises(ValueError):
+    with pytest.raises(NotACharacter):
         WeightTable(2, 4, {(2, 1): 1})  # wrong degree
-    with pytest.raises(ValueError):
+    with pytest.raises(NotACharacter):
         SchurExpansion(2, 4, {(1, 1, 1, 1): 1})  # too long
 
 

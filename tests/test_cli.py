@@ -361,6 +361,25 @@ def test_broken_decomposition_is_an_internal_error(monkeypatch, capsys):
     assert err.endswith(" is not a nonnegative multiple of 2\n")
 
 
+def test_malformed_term_is_an_internal_error(monkeypatch, capsys):
+    # a product whose first term has one box too many leaves a term of the
+    # wrong degree; SchurExpansion holds computed characters only, so that
+    # is a fault of the program (exit 4), not a usage error (exit 2)
+    from veroschur import characters
+    right = characters._power_product
+
+    def one_box_over(*args):
+        (lam, c), *rest = right(*args).items()
+        return dict([((lam[0] + 1,) + lam[1:], c), *rest])
+
+    monkeypatch.setattr(characters, "_power_product", one_box_over)
+    code, out, err = run_cli(capsys, "decompose", "tensor", "-p", "2",
+                             "-d", "2")
+    assert code == 4 and out == ""
+    assert err == ("internal error: NotACharacter: "
+                   "bad term (6,) for n=2, degree 4\n")
+
+
 def test_mold_collision_fails_the_patterns_suite(monkeypatch, capsys):
     # colliding molds are a failed check (exit 1), not an internal error
     from veroschur.verify import run_suite

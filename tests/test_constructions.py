@@ -14,12 +14,12 @@ from veroschur.constructions import (_single_wedge, almost_triplet_census,
                                      staircase_exponents, staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
-from veroschur.partitions import partitions_of
+from veroschur.partitions import dominates, partitions_of
 from veroschur.verify import EXPERIMENTS, ratio_check, ratio_counts
 
 from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,
-                     has_twin_pattern, kostka, strip_chain, strip_chains,
-                     twin_expand)
+                     has_twin_pattern, horizontal_strips_down, kostka,
+                     strip_chain, strip_chains, twin_expand)
 
 
 def test_newell_small():
@@ -107,6 +107,25 @@ def test_greedy_strip_chain_matches_oracles(sizes, pick):
     assert first == next(strip_chains(lam, sizes), None) == \
         strip_chain(lam, tuple(sizes))
     assert (first is None) == (kostka(lam, sizes) == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+    st.sampled_from(tuple(partitions_of(n))), st.integers(0, n))))
+def test_peeled_strip_is_first_and_dominates_the_others(case):
+    # the lemma behind the chain: peeling k boxes bottom row first leaves
+    # the first shape that the strip listing gives, and that shape
+    # dominates every other one.  Single boxes then complete any shape, so
+    # the chain is None exactly when no strip of k boxes exists
+    lam, k = case
+    strips = horizontal_strips_down(lam, k)
+    chain = first_strip_chain(lam, (1,) * (sum(lam) - k) + (k,))
+    if not strips:
+        assert chain is None
+        return
+    peeled = (((),) + chain)[-2]
+    assert peeled == strips[0]
+    assert all(dominates(peeled, nu) for nu in strips)
 
 
 def test_first_strip_chain_examples():

@@ -24,9 +24,16 @@ Artinian quotient; perfbench runs none of these commands.  The ratio
 hashes were taken before the ratio experiments moved from constructions
 into verify; perfbench runs the first three of them.  A refactor that
 changes any answer, label or key order changes the hash.
+
+The benchmark's own goldens, perfbench/goldens.json, are replayed here too:
+every command of its workload pools, in process, against the exit code and
+stdout hash that the benchmark checks, so output drift shows in these tests
+and not only at the benchmark's output gate.  The file is only read.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +116,9 @@ RATIO_GOLDENS = {
     "ratios --theorem schur-share -p 3 --mu 2,1 --d-max 12": "0480f0b05b2e3735303029cd19eb68eef8b40f61485e98d2399e22c4b63fb700",
 }
 
+BENCH_GOLDENS = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "goldens.json").read_text())
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDENS))
 def test_verify_suite_output_is_unchanged(suite, capsys):
@@ -148,3 +158,11 @@ def test_ratios_output_is_unchanged(args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RATIO_GOLDENS[args]
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_GOLDENS))
+def test_bench_command_output_is_unchanged(command, capsys):
+    code = main([*command.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} \
+        == BENCH_GOLDENS[command]

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veroschur.partitions import (add, conjugate, count_partitions, dominates,
-                                  gl_dimension, horizontal_strips_down,
-                                  normalize, partitions_of,
+                                  gl_dimension, normalize, partitions_of,
                                   sym_group_irrep_dim, vectors_in_box)
 
-from oracles import (gl_dimension_weyl, partitions_rec, pieri, pieri_rows,
-                     strips_down_rows)
+from oracles import (gl_dimension_weyl, horizontal_strips_down,
+                     partitions_rec, pieri, pieri_rows, strips_down_rows)
 
 
 def partitions_upto(n):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from veroschur.characters import SchurExpansion, WeightTable
+from veroschur.characters import NotACharacter, SchurExpansion, WeightTable
 from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
@@ -89,17 +89,20 @@ def test_row_content_matrix_messages(p, d, t, message):
 
 
 def test_expansion_and_table_messages():
+    # the records hold computed characters, so a bad term or entry is a
+    # fault of the program (exit 4), not a usage error
     for terms, message in (({(2, 1, 0): 1}, r"bad term \(2, 1, 0\) for n=2, degree 3"),
+                           ({(1, 2): 1}, r"bad term \(1, 2\) for n=2, degree 3"),
                            ({(1, 1, 1): 1}, r"bad term \(1, 1, 1\) for n=2, degree 3"),
                            ({(2,): 1}, r"bad term \(2,\) for n=2, degree 3"),
                            ({(3,): 0}, r"nonpositive multiplicity at \(3,\)")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(NotACharacter, match=f"^{message}$"):
             SchurExpansion(2, 3, terms)
     for entries, message in (({(1, 2): 1}, r"bad dominant weight \(1, 2\) for degree 3"),
                              ({(3,): 1}, r"bad dominant weight \(3,\) for degree 3"),
                              ({(2, 0): 1}, r"bad dominant weight \(2, 0\) for degree 3"),
                              ({(3, 0): -2}, r"nonpositive entry at \(3, 0\)")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(NotACharacter, match=f"^{message}$"):
             WeightTable(2, 3, entries)
     # the terms are stored in decreasing order, in a copy
     terms = {(1, 1): 2, (2,): 1}
@@ -113,7 +116,7 @@ FROZEN = {
     "KoszulSpec": lambda: KoszulSpec(1, 1, 0, 2),
     "RowContentMatrix": lambda: RowContentMatrix.from_offdiag(2, 2, (1,)),
     "DualityRow": lambda: DualityRow(1, 2, 3, True, True),
-    "FitResult": lambda: FitResult(1, Fraction(1), Fraction(1), Fraction(0)),
+    "FitResult": lambda: FitResult(Fraction(1), Fraction(0)),
     "ConeCrossSection": lambda: shape_cone_section(2),
     "Check": lambda: Check("c", True, "ok"),
 }

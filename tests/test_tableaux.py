@@ -3,10 +3,11 @@ from itertools import permutations, product
 import pytest
 
 from veroschur.cones import offdiag_pairs
-from veroschur.partitions import dominates, horizontal_strips_down, partitions_of
+from veroschur.partitions import dominates, partitions_of
 
-from oracles import (RowContentMatrix, Tableau, enumerate_ssyt, kostka,
-                     matrix_to_tableau, strip_chains, tableau_to_matrix)
+from oracles import (RowContentMatrix, Tableau, enumerate_ssyt,
+                     horizontal_strips_down, kostka, matrix_to_tableau,
+                     strip_chains, tableau_to_matrix)
 
 
 def brute_kostka(shape, weight):
