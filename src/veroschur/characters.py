@@ -19,8 +19,10 @@ p_k[h_d] is one walk over horizontal strips on the k-runner abacus of
 lam + delta (_power_product), and k = 1 is the Pieri rule, so the tensor
 power h_d^p is the chain of p such steps.  No product lists a term longer
 than n, which is exact because restricting to n variables is a ring map;
-each division by m is checked to be exact, and the dimension is checked
-against the binomial closed form.
+each division by m is checked to be exact, and the dimension of every
+power against its binomial closed form.  newton_powers returns the powers
+H_0..H_p, so the Koszul strands (koszul.strand_euler_characteristic) run
+the same loop.
 
 schur_decompose turns a weight table (the Koszul cohomology) into Schur
 terms by the alternant formula.
@@ -166,22 +168,22 @@ def _power_product(terms: dict[Partition, int], k: int, d: int, n: int,
     return {mu: c for mu, c in out.items() if c}
 
 
-def _plethysm(p: int, d: int, n: int, wedge: bool,
-              config: RunConfig) -> SchurExpansion:
-    """Schur terms of h_p[h_d] or e_p[h_d] by Newton's identity composed
-    with h_d,
+def newton_powers(p: int, d: int, n: int, wedge: bool,
+                  config: RunConfig) -> list[dict[Partition, int]]:
+    """The Schur terms of H_0, ..., H_p, where H_m is h_m[h_d] or e_m[h_d],
+    by Newton's identity composed with h_d,
 
         m H_m = sum over k = 1..m of eps_k p_k[h_d] H_{m-k},
 
     from H_0 = 1, with eps_k = (-1)^(k-1) for e and 1 for h.  Each
-    division by m is checked to be exact and nonnegative, and the
-    dimension is checked against the closed form C(N+p-1, p) or C(N, p),
-    N = C(n+d-1, d).  Each product is s_lam p_k[h_d] by _power_product.
-    Before each product with k >= 2 runs, its terms times N, an upper
-    bound on the strips that it lists, count against max_enum_nodes with
-    those of every such product so far; the stored H_j, the running sum
-    and the product being filled count against max_table_entries as each
-    product fills."""
+    division by m is checked to be exact and nonnegative, and once the
+    loop is done the dimension of every H_m is checked against the closed
+    form C(N+m-1, m) or C(N, m), N = C(n+d-1, d).  Each product is
+    s_lam p_k[h_d] by _power_product.  Before each product with k >= 2
+    runs, its terms times N, an upper bound on the strips that it lists,
+    count against max_enum_nodes with those of every such product so far;
+    the stored H_j, the running sum and the product being filled count
+    against max_table_entries as each product fills."""
     _check_power_args(p, d, n)
     monos = comb(n + d - 1, d)
     powers: list[dict[Partition, int]] = [{(): 1}]
@@ -206,26 +208,27 @@ def _plethysm(p: int, d: int, n: int, wedge: bool,
             if mult:
                 terms[lam] = mult
         powers.append(terms)
-    out = SchurExpansion(n, p * d, powers[-1])
-    want = comb(monos, p) if wedge else comb(monos + p - 1, p)
-    if out.dimension() != want:
-        raise NotACharacter(f"dimension {out.dimension()} after "
-                            f"decomposition, expected {want}")
-    return out
+    for m, terms in enumerate(powers):
+        dim = sum(c * gl_dimension(lam, n) for lam, c in terms.items())
+        want = comb(monos, m) if wedge else comb(monos + m - 1, m)
+        if dim != want:
+            raise NotACharacter(f"dimension {dim} at power {m} after "
+                                f"decomposition, expected {want}")
+    return powers
 
 
 def wedge_power_sym(p: int, d: int, n: int,
                     config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
     """Schur decomposition of the p-th exterior power of Sym^d(C^n), d >= 0:
     e_p[h_d], empty when p exceeds the number of monomials."""
-    return _plethysm(p, d, n, True, config)
+    return SchurExpansion(n, p * d, newton_powers(p, d, n, True, config)[-1])
 
 
 def sym_power_sym(p: int, d: int, n: int,
                   config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
     """Schur decomposition of the p-th symmetric power of Sym^d(C^n),
     d >= 0: h_p[h_d]."""
-    return _plethysm(p, d, n, False, config)
+    return SchurExpansion(n, p * d, newton_powers(p, d, n, False, config)[-1])
 
 
 def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:

@@ -8,8 +8,9 @@ exact Python integers.
 
 from __future__ import annotations
 
-from math import factorial, perm
-from operator import gt
+from itertools import combinations, starmap
+from math import factorial, perm, prod
+from operator import gt, sub
 from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -140,13 +141,18 @@ def count_partitions(n: int, max_parts: int | None = None) -> int:
 
 
 def _hook_product(lam: Partition) -> int:
-    """Product of the hook lengths of the boxes of lam."""
-    conj = conjugate(lam)
-    out = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            out *= row - j + conj[j] - i - 1
-    return out
+    """Product of the hook lengths of the boxes of lam, by Frobenius's
+    formula: with l = len(lam) and the shifted parts s_i = lam_i + l - 1 - i,
+    it is prod_i s_i! over prod_{i<j} (s_i - s_j) (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.1 Ex. 1).  The conjugate has the
+    same hooks, so the one with fewer rows is used: a partition with a
+    long first row and few rows, such as a Koszul or plethysm term over
+    few variables, takes one factorial per row, not one factor per box."""
+    if lam and lam[0] < len(lam):
+        lam = conjugate(lam)
+    shifted = [v + len(lam) - 1 - i for i, v in enumerate(lam)]
+    return prod(map(factorial, shifted)) // prod(
+        starmap(sub, combinations(shifted, 2)))
 
 
 def sym_group_irrep_dim(mu: Sequence[int]) -> int:

@@ -71,6 +71,31 @@ def test_syzygy_examples(capsys):
     assert json.loads(out)["terms"] == [{"lambda": [], "mult": "1"}]
 
 
+def test_syzygy_answers_by_theorem(capsys):
+    # (4, 4, 4, 4) folds to (4, 5, 0, 4), empty by Green's theorem: the
+    # basis search at n = 9 ran 72 s and tripped the matrix cap
+    code, out, err = run_cli(capsys, "syzygy", "-p", "4", "-q", "4", "-b", "4",
+                             "-d", "4", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["terms"] == [] and payload["degree"] == 36
+
+
+def test_negative_strand_multiplicity_is_an_internal_error(monkeypatch,
+                                                           capsys):
+    # (-1)^p times the Euler characteristic of strand p + 1 is K_{p,1} on
+    # the rule, so a negative multiplicity in it is a fault of the program
+    from veroschur import koszul
+    right = koszul.strand_euler_characteristic
+    monkeypatch.setattr(koszul, "strand_euler_characteristic",
+                        lambda *args: {(3, 1): 1, **right(*args)})
+    code, out, err = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
+                             "-n", "2")
+    assert code == 4 and out == ""
+    assert err == ("internal error: NotACharacter: negative multiplicity -1 "
+                   "at (3, 1)\n")
+
+
 def test_json_outputs_validate_against_schema(capsys, schema):
     cases = [
         ("decompose", "tensor", "-p", "2", "-d", "2", "--format", "json"),
@@ -178,11 +203,12 @@ def test_exit_codes(capsys):
                            "--max-entries", "-5")
     assert code == 2
     assert "max_table_entries must be positive" in err
-    # the cap bounds the Koszul basis too, counted over the Artinian quotient
-    code, _, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "1", "-d", "3",
-                           "--max-entries", "50")
+    # the cap bounds the Koszul basis too, counted over the Artinian
+    # quotient; the spec is twisted (b = 1), so it runs the basis search
+    code, _, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "1", "-b", "1",
+                           "-d", "3", "--max-entries", "50")
     assert code == 3
-    assert err == ("resource cap exceeded: Koszul basis elements: needed 51, "
+    assert err == ("resource cap exceeded: Koszul basis elements: needed 78, "
                    "cap 50 (max_table_entries)\n")
     code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
                            "--d-max", "3", "--d-step", "0")

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from veroschur.characters import (schur_decompose, total_multiplicity,
-                                  wedge_power_sym)
+from veroschur import koszul
+from veroschur.characters import (NotACharacter, schur_decompose,
+                                  total_multiplicity, wedge_power_sym)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.intrank import rank_sparse
 from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
                               build_blocks, cohomology_table,
                               green_vanishing_predicted,
-                              raicu_predicted_kp0, syzygy_decompose)
+                              raicu_predicted_kp0, strand_euler_characteristic,
+                              syzygy_decompose)
 from veroschur.partitions import partitions_of, vectors_in_box
 
 from oracles import (blocks_by_product, char_sym_sym, compose, dense,
@@ -156,12 +158,19 @@ def test_green_vanishing_predicate():
     assert not green_vanishing_predicted(3, 2, 2)
 
 
+def searched(spec):
+    """The basis search's decomposition, which syzygy_decompose skips on
+    its rules."""
+    return schur_decompose(cohomology_table(spec))
+
+
 def test_green_vanishing_holds():
+    # by the search: syzygy_decompose answers these specs by the predicate
     for p in (1, 2, 3):
         for d in range(p, 5):
             for n in (2, 3):
                 assert green_vanishing_predicted(p, 2, d)
-                e = syzygy_decompose(KoszulSpec(p, 2, 0, d, n))
+                e = searched(KoszulSpec(p, 2, 0, d, n))
                 assert e.terms == {}, (p, d, n)
 
 
@@ -245,7 +254,7 @@ def test_matrix_cap():
     # x^3y (x) xy^3, x^2y^2 (x) x^2y^2 and xy^3 (x) x^3y
     tiny = RunConfig(max_matrix_dim=2)
     with pytest.raises(CapExceeded):
-        syzygy_decompose(KoszulSpec(1, 1, 0, 4, 2), tiny)
+        cohomology_table(KoszulSpec(1, 1, 0, 4, 2), tiny)
 
 
 @settings(max_examples=40, deadline=None)
@@ -521,3 +530,104 @@ def test_quotient_cohomology_matches_full_ring(spec):
     # pure powers are a regular sequence
     assume(_product_space(spec.p, spec.q, spec.b, spec.d, spec.n) <= 20_000)
     assert cohomology_table(spec).entries == unreduced_cohomology(spec)
+
+
+@st.composite
+def strands(draw):
+    """(n, d, b, m) with n <= 3, d <= 4, 0 <= b < d and 1 <= m <= 4."""
+    n, d, m = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+               draw(st.integers(1, 4)))
+    return n, d, draw(st.integers(0, d - 1)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(strands())
+@example((3, 4, 3, 4))
+def test_strand_euler_characteristic_matches_the_search(strand):
+    # sum_k (-1)^k [wedge^k S^d (x) S^{(m-k)d+b}] is the Euler
+    # characteristic of strand m, so it is sum_k (-1)^k [K_{k,m-k}(b; d)]
+    n, d, b, m = strand
+    want: dict = {}
+    for k in range(m + 1):
+        for lam, c in searched(KoszulSpec(k, m - k, b, d, n)).terms.items():
+            want[lam] = want.get(lam, 0) + (-1) ** k * c
+    assert strand_euler_characteristic(m, b, d, n) == \
+        {lam: c for lam, c in want.items() if c}
+
+
+@st.composite
+def on_rule_specs(draw):
+    """A spec with b % d = 0 on one of the two rules of syzygy_decompose:
+    q' = 1 with d >= p - 1, or q' >= 2 with d >= p, the boundary d drawn
+    on its own; folded as q = q' - j and b = jd for any j, so q = 0 with
+    b = d, and b = 2d, are drawn too."""
+    p, n = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    folded = draw(st.sampled_from((1, 1, 2, 3)))
+    low = max(p - 1 if folded == 1 else p, 1)
+    d = draw(st.just(low) | st.integers(low, 5))
+    j = draw(st.integers(0, folded))
+    return KoszulSpec(p, folded - j, j * d, d, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(on_rule_specs())
+@example(KoszulSpec(3, 1, 0, 2, 3))
+@example(KoszulSpec(4, 1, 0, 3, 3))
+@example(KoszulSpec(2, 0, 3, 3, 3))
+@example(KoszulSpec(1, 0, 4, 2, 3))
+def test_on_rule_specs_match_the_search(spec):
+    assert syzygy_decompose(spec) == searched(spec)
+
+
+def test_route_follows_the_rule(monkeypatch):
+    # on the rules no basis is searched; off them (b' > 0, q' = 0, q' = 1
+    # with d < p - 1, q' >= 2 with d < p) the search runs.  Green's bound
+    # is not sharp, so at these sizes a rule one d too wide would still
+    # give the search's answers: this test, not the comparison, pins the
+    # rule to the theorem
+    def no_search(spec, config):
+        raise AssertionError(f"searched {spec}")
+
+    monkeypatch.setattr(koszul, "cohomology_table", no_search)
+    for spec in (KoszulSpec(3, 1, 0, 2), KoszulSpec(2, 0, 3, 3, 3),
+                 KoszulSpec(2, 2, 0, 3), KoszulSpec(4, 4, 4, 4),
+                 KoszulSpec(0, 0, 10, 5, 2)):
+        syzygy_decompose(spec)
+    for spec in (KoszulSpec(2, 1, 1, 4, 3), KoszulSpec(2, 0, 1, 6, 3),
+                 KoszulSpec(1, 0, 0, 2), KoszulSpec(4, 1, 0, 2, 3),
+                 KoszulSpec(3, 2, 0, 2, 3), KoszulSpec(2, 0, 5, 3, 3)):
+        with pytest.raises(AssertionError, match="searched"):
+            syzygy_decompose(spec)
+
+
+def test_linear_strand_trips_the_plethysm_caps(monkeypatch):
+    # an on-rule spec counts its Newton loop as the plethysms do: at
+    # (p, d, n) = (2, 3, 3) the first product with k >= 2, p_2[h_3] times
+    # E_0, lists up to N = 10 strips, the three of them up to 30, and the
+    # stored powers and the running sum reach 26 Schur terms
+    monkeypatch.setattr(koszul, "cohomology_table", None)
+    spec = KoszulSpec(2, 1, 0, 3, 3)
+    for config, fields in ((RunConfig(max_enum_nodes=9),
+                            ("alternant terms", 10, 9, "max_enum_nodes")),
+                           (RunConfig(max_table_entries=25),
+                            ("Schur terms", 26, 25, "max_table_entries"))):
+        with pytest.raises(CapExceeded) as exc:
+            syzygy_decompose(spec, config)
+        e = exc.value
+        assert (e.what, e.needed, e.cap, e.setting) == fields
+    syzygy_decompose(spec, RunConfig(max_enum_nodes=30,
+                                     max_table_entries=26))
+
+
+def test_strand_checks_its_dimension(monkeypatch):
+    # a product that breaks the strand's dimension is not a character (a
+    # negative multiplicity is test_cli's internal-error case)
+    product = koszul._power_product
+
+    def one_more(*args):
+        (lam, c), *rest = product(*args).items()
+        return dict([(lam, c + 1), *rest])
+
+    monkeypatch.setattr(koszul, "_power_product", one_more)
+    with pytest.raises(NotACharacter, match="strand dimension"):
+        syzygy_decompose(KoszulSpec(1, 1, 0, 2, 2))

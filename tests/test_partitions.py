@@ -235,7 +235,9 @@ def test_gl_dimension_matches_weyl_product(case):
 
 
 def test_gl_dimension_at_large_n():
-    # the hook-content product has one factor per box, not per pair of rows
+    # the contents take one perm per row, and the hooks are taken on the
+    # conjugate when it has fewer rows, so a column of 1,100 boxes is one
+    # factorial
     assert gl_dimension((2, 2), 1100) == 1100 ** 2 * (1100 ** 2 - 1) // 12
     assert gl_dimension((1,) * 1100, 1100) == 1
     assert gl_dimension((1,) * 1101, 1100) == 0
