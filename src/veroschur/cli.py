@@ -202,7 +202,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
     from veroschur.koszul import KoszulSpec, syzygy_decompose
 
-    # n = 0 lets KoszulSpec pick its faithful default p + q + 1
+    # n = 0 lets KoszulSpec pick its default p + q + 1
     spec = KoszulSpec(args.p, args.q, args.b, args.d, _variables(args, 0))
     e = syzygy_decompose(spec, cfg)
     payload = {"command": "syzygy",

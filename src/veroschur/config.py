@@ -61,7 +61,7 @@ class RunConfig(Record):
     """Caps are in units of table entries / matrix side / search nodes.
 
     For cone lattice counts, max_enum_nodes bounds the DP states expanded
-    (not the points counted) and max_table_entries the states of one DP
+    (not the points it counts) and max_table_entries the states of one DP
     layer; a `cones` run also counts its levels against max_table_entries.
     """
 

@@ -17,9 +17,7 @@ whose largest index is i lies in im d_out^T, inside ker d_in^T because
 d_out d_in = 0, so row i of d_in is a combination of the rows before it:
 it would reduce to zero, and skipping it leaves the rank as it is.  In a
 typical block the left term is the largest, so this reduces fewer vectors
-than reducing the columns of d_in first.  Clearing applies only off the
-linear strand: there d_in is injective, the block carries none, and only
-d_out is ranked (see veroschur.koszul).
+than reducing the columns of d_in first.
 """
 
 from __future__ import annotations

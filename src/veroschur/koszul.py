@@ -64,22 +64,6 @@ Each map is stored as its rows, one per target element, filled in one
 pass over the sources.  The ranks are taken on those rows in the
 cohomology direction: the rows of d_out are reduced first, and their
 pivots clear rows of d_in (see veroschur.intrank).
-
-On the linear strand, where the left term has symmetric degree
-(q - 1)d + b = 0 (q = 1 and b = 0, or q = 0 and b = d) and p >= 1, d_in
-is injective, so the left term is counted, not listed, and no d_in is
-built or ranked: the cohomology is mid - rank(d_out) - left.  The left
-term is wedge^{p+1} W (x) Mbar_0 = wedge^{p+1} W, and every factor f of a
-wedge lies in W, a basis monomial of Mbar_d, so d_in is the exterior
-comultiplication wedge^{p+1} W -> wedge^p W (x) W; following it with
-the wedge product gives (p + 1) times the identity, so its rank is the
-dimension of the left term.  (Equivalently K_{p+1,0} = 0, since the
-section module is generated in degree 0; Green 1984, Eisenbud, The
-Geometry of Syzygies, ch. 2.)  The counting is exact: the factor that
-completes a middle element to a left one is its rest, so a middle
-element (i_1 < ... < i_p) whose rest is wedge factor j gives the one
-left element (i_1, ..., i_p, j) when j > i_p, and every left element
-arises once, from its first p indices.
 """
 
 from __future__ import annotations
@@ -96,15 +80,17 @@ from veroschur.partitions import (Partition, add, gl_dimension, partitions_of,
                                   vectors_in_box)
 
 Wedge = tuple[int, ...]  # increasing indices into the wedge factors
-# left, middle, right; the left is its size when counted, not listed
-Levels = tuple[list[Wedge] | int, list[Wedge], list[Wedge]]
+Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
 
 
 class KoszulSpec(Record):
     """Parameters of one syzygy computation over C^n, validated here.
 
-    n defaults to p + q + 1, which is faithful for the untwisted (b = 0)
-    decompositions; for b > 0 the result is the length <= n truncation.
+    n defaults to p + q + 1.  A spec folds to q' = q + b // d and
+    b' = b % d with the same complex (see the module docstring); with
+    b' = 0 the result is faithful when n >= p + 1 for q' = 1 and
+    n >= p + q' + 1 otherwise, and with b' > 0 it is the length <= n
+    truncation.
     """
 
     __slots__ = ("p", "q", "b", "d", "n")
@@ -132,11 +118,12 @@ class KoszulSpec(Record):
 
     def is_faithful(self) -> bool:
         # untwisted first-strand types have length <= p+1 (middle-term Pieri)
-        if self.b != 0:
+        if self.b % self.d:
             return False
-        if self.q == 1:
+        q = self.q + self.b // self.d
+        if q == 1:
             return self.n >= self.p + 1
-        return self.n >= self.p + self.q + 1
+        return self.n >= self.p + q + 1
 
 
 class KoszulBlock(NamedTuple):
@@ -146,13 +133,11 @@ class KoszulBlock(NamedTuple):
     d_in and d_out are their rows, one {column: value} per target element,
     with a column per source element: d_out is dims[2] x dims[1] and d_in
     dims[1] x dims[0], so a map with no rows is still typed by dims.
-    d_in is None on the linear strand (p >= 1 and a left term of
-    symmetric degree 0), where it is injective and its rank is dims[0].
     """
 
     weight: Weight
     dims: tuple[int, int, int]
-    d_in: tuple[SparseVec, ...] | None
+    d_in: tuple[SparseVec, ...]
     d_out: tuple[SparseVec, ...]
 
     def cohomology_dim(self) -> int:
@@ -161,11 +146,8 @@ class KoszulBlock(NamedTuple):
         # that is a combination of the rows before it, so it is cleared
         # from the second reduction
         pivots: set[int] = set()
-        dim = self.dims[1] - rank_sparse(self.d_out, pivots=pivots)
-        if self.d_in is None:
-            dim -= self.dims[0]
-        else:
-            dim -= rank_sparse(self.d_in, skip=pivots)
+        dim = (self.dims[1] - rank_sparse(self.d_out, pivots=pivots)
+               - rank_sparse(self.d_in, skip=pivots))
         if dim < 0:
             raise RuntimeError(f"negative cohomology at weight {self.weight}")
         return dim
@@ -180,10 +162,7 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     factor.  The factors are the degree-d vectors in the box
     min(weight, top), listed by vectors_in_box in decreasing lex order.
     One depth-first search over index tuples records the levels p + 1, p
-    and p - 1, each in lex order.  On the linear strand the search stops
-    at level p and the left level is returned as its size: a middle
-    element counts once when its rest is a wedge factor after its last
-    index (see the module docstring).
+    and p - 1, each in lex order.
 
     A node at depth k packs two fields per coordinate: its rest r_i and
     the slack s_i = (deepest - k + 1) * top - r_i.  Both are nonnegative
@@ -192,8 +171,8 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     a factor m subtracts m from r and top - m from s, so a child is tested
     by one subtraction and one mask of the guard bits; a node keeps the
     children after its last index that pass.  A node at the deepest level
-    whose rest is the factor m is the guarded packed state of m.  A level,
-    or the left count, is checked against max_matrix_dim as it grows.
+    whose rest is the factor m is the guarded packed state of m.  A level
+    is checked against max_matrix_dim as it grows.
     """
     if len(weight) != spec.n:
         raise ValueError(f"weight {weight} has {len(weight)} entries, "
@@ -201,13 +180,11 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     top = spec.d - 1
     p = spec.p
     left_degree = spec.term_parameters()[0][1]
-    counted = p >= 1 and left_degree == 0
-    empty: Levels = (0 if counted else [], [], [])
+    empty: Levels = ([], [], [])
     if min(weight) < 0 or sum(weight) != spec.total_degree:
         return empty
-    # no level p + 1 when it is counted or the left term has a negative
-    # symmetric degree
-    deepest = p + 1 if left_degree >= 0 and not counted else p
+    # no level p + 1 when the left term has a negative symmetric degree
+    deepest = p + 1 if left_degree >= 0 else p
     lowest = max(p - 1, 0)
     slack = (deepest + 1) * top
     if max(weight) > slack:
@@ -222,8 +199,6 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     monos = vectors_in_box((0,) * spec.n, [min(x, top) for x in weight],
                            spec.d)
     packed = [pack(m, tuple(top - x for x in m)) for m in monos]
-    # a node at the deepest level whose rest is factor j is packed[j] | guard
-    factor = {m | guard: j for j, m in enumerate(packed)} if counted else {}
     # subtracting record[k] from a node at depth k leaves its guard bits
     # exactly when every coordinate of its rest is at most top
     zero = (0,) * spec.n
@@ -231,21 +206,14 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
               for k in range(deepest + 1)]
     levels: list[list[Wedge]] = [[] for _ in range(deepest + 1)]
     cap = config.max_matrix_dim
-    left = 0
-    get = factor.get
 
     def extend(prefix: Wedge, node: int, cands: list[int]) -> None:
         # node is the guarded packed state of prefix; cands its children
-        nonlocal left
         depth = len(prefix) + 1
         out = levels[depth]
         if depth == deepest:
             # at the deepest level a child that passes is kept
             out += [prefix + (j,) for j in cands]
-            if counted:
-                # a middle element whose rest is a factor after its last
-                # index completes exactly one left element
-                left += sum(get(node - packed[j], -1) > j for j in cands)
         else:
             keep = record[depth] if depth >= lowest else None
             for i, j in enumerate(cands):
@@ -257,7 +225,7 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
                         if (child - packed[k]) & guard == guard]
                 if fits:
                     extend(wedge, child, fits)
-        if len(out) > cap or left > cap:
+        if len(out) > cap:
             config.check_matrix(cap + 1)
 
     root = pack(weight, tuple(slack - x for x in weight)) | guard
@@ -266,10 +234,8 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     if deepest:
         extend((), root, [j for j, m in enumerate(packed)
                           if (root - m) & guard == guard])
-    mid, right = levels[p], levels[p - 1] if p else []
-    if counted:
-        return left, mid, right
-    return levels[p + 1] if deepest > p else [], mid, right
+    return (levels[p + 1] if deepest > p else [], levels[p],
+            levels[p - 1] if p else [])
 
 
 def _differential(sources: list[Wedge],
@@ -298,17 +264,10 @@ def _differential(sources: list[Wedge],
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
                     config: RunConfig = DEFAULT_CONFIG) -> KoszulBlock:
-    """Single block of the complex at any weight vector of length n.
-
-    On the linear strand, p >= 1 with q = 1 and b = 0 or with q = 0 and
-    b = d, the left term is only counted and the block carries no d_in.
-    """
+    """Single block of the complex at any weight vector of length n."""
     left, mid, right = _levels(spec, weight, config)
-    d_out = _differential(mid, right)
-    if isinstance(left, int):
-        return KoszulBlock(weight, (left, len(mid), len(right)), None, d_out)
     return KoszulBlock(weight, (len(left), len(mid), len(right)),
-                       _differential(left, mid), d_out)
+                       _differential(left, mid), _differential(mid, right))
 
 
 def _weights(spec: KoszulSpec) -> Iterator[Weight]:

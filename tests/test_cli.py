@@ -81,6 +81,20 @@ def test_syzygy_answers_by_theorem(capsys):
     assert payload["terms"] == [] and payload["degree"] == 36
 
 
+def test_folded_spec_is_not_a_truncation(capsys):
+    # (1, 0, 2, 2) folds to (1, 1, 0, 2): the same complex, so the same
+    # terms, and at n = 2 >= p + 1 neither is a truncation
+    payloads = []
+    for args in ("-p 1 -q 0 -b 2 -d 2 -n 2", "-p 1 -q 1 -d 2 -n 2"):
+        code, out, _ = run_cli(capsys, "syzygy", *args.split(),
+                               "--format", "json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0]["terms"] == payloads[1]["terms"] \
+        == [{"lambda": [2, 2], "mult": "1"}]
+    assert [pl["truncation"] for pl in payloads] == [False, False]
+
+
 def test_negative_strand_multiplicity_is_an_internal_error(monkeypatch,
                                                            capsys):
     # (-1)^p times the Euler characteristic of strand p + 1 is K_{p,1} on

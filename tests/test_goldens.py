@@ -18,9 +18,12 @@ layered DP replaced it; none of these runs has enough levels to print a
 fit.  The syzygy
 hashes were taken before the sparse rank became a column reduction keyed
 by each column's largest row, the four after the first five before one
-packed-weight search built all three Koszul bases, and the last three
-(b >= d, q >= 1) while b >= d still ran over the full ring instead of the
-Artinian quotient; perfbench runs none of these commands.  The ratio
+packed-weight search built all three Koszul bases, the three with b >= d
+and q >= 1 while b >= d still ran over the full ring instead of the
+Artinian quotient, and the last one while the linear strand's left term
+was counted, not listed; perfbench runs none of these commands.  The
+q = 0, b = d hash was re-pinned when the truncation flag began to fold
+b >= d into q, which turned its "truncation" from true to false.  The ratio
 hashes were taken before the ratio experiments moved from constructions
 into verify; perfbench runs the first three of them.  A refactor that
 changes any answer, label or key order changes the hash.
@@ -96,14 +99,18 @@ SYZYGY_GOLDENS = {
     "-p 0 -q 0 -b 4 -d 5 -n 3": "42ab99db45ba6932b2f07a485557580486f56d17515421e31ae61faf297136e0",
     # q = 0 and b < d: the left term has a negative degree
     "-p 2 -q 0 -b 2 -d 4 -n 4": "5216b9cbbd513fa53f4cde836c7a87bdb654bb0f93399241e797c8a6a47ef44a",
-    # b >= d: the left term is S^0 when q = 0
-    "-p 2 -q 0 -b 3 -d 3 -n 3": "f8d5df1805e25fe54e9fcb7b7f9f18d89fc9b923ed07e47a490a508e582817a8",
+    # b >= d: the left term is S^0 when q = 0, and the spec folds to
+    # (2, 1, 0, 3), faithful at n = 3
+    "-p 2 -q 0 -b 3 -d 3 -n 3": "d164569f331500f019c9e54a36b00d93e7d92959e48c9ef621cb69f0d29fb4f5",
     # n = 2
     "-p 4 -q 1 -d 6 -n 2": "41cf6a25ce49601217fb7684a99174cf2b5c51537c4416b3df7b7ba6f1b61e04",
     # b >= d with q >= 1, hashed while b >= d still ran over the full ring
     "-p 3 -q 1 -b 3 -d 3": "f7dff87c649ba5e41a22091496ebe572a9f17b5238c3b78c0f595ebeef9f4840",
     "-p 1 -q 1 -b 7 -d 3 -n 3": "192e880e5e098ffe43bb058c11b06b3e5c051a5fd494ce0546ce40c7bb593c51",
     "-p 2 -q 2 -b 4 -d 2 -n 3": "4edd836a9ce7900103d317038e50d47b67babae4657350a228ed4625069fc492",
+    # q = 0, b = d below the strand rule (d < p - 1): the basis search on
+    # the linear strand, hashed while its left term was counted
+    "-p 5 -q 0 -b 3 -d 3 -n 4": "07080d59ae03ea3f8a1bf214ecbf95614604ccd65a427978af95330eb49edf00",
 }
 
 RATIO_GOLDENS = {

@@ -33,20 +33,6 @@ def all_weights(degree, n):
     return out
 
 
-def d_in_of(spec, block):
-    """The block's d_in; on the linear strand, where the block carries
-    none, the element route's d_in at its weight, which must have the
-    block's left dimension as its rank."""
-    if block.d_in is not None:
-        return block.d_in
-    left, mid = (elements_at_weight(k, e, spec.d, spec.n, block.weight, True)
-                 for k, e in spec.term_parameters()[:2])
-    d_in = element_differential(left, mid)
-    assert len(left) == block.dims[0]
-    assert rank_dense(dense(d_in, block.dims[0])) == block.dims[0]
-    return d_in
-
-
 def wedge_factors(spec, weight):
     """The wedge factors that the bases of _levels index: the degree-d
     vectors in the box min(weight, d - 1), in the box walker's order."""
@@ -58,6 +44,14 @@ def test_spec_defaults_and_validation():
     spec = KoszulSpec(2, 1, 0, 3)
     assert spec.n == 4
     assert KoszulSpec(1, 0, 2, 3).n == 2
+    # faithfulness reads the folded spec (p, q + b // d, b % d, d): b = d
+    # at q = 0 is the linear strand, b = 2d at q = 1 is q' = 3, whose
+    # default n = p + q + 1 stays below p + q' + 1, and b % d > 0 truncates
+    assert KoszulSpec(2, 0, 3, 3, 3).is_faithful()
+    assert not KoszulSpec(2, 0, 3, 3, 2).is_faithful()
+    assert not KoszulSpec(1, 1, 4, 2).is_faithful()
+    assert KoszulSpec(1, 1, 4, 2, 5).is_faithful()
+    assert not KoszulSpec(1, 1, 7, 3, 9).is_faithful()
     with pytest.raises(ValueError):
         KoszulSpec(1, 1, 0, 0)
     with pytest.raises(ValueError):
@@ -121,14 +115,14 @@ def test_complex_property_all_blocks():
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 2),
                  KoszulSpec(2, 2, 0, 3, 3)):
         for block in build_blocks(spec):
-            assert is_zero(compose(block.d_out, d_in_of(spec, block)))
+            assert is_zero(compose(block.d_out, block.d_in))
 
 
 def test_block_maps_have_the_shapes_of_dims():
     # a map is stored as its rows and typed by dims: d_out has a row per
-    # right element and its columns among the middle ones, and d_in, off
-    # the linear strand, a row per middle element and its columns among
-    # the left ones.  The specs are on the linear strand, at q = 2,
+    # right element and its columns among the middle ones, and d_in a row
+    # per middle element and its columns among the left ones, on the
+    # linear strand too.  The specs are on the linear strand, at q = 2,
     # twisted, and the conic, whose one block has no right element
     no_rows = 0
     for spec in (KoszulSpec(2, 1, 0, 3, 3), KoszulSpec(1, 2, 0, 2, 3),
@@ -137,9 +131,8 @@ def test_block_maps_have_the_shapes_of_dims():
             left, mid, right = block.dims
             assert len(block.d_out) == right
             assert all(0 <= c < mid for row in block.d_out for c in row)
-            if block.d_in is not None:
-                assert len(block.d_in) == mid
-                assert all(0 <= c < left for row in block.d_in for c in row)
+            assert len(block.d_in) == mid
+            assert all(0 <= c < left for row in block.d_in for c in row)
             no_rows += not block.d_out
     assert no_rows
 
@@ -320,7 +313,7 @@ def test_block_ranks_sparse_vs_dense():
     for spec in (KoszulSpec(1, 1, 0, 3, 2), KoszulSpec(2, 1, 0, 2, 3),
                  KoszulSpec(2, 0, 1, 3, 3), KoszulSpec(1, 2, 0, 2, 3)):
         for block in build_blocks(spec):
-            for mat, ncols in ((d_in_of(spec, block), block.dims[0]),
+            for mat, ncols in ((block.d_in, block.dims[0]),
                                (block.d_out, block.dims[1])):
                 assert rank_sparse(mat) == rank_dense(dense(mat, ncols))
 
@@ -367,7 +360,7 @@ def test_build_blocks_matches_product_route(p, q, b, d, n):
     # and with the same matrices, as bucketing the whole product space
     assume(_product_space(p, q, b, d, n) <= 20_000)
     spec = KoszulSpec(p, q, b, d, n)
-    got = [(bl.weight, bl.dims, d_in_of(spec, bl), bl.d_out)
+    got = [(bl.weight, bl.dims, bl.d_in, bl.d_out)
            for bl in build_blocks(spec)]
     ref = [(bl.weight, bl.dims, bl.d_in, bl.d_out)
            for bl in blocks_by_product(spec)]
@@ -405,32 +398,25 @@ def specs_and_weights(draw):
 def test_levels_match_element_route(case):
     # each DFS level, mapped back to (wedge, symmetric factor) pairs, is the
     # per-term basis of the element route, in the same order, and the
-    # index-keyed differentials equal the element-keyed ones.  On the
-    # linear strand (the examples: p >= 1 and left degree 0) the left level
-    # is a count, the size of the element route's left basis, and the
-    # block carries no d_in
+    # index-keyed differentials equal the element-keyed ones, at every
+    # weight: the examples are on the linear strand (p >= 1 and left
+    # degree 0)
     spec, weight = case
     levels = _levels(spec, weight, RunConfig())
     monos = wedge_factors(spec, weight)
     expected = [elements_at_weight(k, e, spec.d, spec.n, weight, True)
                 for k, e in spec.term_parameters()]
-    counted = isinstance(levels[0], int)
-    if counted:
-        assert levels[0] == len(expected[0])
     got = []
-    for level in levels[counted:]:
+    for level in levels:
         elements = []
         for wedge in level:
             ms = tuple(monos[j] for j in wedge)
             g = tuple(x - sum(m[i] for m in ms) for i, x in enumerate(weight))
             elements.append((ms, g))
         got.append(elements)
-    assert got == expected[counted:]
+    assert got == expected
     block = block_at_weight(spec, weight)
-    if counted:
-        assert block.d_in is None
-    else:
-        assert block.d_in == element_differential(expected[0], expected[1])
+    assert block.d_in == element_differential(expected[0], expected[1])
     assert block.d_out == element_differential(expected[1], expected[2])
 
 
@@ -456,23 +442,19 @@ def strand_specs_and_weights(draw):
 @example((KoszulSpec(2, 0, 3, 3, 3), (3, 3, 3)))
 @example((KoszulSpec(1, 2, 0, 3, 2), (4, 5)))
 def test_linear_strand_left_map_is_injective(case):
-    # on the linear strand with p >= 1 the block counts its left term and
-    # carries no d_in: the count is the size of the element route's left
-    # basis, and the element route's d_in has full column rank, so the
-    # cohomology is mid - rank(d_out) - left.  The left term of degree d
-    # next to it is listed as before.  The first example has the middle
-    # element xy (x) xy, whose rest is its own last factor and completes
-    # no left element
+    # on the linear strand the block's own d_in, the element route's, has
+    # full column rank dims[0] (K_{p+1,0} = 0), so the cohomology is mid
+    # minus the two ranks.  The left term of degree d next to it has the
+    # element route's dims
     spec, weight = case
     block = block_at_weight(spec, weight)
     left, mid, right = (elements_at_weight(k, e, spec.d, spec.n, weight, True)
                         for k, e in spec.term_parameters())
     assert block.dims == (len(left), len(mid), len(right))
-    strand = spec.term_parameters()[0][1] == 0
-    assert (block.d_in is None) == (strand and spec.p >= 1)
-    if strand:
-        ranks = [rank_dense(dense(element_differential(src, dst), len(src)))
-                 for src, dst in ((left, mid), (mid, right))]
+    if spec.term_parameters()[0][1] == 0:
+        assert block.d_in == element_differential(left, mid)
+        ranks = [rank_dense(dense(mat, ncols)) for mat, ncols in
+                 ((block.d_in, len(left)), (block.d_out, len(mid)))]
         assert ranks[0] == len(left)
         assert block.cohomology_dim() == len(mid) - sum(ranks)
 
@@ -503,7 +485,7 @@ def test_cleared_ranks_match_dense(p, q, b, d, n):
     spec = KoszulSpec(p, q, b, d, n)
     for block in build_blocks(spec):
         ranks = [rank_dense(dense(mat, ncols))
-                 for mat, ncols in ((d_in_of(spec, block), block.dims[0]),
+                 for mat, ncols in ((block.d_in, block.dims[0]),
                                     (block.d_out, block.dims[1]))]
         d_in, d_out = deepcopy(block.d_in), deepcopy(block.d_out)
         assert block.cohomology_dim() == block.dims[1] - sum(ranks)
