@@ -1,28 +1,25 @@
-"""Command line interface.
+"""Command line interface: decompose (plethysm characters), syzygy (Koszul
+cohomology), cones (lattice counts with cross-checks and leading-coefficient
+fits) and verify (named check suites).  Output is deterministic: JSON keys
+are sorted, counts are decimal strings, and no timestamps are emitted.
+Exit codes: 0 success, 1 check failure, 2 invalid arguments, 3 resource cap
+exceeded, 4 internal error.
 
-Subcommands: decompose (plethysm characters), syzygy (Koszul cohomology),
-cones (lattice counts with cross-checks and leading-coefficient fits), and
-verify (named check suites).  Output is deterministic for a fixed
-configuration: JSON keys are sorted, counts are decimal strings, and no
-timestamps are emitted.
-
-Exit codes: 0 success, 1 check failure, 2 invalid arguments, 3 resource
-cap exceeded, 4 internal error.
-
-Each run is a fresh process, so start-up counts: of veroschur this module
-imports only `config` and `characters` (with `partitions`), the layer
-under every subcommand; each `cmd_*` imports its own layer (`koszul`,
-`cones`, `verify`) when it runs, and `_emit` imports `csv` only for the
-csv format.
+Each run is a fresh process, so start-up counts.  `parse_args` reads the
+command line from one table, `COMMANDS`, and loads no parser module (the
+standard library's, with gettext, cost each process about 7 ms).  Of
+veroschur this module imports only `config` and `characters` (with
+`partitions`), the layer under every subcommand; each `cmd_*` imports its
+own layer when it runs, and `_emit` imports `csv` only for csv output.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 from math import comb
+from types import SimpleNamespace
 
 from veroschur.characters import (SchurExpansion, complexity, sym_power_sym,
                                   tensor_power_sym, tensor_with_sym,
@@ -32,26 +29,6 @@ from veroschur.config import DEFAULT_CONFIG, FORMATS, CapExceeded, RunConfig
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="output format (default: pretty)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed of the draws; only verify staircase draws "
-                             "anything, and seed 0 (the default) draws with "
-                             "20240, while the JSON reports 0")
-    parser.add_argument("--max-entries", type=int, default=None,
-                        help="cap on Schur terms, Koszul basis elements, "
-                             "lattice layer states and cones levels")
-    parser.add_argument("--max-dim", type=int, default=None,
-                        help="cap on matrix dimension")
-    parser.add_argument("--max-nodes", type=int, default=None,
-                        help="cap on enumeration nodes (for cones: lattice "
-                             "count DP states expanded, not points)")
-    parser.add_argument("--config", default=None,
-                        help="key=value config file overriding defaults")
-    parser.add_argument("--out", default=None, help="write output to a file")
-
-
 def _config_line(cfg: RunConfig, key: str, value: str) -> RunConfig:
     """cfg with one `key=value` line of a config file applied."""
     if key == "format":
@@ -59,14 +36,20 @@ def _config_line(cfg: RunConfig, key: str, value: str) -> RunConfig:
     if key not in ("max_table_entries", "max_matrix_dim", "max_enum_nodes",
                    "seed"):
         raise ValueError(f"unknown config key {key!r}")
+    return cfg.replace(**{key: _value(key, int, value)})
+
+
+def _value(name: str, kind: type | tuple[str, ...], text: str) -> object:
     try:
-        number = int(value)
+        value = int(text) if kind is int else text
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
-    return cfg.replace(**{key: number})
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if isinstance(kind, tuple) and value not in kind:
+        raise ValueError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+    return value
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: SimpleNamespace) -> RunConfig:
     """Defaults, then config-file keys, then the flags the user gave.
 
     Each file line is validated as it is applied, so its error names the
@@ -162,15 +145,6 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _variables(args: argparse.Namespace, default: int) -> int:
-    """The -n value if one was given, else the default."""
-    if args.n is None:
-        return default
-    if args.n < 1:
-        raise ValueError(f"-n must be at least 1, got {args.n}")
-    return args.n
-
-
 def _parse_partition(text: str) -> tuple[int, ...]:
     """A partition written as comma-separated parts, e.g. '2,1'."""
     try:
@@ -184,8 +158,9 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
-    n = _variables(args, args.p + (1 if args.tensor_sym else 0))
+def cmd_decompose(args: SimpleNamespace, cfg: RunConfig) -> int:
+    # a given -n is at least 1, the table's minimum
+    n = args.n or args.p + (1 if args.tensor_sym else 0)
     powers = {"tensor": tensor_power_sym, "sym": sym_power_sym,
               "wedge": wedge_power_sym}
     e = powers[args.kind](args.p, args.d, n, cfg)
@@ -199,11 +174,11 @@ def cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_syzygy(args: SimpleNamespace, cfg: RunConfig) -> int:
     from veroschur.koszul import KoszulSpec, syzygy_decompose
 
     # n = 0 lets KoszulSpec pick its default p + q + 1
-    spec = KoszulSpec(args.p, args.q, args.b, args.d, _variables(args, 0))
+    spec = KoszulSpec(args.p, args.q, args.b, args.d, args.n or 0)
     e = syzygy_decompose(spec, cfg)
     payload = {"command": "syzygy",
                "parameters": {"p": spec.p, "q": spec.q, "b": spec.b,
@@ -214,14 +189,10 @@ def cmd_syzygy(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_cones(args: SimpleNamespace, cfg: RunConfig) -> int:
     from veroschur.cones import duality_rows, fit_leading_coefficient
 
     p = args.p
-    if args.d_min < 0:
-        raise ValueError(f"--d-min must be at least 0, got {args.d_min}")
-    if args.d_step < 1:
-        raise ValueError(f"--d-step must be at least 1, got {args.d_step}")
     levels = range(args.d_min, args.d_max + 1, args.d_step)
     # one output row per level, so the rows count against the table cap
     cfg.check_table(len(levels), "cones levels")
@@ -257,7 +228,7 @@ def cmd_cones(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_CHECK if mismatch else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: SimpleNamespace, cfg: RunConfig) -> int:
     from veroschur.verify import run_suite
 
     if args.theorem is None:
@@ -280,72 +251,131 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="veroschur",
-        description="Exact Schur decompositions of plethysms and Veronese "
-                    "syzygies, cone lattice counts, and verification suites.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(kind: type | tuple[str, ...], text: str, default: object = None,
+         required: bool = False, minimum: int | None = None) -> tuple:
+    return kind, text, default, required, minimum
 
-    p_dec = sub.add_parser("decompose", help="decompose a plethysm character")
-    p_dec.add_argument("kind", choices=("tensor", "sym", "wedge"))
-    p_dec.add_argument("-p", type=int, required=True, help="outer power")
-    p_dec.add_argument("-d", type=int, required=True, help="inner degree")
-    p_dec.add_argument("-n", type=int, default=None,
-                       help="number of variables (default: faithful)")
-    p_dec.add_argument("--tensor-sym", type=int, default=0, metavar="B",
-                       help="tensor the result with Sym^B via horizontal strips")
-    _add_common(p_dec)
-    p_dec.set_defaults(fn=cmd_decompose)
 
-    p_syz = sub.add_parser("syzygy", help="decompose a syzygy functor")
-    p_syz.add_argument("-p", type=int, required=True)
-    p_syz.add_argument("-q", type=int, required=True)
-    p_syz.add_argument("-b", type=int, default=0)
-    p_syz.add_argument("-d", type=int, required=True)
-    p_syz.add_argument("-n", type=int, default=None,
-                       help="number of variables (default: p+q+1)")
-    _add_common(p_syz)
-    p_syz.set_defaults(fn=cmd_syzygy)
+# The command line: per subcommand its handler, help and arguments, of
+# which the one without a dash is the positional, plus the COMMON options.
+# An argument: kind (int, str or choices), help, default, required, minimum.
+COMMON = {
+    "--format": _arg(FORMATS, "output format (default: pretty)"),
+    "--seed": _arg(int, "seed of the draws (only verify staircase draws)"),
+    "--max-entries": _arg(int, "cap on Schur terms, basis size, layer states"),
+    "--max-dim": _arg(int, "cap on matrix dimension"),
+    "--max-nodes": _arg(int, "cap on enumeration nodes or DP states"),
+    "--config": _arg(str, "key=value config file overriding defaults"),
+    "--out": _arg(str, "write output to a file"),
+}
+COMMANDS = {
+    "decompose": (cmd_decompose, "decompose a plethysm character", {
+        "kind": _arg(("tensor", "sym", "wedge"), "the power", required=True),
+        "-p": _arg(int, "outer power", required=True),
+        "-d": _arg(int, "inner degree", required=True),
+        "-n": _arg(int, "variables (default: faithful)", minimum=1),
+        "--tensor-sym": _arg(int, "tensor the result with Sym^B", 0)}),
+    "syzygy": (cmd_syzygy, "decompose a syzygy functor", {
+        "-p": _arg(int, "homological degree", required=True),
+        "-q": _arg(int, "row of the Betti table", required=True),
+        "-b": _arg(int, "twist degree", 0),
+        "-d": _arg(int, "Veronese degree", required=True),
+        "-n": _arg(int, "variables (default: p+q+1)", minimum=1)}),
+    "cones": (cmd_cones, "lattice counts with cross-checks", {
+        "-p": _arg(int, "outer power", required=True),
+        "--d-min": _arg(int, "first level", required=True, minimum=0),
+        "--d-max": _arg(int, "last level", required=True),
+        "--d-step": _arg(int, "step between levels", 1, minimum=1)}),
+    "verify": (cmd_verify, "run a named check suite", {
+        # sorted(verify.SUITES), spelled out to import no layer (tested)
+        "suite": _arg(("doubling", "green", "kostka-cone", "newell",
+                       "patterns", "raicu", "ratios", "staircase"),
+                      "the check suite", required=True),
+        "--theorem": _arg(str, "ratios suite: run one named experiment"),
+        "-p": _arg(int, "outer power for --theorem"),
+        "-b": _arg(int, "twist degree for --theorem"),
+        "--mu": _arg(str, "partition for --theorem, e.g. 2,1"),
+        "--d-max": _arg(int, "level of --theorem's check (default 20)")}),
+}
+HELP = ["-h", "--help"]
 
-    p_con = sub.add_parser("cones", help="lattice counts with cross-checks")
-    p_con.add_argument("-p", type=int, required=True)
-    p_con.add_argument("--d-min", type=int, required=True)
-    p_con.add_argument("--d-max", type=int, required=True)
-    p_con.add_argument("--d-step", type=int, default=1)
-    _add_common(p_con)
-    p_con.set_defaults(fn=cmd_cones)
 
-    p_ver = sub.add_parser("verify", help="run a named check suite")
-    # sorted(verify.SUITES), written out so that building the parser does
-    # not import every layer; a test keeps the two equal
-    p_ver.add_argument("suite", choices=("doubling", "green", "kostka-cone",
-                                         "newell", "patterns", "raicu",
-                                         "ratios", "staircase"))
-    p_ver.add_argument("--theorem", default=None,
-                       help="ratios suite: run a single named experiment")
-    p_ver.add_argument("-p", type=int, default=None,
-                       help="ratios suite: outer power for --theorem")
-    p_ver.add_argument("-b", type=int, default=None,
-                       help="ratios suite: twist degree for --theorem")
-    p_ver.add_argument("--mu", default=None, metavar="PARTS",
-                       help="ratios suite: partition for --theorem "
-                            "schur-share, comma-separated (e.g. 2,1)")
-    p_ver.add_argument("--d-max", type=int, default=None,
-                       help="ratios suite: level d at which --theorem is "
-                            "checked (default 20)")
-    _add_common(p_ver)
-    p_ver.set_defaults(fn=cmd_verify)
-    return parser
+def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
+    """The option a token names, with its attached value (`--opt=v`, `-pV`);
+    None for a value, such as a negative number, as in the stdlib parser."""
+    name, eq, value = token.partition("=")
+    if token in names or eq and name in names:
+        return (token, None) if token in names else (name, value)
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[1] == "-":
+        hits = [(n, value if eq else None) for n in names
+                if n.startswith(name)]
+    else:
+        hits = [(token[:2], token[2:])] if token[:2] in names else []
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option {token}: could be "
+                         f"{', '.join(n for n, _ in hits)}")
+    whole, dot, frac = token[1:].partition(".")
+    if hits or " " in token or ((whole.isdecimal() or dot and not whole)
+                                and (not dot or frac.isdecimal())):
+        return hits[0] if hits else None
+    raise ValueError(f"unknown option {token}")
+
+
+def _help(command: str | None) -> str:
+    rows = {name: spec[1] for name, spec in COMMANDS.items()}
+    if command:
+        rows = {name: "(required) " * arg[3] + arg[1] + (": " + ", ".join(
+            arg[0]) if isinstance(arg[0], tuple) else "")
+            for name, arg in {**COMMANDS[command][2], **COMMON}.items()}
+    return (f"usage: veroschur {command or 'COMMAND'} [ARGS]\n"
+            + "".join(f"  {name:<14}{text}\n" for name, text in rows.items()))
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The subcommand's arguments over their defaults, and its handler as
+    `fn`; or the help text.  Of a repeated option the last one wins."""
+    command = argv[0] if argv else ""
+    if _option(command, HELP):
+        return _help(None)
+    if command not in COMMANDS:
+        raise ValueError(f"the command must be one of {', '.join(COMMANDS)}, "
+                         f"got {command!r}")
+    fn, _, own = COMMANDS[command]
+    spec = {**own, **COMMON}
+    names = [name for name in spec if name[0] == "-"] + HELP
+    free, given = [name for name in own if name[0] != "-"], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        hit = _option(token, names)
+        if hit is None and not free:
+            raise ValueError(f"unexpected argument {token!r}")
+        name, value = hit or (free.pop(), token)
+        if name in HELP:
+            return _help(command)
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _option(value, names):
+                raise ValueError(f"{name} needs a value")
+        given[name] = _value(name, spec[name][0], value)
+    for name, (_, _, _, required, least) in own.items():
+        if required and name not in given:
+            raise ValueError(f"missing {name}")
+        if least is not None and given.get(name, least) < least:
+            raise ValueError(f"{name} must be at least {least}, got {given[name]}")
+    return SimpleNamespace(command=command, fn=fn, **{
+        name.lstrip("-").replace("-", "_"): given.get(name, arg[2])
+        for name, arg in spec.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the parser is not kept, so it is freed before a subcommand imports
-    # its layer; compiling that layer is where a `verify` run's memory peaks
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return args.fn(args, cfg)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
+        return args.fn(args, _build_config(args))
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -153,7 +153,8 @@ class KoszulBlock(NamedTuple):
         return dim
 
 
-def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
+def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig,
+            nodes: list[int] | None = None) -> Levels:
     """The left, middle and right bases at weight.
 
     Each basis element is a Wedge of indices into the wedge factors under
@@ -172,7 +173,9 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     by one subtraction and one mask of the guard bits; a node keeps the
     children after its last index that pass.  A node at the deepest level
     whose rest is the factor m is the guarded packed state of m.  A level
-    is checked against max_matrix_dim as it grows.
+    is checked against max_matrix_dim as it grows, and the children of
+    every expanded node count against max_enum_nodes in nodes[0], a count
+    that the caller may carry over the weights of one spec.
     """
     if len(weight) != spec.n:
         raise ValueError(f"weight {weight} has {len(weight)} entries, "
@@ -205,10 +208,14 @@ def _levels(spec: KoszulSpec, weight: Weight, config: RunConfig) -> Levels:
     record = [pack(zero, ((deepest - k) * top,) * spec.n)
               for k in range(deepest + 1)]
     levels: list[list[Wedge]] = [[] for _ in range(deepest + 1)]
-    cap = config.max_matrix_dim
+    cap, node_cap = config.max_matrix_dim, config.max_enum_nodes
+    count = [0] if nodes is None else nodes
 
     def extend(prefix: Wedge, node: int, cands: list[int]) -> None:
         # node is the guarded packed state of prefix; cands its children
+        count[0] += len(cands)
+        if count[0] > node_cap:
+            config.check_nodes(count[0], "Koszul search nodes")
         depth = len(prefix) + 1
         out = levels[depth]
         if depth == deepest:
@@ -263,9 +270,11 @@ def _differential(sources: list[Wedge],
 
 
 def block_at_weight(spec: KoszulSpec, weight: Weight,
-                    config: RunConfig = DEFAULT_CONFIG) -> KoszulBlock:
-    """Single block of the complex at any weight vector of length n."""
-    left, mid, right = _levels(spec, weight, config)
+                    config: RunConfig = DEFAULT_CONFIG,
+                    nodes: list[int] | None = None) -> KoszulBlock:
+    """Single block of the complex at any weight vector of length n; its
+    search nodes add to nodes[0] when given (see _levels)."""
+    left, mid, right = _levels(spec, weight, config, nodes)
     return KoszulBlock(weight, (len(left), len(mid), len(right)),
                        _differential(left, mid), _differential(mid, right))
 
@@ -293,11 +302,12 @@ def build_blocks(spec: KoszulSpec,
     decreasing lex order.
 
     The running basis size of all three terms is checked against the
-    table-entry cap.
+    table-entry cap, and the search nodes of all weights against the
+    node cap.
     """
-    basis = 0
+    basis, nodes = 0, [0]
     for weight in _weights(spec):
-        block = block_at_weight(spec, weight, config)
+        block = block_at_weight(spec, weight, config, nodes)
         if block.dims[1]:
             basis += sum(block.dims)
             config.check_table(basis, "Koszul basis elements")

@@ -7,6 +7,9 @@ helpers that the program itself never needs.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -18,10 +21,11 @@ from typing import Iterator, Sequence
 
 from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
                                   WeightTable, is_dominant)
+from veroschur.cli import cmd_cones, cmd_decompose, cmd_syzygy, cmd_verify
 from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
                              _count_points, content_cone_section,
                              offdiag_pairs)
-from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
+from veroschur.config import DEFAULT_CONFIG, FORMATS, Record, RunConfig
 from veroschur.intrank import SparseVec
 from veroschur.koszul import KoszulBlock, KoszulSpec
 from veroschur.partitions import (Partition, dominates, normalize, part,
@@ -1108,3 +1112,104 @@ def twin_expand(lam1: int, frees: Sequence[int], n: int) -> Partition:
     if (n - 1) % 2 == 1:
         out.append(vals[-1])
     return normalize(tuple(out[:n - 1]))
+
+
+# ---------------------------------------------------------------------------
+# the command line by argparse, the route that the table of veroschur.cli
+# (COMMANDS, read by parse_args) replaced; argparse_parser is the old
+# build_parser unchanged
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=FORMATS, default=None,
+                        help="output format (default: pretty)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of the draws; only verify staircase draws "
+                             "anything, and seed 0 (the default) draws with "
+                             "20240, while the JSON reports 0")
+    parser.add_argument("--max-entries", type=int, default=None,
+                        help="cap on Schur terms, Koszul basis elements, "
+                             "lattice layer states and cones levels")
+    parser.add_argument("--max-dim", type=int, default=None,
+                        help="cap on matrix dimension")
+    parser.add_argument("--max-nodes", type=int, default=None,
+                        help="cap on enumeration nodes (for cones: lattice "
+                             "count DP states expanded, not points)")
+    parser.add_argument("--config", default=None,
+                        help="key=value config file overriding defaults")
+    parser.add_argument("--out", default=None, help="write output to a file")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="veroschur",
+        description="Exact Schur decompositions of plethysms and Veronese "
+                    "syzygies, cone lattice counts, and verification suites.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_dec = sub.add_parser("decompose", help="decompose a plethysm character")
+    p_dec.add_argument("kind", choices=("tensor", "sym", "wedge"))
+    p_dec.add_argument("-p", type=int, required=True, help="outer power")
+    p_dec.add_argument("-d", type=int, required=True, help="inner degree")
+    p_dec.add_argument("-n", type=int, default=None,
+                       help="number of variables (default: faithful)")
+    p_dec.add_argument("--tensor-sym", type=int, default=0, metavar="B",
+                       help="tensor the result with Sym^B via horizontal strips")
+    _add_common(p_dec)
+    p_dec.set_defaults(fn=cmd_decompose)
+
+    p_syz = sub.add_parser("syzygy", help="decompose a syzygy functor")
+    p_syz.add_argument("-p", type=int, required=True)
+    p_syz.add_argument("-q", type=int, required=True)
+    p_syz.add_argument("-b", type=int, default=0)
+    p_syz.add_argument("-d", type=int, required=True)
+    p_syz.add_argument("-n", type=int, default=None,
+                       help="number of variables (default: p+q+1)")
+    _add_common(p_syz)
+    p_syz.set_defaults(fn=cmd_syzygy)
+
+    p_con = sub.add_parser("cones", help="lattice counts with cross-checks")
+    p_con.add_argument("-p", type=int, required=True)
+    p_con.add_argument("--d-min", type=int, required=True)
+    p_con.add_argument("--d-max", type=int, required=True)
+    p_con.add_argument("--d-step", type=int, default=1)
+    _add_common(p_con)
+    p_con.set_defaults(fn=cmd_cones)
+
+    p_ver = sub.add_parser("verify", help="run a named check suite")
+    # sorted(verify.SUITES), written out so that building the parser does
+    # not import every layer; a test keeps the two equal
+    p_ver.add_argument("suite", choices=("doubling", "green", "kostka-cone",
+                                         "newell", "patterns", "raicu",
+                                         "ratios", "staircase"))
+    p_ver.add_argument("--theorem", default=None,
+                       help="ratios suite: run a single named experiment")
+    p_ver.add_argument("-p", type=int, default=None,
+                       help="ratios suite: outer power for --theorem")
+    p_ver.add_argument("-b", type=int, default=None,
+                       help="ratios suite: twist degree for --theorem")
+    p_ver.add_argument("--mu", default=None, metavar="PARTS",
+                       help="ratios suite: partition for --theorem "
+                            "schur-share, comma-separated (e.g. 2,1)")
+    p_ver.add_argument("--d-max", type=int, default=None,
+                       help="ratios suite: level d at which --theorem is "
+                            "checked (default 20)")
+    _add_common(p_ver)
+    p_ver.set_defaults(fn=cmd_verify)
+    return parser
+
+
+def argparse_args(argv: list[str]) -> argparse.Namespace:
+    """argv by argparse_parser, then the bounds that cli checked after
+    parsing before its table carried them: -n >= 1 (decompose, syzygy),
+    --d-min >= 0 and --d-step >= 1 (cones).  A rejection raises ValueError;
+    argparse's own message is swallowed."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = argparse_parser().parse_args(argv)
+        except SystemExit as exc:
+            raise ValueError(f"argparse exited {exc.code}") from None
+    for name, least in (("n", 1), ("d_min", 0), ("d_step", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ValueError(f"{name} below {least}")
+    return args

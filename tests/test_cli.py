@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -14,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veroschur
-from veroschur.cli import build_parser, main
+from veroschur.cli import COMMANDS, COMMON, main, parse_args
 from veroschur.verify import EXPERIMENTS, SUITES
+
+from oracles import argparse_args
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +210,9 @@ def test_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "decompose", "tensor", "-p", "1200", "-d",
                            "1", "-n", "1", "--format", "csv")
     assert code == 0 and out.splitlines()[1] == "1200,1"
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", "bogus", "-p", "1", "-d", "1"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "decompose", "bogus", "-p", "1", "-d", "1")
+    assert code == 2 and out == ""
+    assert err == "error: kind must be one of tensor, sym, wedge, got 'bogus'\n"
     # an invalid cap is a usage error, not a tripped cap
     code, _, err = run_cli(capsys, "decompose", "tensor", "-p", "2", "-d", "4",
                            "--max-entries", "-5")
@@ -224,6 +225,12 @@ def test_exit_codes(capsys):
     assert code == 3
     assert err == ("resource cap exceeded: Koszul basis elements: needed 78, "
                    "cap 50 (max_table_entries)\n")
+    # its search nodes count against --max-nodes, summed over the weights
+    code, out, err = run_cli(capsys, "syzygy", "-p", "2", "-q", "0", "-b", "1",
+                             "-d", "6", "-n", "3", "--max-nodes", "100")
+    assert code == 3 and out == ""
+    assert err == ("resource cap exceeded: Koszul search nodes: needed 105, "
+                   "cap 100 (max_enum_nodes)\n")
     code, _, err = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
                            "--d-max", "3", "--d-step", "0")
     assert code == 2
@@ -377,7 +384,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(args, cfg):
         raise RuntimeError("lost state\nsecond line")
 
-    monkeypatch.setattr("veroschur.cli.cmd_decompose", broken)
+    monkeypatch.setitem(COMMANDS, "decompose",
+                        (broken, *COMMANDS["decompose"][1:]))
     code, out, err = run_cli(capsys, "decompose", "sym", "-p", "1", "-d", "1")
     assert code == 4 and out == ""
     assert err == "internal error: RuntimeError: lost state\n"
@@ -539,9 +547,10 @@ def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
 def test_threads_option_removed(monkeypatch, tmp_path, capsys):
     # the run is single-threaded: no flag, config key or environment
     # variable selects a worker count
-    with pytest.raises(SystemExit) as exc:
-        main(["syzygy", "-p", "1", "-q", "1", "-d", "2", "--threads", "2"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
+                             "--threads", "2")
+    assert code == 2 and out == ""
+    assert err == "error: unknown option --threads\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threads=2\n")
     code, _, err = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
@@ -556,13 +565,9 @@ def test_threads_option_removed(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_choices_are_the_suites():
-    # the parser spells the suite names out so that it need not import
+    # the table spells the suite names out so that parsing need not import
     # verify; they must stay the names that run_suite knows
-    parser = build_parser()
-    verify = next(a for a in parser._actions
-                  if a.dest == "command").choices["verify"]
-    suite = next(a for a in verify._actions if a.dest == "suite")
-    assert list(suite.choices) == sorted(SUITES)
+    assert list(COMMANDS["verify"][2]["suite"][0]) == sorted(SUITES)
 
 
 # one small command per subcommand, and three verify runs, with the
@@ -589,9 +594,9 @@ ENTRY_POINT_RUNS = [
 @pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS)
 def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     """`python -m veroschur.cli` prints what main() prints, and each
-    subcommand imports only the modules it runs: no `dataclasses` or
-    `inspect` (they cost every fresh process milliseconds), and no `csv`
-    when the format is json.
+    subcommand imports only the modules it runs: no `dataclasses`,
+    `inspect`, `argparse`, `gettext` or `locale` (they cost every fresh
+    process milliseconds), and no `csv` when the format is json.
 
     -X importtime reports every module the child imports on stderr and
     leaves stdout alone; the CLI itself runs as __main__, so it is not
@@ -612,44 +617,55 @@ def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
         {"veroschur", "veroschur.config", "veroschur.characters",
          "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
-    assert not loaded & {"dataclasses", "inspect", "csv"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext",
+                         "locale", "csv"}
+
+
+def _arguments(command: str) -> dict[str, tuple]:
+    """The table's arguments of a subcommand: its own, then the common."""
+    return {**COMMANDS[command][2], **COMMON}
+
+
+def _value_strategy(tmp: Path):
+    """The strategy for an argument's value: a drawn experiment name,
+    partition or file where one is meant, else one of its choices, else
+    an integer in -2..4."""
+    special = {
+        "--theorem": st.sampled_from(tuple(EXPERIMENTS) + ("bogus",)),
+        "--mu": st.sampled_from(["2,1", "1", "3", "1,1,1", "1,2", "x", ""]),
+        "--config": st.sampled_from([str(tmp / name) for name in
+                                     ("good.cfg", "bad.cfg", "missing.cfg")]),
+        "--out": st.just(str(tmp / "out.txt")),
+    }
+
+    def value(name: str, kind) -> st.SearchStrategy[str]:
+        if name in special:
+            return special[name]
+        if isinstance(kind, tuple):
+            return st.sampled_from(sorted(kind))
+        return st.integers(-2, 4).map(str)
+
+    return value
 
 
 def _argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:
-    """Random argv built from the real parser: a subcommand, values for its
-    positionals, its required options and up to four more, in random order,
-    with integers in -2..4.  One run in ten loses a token, which argparse
-    must reject."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    special = {
-        "theorem": st.sampled_from(tuple(EXPERIMENTS) + ("bogus",)),
-        "mu": st.sampled_from(["2,1", "1", "3", "1,1,1", "1,2", "x", ""]),
-        "config": st.sampled_from([str(tmp / name) for name in
-                                   ("good.cfg", "bad.cfg", "missing.cfg")]),
-        "out": st.just(str(tmp / "out.txt")),
-    }
-
-    def value(action: argparse.Action) -> st.SearchStrategy[str]:
-        if action.dest in special:
-            return special[action.dest]
-        if action.choices:
-            return st.sampled_from(sorted(action.choices))
-        return st.integers(-2, 4).map(str)
+    """Random argv built from the cli table: a subcommand, a value for its
+    positional, its required options and up to four more, in random
+    order, with integers in -2..4.  One run in ten loses a token."""
+    value = _value_strategy(tmp)
 
     @st.composite
     def argv(draw) -> list[str]:
-        name = draw(st.sampled_from(sorted(commands)))
-        actions = [a for a in commands[name]._actions
-                   if not isinstance(a, argparse._HelpAction)]
-        out = [name] + [draw(value(a)) for a in actions
-                        if not a.option_strings]
-        options = [a for a in actions if a.option_strings]
-        chosen = [a for a in options if a.required]
+        name = draw(st.sampled_from(sorted(COMMANDS)))
+        args = _arguments(name)
+        out = [name] + [draw(value(a, spec[0])) for a, spec in args.items()
+                        if a[0] != "-"]
+        options = [a for a in args if a[0] == "-"]
+        chosen = [a for a in options if args[a][3]]
         chosen += draw(st.lists(st.sampled_from(
-            [a for a in options if not a.required]), unique=True, max_size=4))
+            [a for a in options if not args[a][3]]), unique=True, max_size=4))
         for a in draw(st.permutations(chosen)):
-            out += [a.option_strings[0], draw(value(a))]
+            out += [a, draw(value(a, args[a][0]))]
         if draw(st.integers(0, 9)) == 0:
             del out[draw(st.integers(0, len(out) - 1))]
         return out
@@ -670,12 +686,148 @@ def test_argv_fuzz(tmp_path):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code == 2, argv
-                code = 2
+            code = main(argv)
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
 
     run()
+
+
+def _oracle_argv_strategy(tmp: Path) -> st.SearchStrategy[list[str]]:
+    """The fuzz's shapes, written in every form a user may type: each
+    option plain, as `--opt=value`, with its value attached (`-p3`), or
+    under a prefix of its name, unique or ambiguous; options may repeat,
+    come before or after the positional, and a value may be a negative
+    integer or a token that is no value at all."""
+    value = _value_strategy(tmp)
+    # no `--`: argparse ends the options there (and takes `-d=--` as an
+    # empty list), where the table parser reads it as an ordinary value
+    odd = st.sampled_from(["x", "", "-x", "-", "1_0", " 3", "-3", "-.5",
+                           "2 1", "--d", "-p"])
+
+    @st.composite
+    def argv(draw) -> list[str]:
+        name = draw(st.sampled_from(sorted(COMMANDS)))
+        args = _arguments(name)
+        options = [a for a in args if a[0] == "-"]
+        chosen = [a for a in options if args[a][3]]
+        chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+        groups = []
+        for a in draw(st.permutations(chosen)):
+            text = draw(value(a, args[a][0]) if draw(st.integers(0, 9))
+                        else odd)
+            form = draw(st.sampled_from(("plain", "eq", "attached",
+                                         "prefix", "prefix-eq")))
+            flag = a
+            if form.startswith("prefix") and a.startswith("--"):
+                flag = a[:draw(st.integers(3, len(a)))]
+            if form.endswith("eq"):
+                groups.append([f"{flag}={text}"])
+            elif form == "attached" and not a.startswith("--"):
+                groups.append([a + text])
+            else:
+                groups.append([flag, text])
+        positional = [draw(value(a, spec[0])) for a, spec in args.items()
+                      if a[0] != "-"]
+        groups.insert(draw(st.integers(0, len(groups))), positional)
+        out = [name] + [token for group in groups for token in group]
+        if draw(st.integers(0, 9)) == 0:
+            del out[draw(st.integers(0, len(out) - 1))]
+        return out
+
+    return argv()
+
+
+def _parsed(parse, argv: list[str]) -> dict | None:
+    try:
+        return vars(parse(argv))
+    except ValueError:
+        return None
+
+
+def test_parser_matches_the_argparse_oracle(tmp_path):
+    """The table parser and the argparse parser it replaced (with the
+    bounds the old commands checked) agree on every field of every drawn
+    argv, or both reject it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_oracle_argv_strategy(tmp_path))
+    def run(argv):
+        assert _parsed(parse_args, argv) == _parsed(argparse_args, argv), argv
+
+    run()
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["decompose", "--format=json", "sym", "-p3", "-d", "2"],
+     {"kind": "sym", "p": 3, "d": 2, "format": "json"}),
+    (["syzygy", "-p", "2", "-q", "0", "-b", "-1", "-d", "6", "-b=1"],
+     {"b": 1, "n": None}),
+    (["cones", "--d-m=1", "-p", "2", "--d-ma", "4", "--d-s", "2"], None),
+    (["cones", "--d-mi=1", "-p", "2", "--d-ma", "4", "--d-s", "2"],
+     {"d_min": 1, "d_max": 4, "d_step": 2}),
+    (["verify", "--max-e", "-5", "ratios", "--max-n", "9"],
+     {"suite": "ratios", "max_entries": -5, "max_nodes": 9}),
+])
+def test_parser_forms(argv, fields):
+    # `=` forms, attached short values, negative values, unique and
+    # ambiguous prefixes, repeats (the last wins) and options on either
+    # side of the positional, each as argparse took it
+    assert _parsed(parse_args, argv) == _parsed(argparse_args, argv)
+    if fields is None:
+        with pytest.raises(ValueError, match="ambiguous option --d-m"):
+            parse_args(argv)
+    else:
+        args = vars(parse_args(argv))
+        assert {k: args[k] for k in fields} == fields
+
+
+def test_usage_errors_are_one_line(capsys):
+    cases = [
+        ([], "the command must be one of decompose, syzygy, cones, verify, "
+             "got ''"),
+        (["sym"], "the command must be one of decompose, syzygy, cones, "
+                  "verify, got 'sym'"),
+        (["decompose", "sym", "-p", "x", "-d", "1"],
+         "-p must be an integer, got 'x'"),
+        (["decompose", "sym", "-p", "1", "-d"], "-d needs a value"),
+        (["decompose", "sym", "-p", "1", "-d", "--format", "json"],
+         "-d needs a value"),
+        (["decompose", "sym", "-p", "1"], "missing -d"),
+        (["decompose", "-p", "1", "-d", "1"], "missing kind"),
+        (["decompose", "sym", "wedge", "-p", "1", "-d", "1"],
+         "unexpected argument 'wedge'"),
+        # `--` is a value like any other, not the end of the options
+        (["decompose", "-p", "1", "-d", "1", "--", "sym"],
+         "kind must be one of tensor, sym, wedge, got '--'"),
+        (["decompose", "sym", "-p", "1", "-d", "1", "--max", "3"],
+         "ambiguous option --max: could be --max-entries, --max-dim, "
+         "--max-nodes"),
+        (["verify", "newell", "--format", "xml"],
+         "--format must be one of json, csv, pretty, got 'xml'"),
+        # a repeated bound is checked on the value that wins
+        (["cones", "-p", "2", "--d-min", "1", "--d-max", "3", "--d-step",
+          "2", "--d-step", "0"], "--d-step must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    code, out, _ = run_cli(capsys, "cones", "-p", "2", "--d-min", "1",
+                           "--d-max", "3", "--d-step", "0", "--d-step", "1",
+                           "--format", "csv")
+    assert code == 0 and out.splitlines()[-1].startswith("fit_types")
+
+
+def test_help_is_built_from_the_table(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: veroschur COMMAND")
+    assert all(f"  {name} " in out for name in COMMANDS)
+    for name in COMMANDS:
+        for flag in ("-h", "--help", "--he"):
+            code, out, err = run_cli(capsys, name, flag)
+            assert (code, err) == (0, ""), (name, flag)
+            assert out.startswith(f"usage: veroschur {name} ")
+            assert all(f"  {a} " in out for a in _arguments(name))
+    _, out, _ = run_cli(capsys, "verify", "-h")
+    assert "(required) the check suite: doubling, green" in out

@@ -270,6 +270,41 @@ def test_matrix_cap_trips_at_cap_plus_one(p, q, b, d, n, cap):
         ("matrix dimension", cap + 1, cap)
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(0, 2), q=st.integers(0, 2), b=st.integers(0, 2),
+       d=st.integers(1, 3), n=st.integers(1, 3), cap=st.integers(1, 200))
+def test_node_cap_trips_on_the_nodes_of_all_weights(p, q, b, d, n, cap):
+    # every expanded node's children count against max_enum_nodes, summed
+    # over the weights of the spec; the cap trips iff that sum passes it
+    spec = KoszulSpec(p, q, b, d, n)
+    nodes = [0]
+    for w in _weights(spec):
+        block_at_weight(spec, w, RunConfig(), nodes)
+    config = RunConfig(max_enum_nodes=cap)
+    if nodes[0] <= cap:
+        list(build_blocks(spec, config))
+        return
+    with pytest.raises(CapExceeded) as exc:
+        list(build_blocks(spec, config))
+    e = exc.value
+    assert (e.what, e.cap, e.setting) == ("Koszul search nodes", cap,
+                                          "max_enum_nodes")
+    assert cap < e.needed <= nodes[0]
+
+
+def test_node_cap_bounds_an_off_rule_search():
+    # the twisted spec (b = 1) is on no rule, so it runs the search: 384
+    # nodes over its weights, which the default cap answers
+    spec = KoszulSpec(2, 0, 1, 6, 3)
+    answer = syzygy_decompose(spec)
+    assert answer.terms
+    assert syzygy_decompose(spec, RunConfig(max_enum_nodes=384)) == answer
+    with pytest.raises(CapExceeded) as exc:
+        syzygy_decompose(spec, RunConfig(max_enum_nodes=100))
+    assert str(exc.value) == ("Koszul search nodes: needed 105, cap 100 "
+                              "(max_enum_nodes)")
+
+
 def test_block_at_weight_rejects_wrong_length():
     spec = KoszulSpec(1, 1, 0, 2, 2)
     for weight in ((4,), (4, 0, 0)):
