@@ -5,7 +5,10 @@ entry points are:
 
 * :mod:`veroschur.characters` -- Schur decompositions of tensor, symmetric
   and exterior powers of symmetric powers, and of weight tables,
-* :mod:`veroschur.koszul` -- syzygy functors via per-weight Koszul ranks,
+* :mod:`veroschur.syzygy` -- syzygy functors, by Green's rules where they
+  apply,
+* :mod:`veroschur.koszul` -- the Koszul complex and its per-weight ranks,
+  the basis search for every other spec,
 * :mod:`veroschur.cones` -- lattice-point counts on the two cone sections
   that govern complexity and total multiplicity (integer inequalities with
   closed-form slice bounds, no linear programming),

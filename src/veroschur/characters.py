@@ -21,7 +21,7 @@ power h_d^p is the chain of p such steps.  No product lists a term longer
 than n, which is exact because restricting to n variables is a ring map;
 each division by m is checked to be exact, and the dimension of every
 power against its binomial closed form.  newton_powers returns the powers
-H_0..H_p, so the Koszul strands (koszul.strand_euler_characteristic) run
+H_0..H_p, so the Koszul strands (syzygy.strand_euler_characteristic) run
 the same loop.
 
 schur_decompose turns a weight table (the Koszul cohomology) into Schur

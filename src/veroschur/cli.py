@@ -5,20 +5,22 @@ are sorted, counts are decimal strings, and no timestamps are emitted.
 Exit codes: 0 success, 1 check failure, 2 invalid arguments, 3 resource cap
 exceeded, 4 internal error.
 
-Each run is a fresh process, so start-up counts.  `parse_args` reads the
-command line from one table, `COMMANDS`, and loads no parser module (the
-standard library's, with gettext, cost each process about 7 ms).  Of
-veroschur this module imports only `config` and `characters` (with
-`partitions`), the layer under every subcommand; each `cmd_*` imports its
-own layer when it runs, and `_emit` imports `csv` only for csv output.
+Each run is a fresh process, so start-up counts: without a bytecode cache
+a process compiles every module it imports from source, so each compiles
+only its command's route.  `parse_args` reads the command line from one
+table, `COMMANDS`, and imports no parser module, and `_json` writes the
+JSON, so no run imports `json`.  Of veroschur this module imports only
+`config` and `characters` (with `partitions`), the layer under every
+subcommand.  Each `cmd_*` imports the layer that builds its payload when
+it runs: `syzygy` (which imports the basis search of `koszul` only for a
+spec off Green's rules), `cones` or `verify`.  `_emit` imports `csv` only
+for csv output.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import sys
-from math import comb
 from types import SimpleNamespace
 
 from veroschur.characters import (SchurExpansion, complexity, sym_power_sym,
@@ -85,10 +87,68 @@ def _expansion_payload(e: SchurExpansion) -> dict:
     }
 
 
+# what json.dumps(ensure_ascii=True) writes for the characters it escapes
+# by name; every other one outside ' '..'~' is written \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal with ASCII escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text \
+            and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:  # a surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xd800 | code >> 10:04x}"
+                       f"\\u{0xdc00 | code & 0x3ff:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(value: object, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a dict with str
+    keys, list, tuple, str, int, bool or None, nested at the given indent;
+    any other type raises TypeError.  It recurses as deep as the value
+    nests, which each command's payload fixes (p and d do not reach it)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{inner}{_quote(key)}: {_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [inner + _json(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(payload: dict, fmt: str, out_path: str | None,
           csv_rows: list[list[str]] | None = None) -> None:
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json(payload) + "\n"
     elif fmt == "csv":
         import csv
 
@@ -141,21 +201,8 @@ def _pretty(payload: dict) -> str:
             lines.append(f"[{mark}] {c['name']}: {c['detail']}")
         lines.append("PASSED" if payload["passed"] else "FAILED")
     else:
-        lines.append(json.dumps(payload, sort_keys=True, indent=2))
+        lines.append(_json(payload))
     return "\n".join(lines) + "\n"
-
-
-def _parse_partition(text: str) -> tuple[int, ...]:
-    """A partition written as comma-separated parts, e.g. '2,1'."""
-    try:
-        parts = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"--mu must be comma-separated integers, "
-                         f"got {text!r}") from None
-    if any(v < 1 for v in parts) or list(parts) != sorted(parts, reverse=True):
-        raise ValueError(f"--mu must have positive, weakly decreasing parts, "
-                         f"got {text!r}")
-    return parts
 
 
 def cmd_decompose(args: SimpleNamespace, cfg: RunConfig) -> int:
@@ -175,7 +222,7 @@ def cmd_decompose(args: SimpleNamespace, cfg: RunConfig) -> int:
 
 
 def cmd_syzygy(args: SimpleNamespace, cfg: RunConfig) -> int:
-    from veroschur.koszul import KoszulSpec, syzygy_decompose
+    from veroschur.syzygy import KoszulSpec, syzygy_decompose
 
     # n = 0 lets KoszulSpec pick its default p + q + 1
     spec = KoszulSpec(args.p, args.q, args.b, args.d, args.n or 0)
@@ -190,63 +237,19 @@ def cmd_syzygy(args: SimpleNamespace, cfg: RunConfig) -> int:
 
 
 def cmd_cones(args: SimpleNamespace, cfg: RunConfig) -> int:
-    from veroschur.cones import duality_rows, fit_leading_coefficient
+    from veroschur.cones import cones_payload
 
-    p = args.p
-    levels = range(args.d_min, args.d_max + 1, args.d_step)
-    # one output row per level, so the rows count against the table cap
-    cfg.check_table(len(levels), "cones levels")
-    ds = list(levels)
-    if not ds:
-        raise ValueError("empty d range")
-    rows = [{"d": r.d, "shape_count": str(r.shape_count),
-             "content_count": str(r.content_count),
-             "types_check": r.types_ok, "multiplicity_check": r.multiplicity_ok}
-            for r in duality_rows(p, ds, cfg)]
-    mismatch = not all(r["types_check"] and r["multiplicity_check"]
-                       for r in rows)
-    fits = {}
-    if len(ds) >= 2:
-        for label, deg, key in (("types", p - 1, "shape_count"),
-                                ("multiplicity", comb(p, 2), "content_count")):
-            samples = [(r["d"], int(r[key])) for r in rows]
-            if len(samples) >= deg + 2:
-                fit = fit_leading_coefficient(samples, deg)
-                fits[label] = {"degree": deg, "estimate": str(fit.estimate),
-                               "relative_change": str(fit.relative_change)}
-    payload = {"command": "cones", "parameters": {"p": p, "d_values": ds},
-               "rows": rows, "fits": fits, "consistent": not mismatch}
-    csv_rows = [["d", "shape_count", "content_count",
-                 "types_check", "multiplicity_check"]]
-    csv_rows += [[str(r["d"]), r["shape_count"], r["content_count"],
-                  str(r["types_check"]).lower(), str(r["multiplicity_check"]).lower()]
-                 for r in rows]
-    for label, fit in sorted(fits.items()):
-        csv_rows.append([f"fit_{label}_degree_{fit['degree']}",
-                         fit["estimate"], fit["relative_change"], "", ""])
+    payload, csv_rows = cones_payload(
+        args.p, range(args.d_min, args.d_max + 1, args.d_step), cfg)
     _emit(payload, cfg.fmt, args.out, csv_rows=csv_rows)
-    return EXIT_CHECK if mismatch else EXIT_OK
+    return EXIT_OK if payload["consistent"] else EXIT_CHECK
 
 
 def cmd_verify(args: SimpleNamespace, cfg: RunConfig) -> int:
     from veroschur.verify import run_suite
 
-    if args.theorem is None:
-        given = [flag for flag, value in (("-p", args.p), ("-b", args.b),
-                                          ("--mu", args.mu),
-                                          ("--d-max", args.d_max))
-                 if value is not None]
-        if given:
-            raise ValueError(f"{', '.join(given)}: requires --theorem")
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.b is not None:
-        params["b"] = args.b
-    if args.mu is not None:
-        params["mu"] = _parse_partition(args.mu)
-    payload = run_suite(args.suite, cfg, theorem=args.theorem,
-                        parameters=params or None, d_max=args.d_max)
+    payload = run_suite(args.suite, cfg, args.theorem, args.p, args.b,
+                        args.mu, args.d_max)
     _emit(payload, cfg.fmt, args.out)
     return EXIT_OK if payload["passed"] else EXIT_CHECK
 

@@ -18,13 +18,14 @@ map off the last layer of the same DP, keyed by the row sums.  The content
 coordinates run column by column, bottom row first, because that order
 keeps the DP's live prefix forms few (see `offdiag_pairs`).
 `duality_rows` compares both lattice counts with the Pieri decomposition
-of the tensor power.
+of the tensor power, and `cones_payload` builds the `cones` command's
+output from those rows and the leading-coefficient fits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 from typing import Iterable, NamedTuple, Sequence
 
 from veroschur.characters import (complexity, is_dominant, tensor_power_sym,
@@ -332,3 +333,44 @@ def fit_leading_coefficient(samples: Sequence[tuple[int, int]],
     else:
         change = abs(last - prev) / abs(last)
     return FitResult(last, change)
+
+
+def cones_payload(p: int, levels: range, config: RunConfig = DEFAULT_CONFIG
+                  ) -> tuple[dict, list[list[str]]]:
+    """The payload of `cones` at levels, and its CSV rows.
+
+    One row per level holds both lattice counts and their checks; the
+    rows count against the table cap.  Each count gets a leading-
+    coefficient fit (degree p - 1 for the types, C(p, 2) for the
+    multiplicity) when there are at least degree + 2 levels.  The payload
+    is consistent when every check passes."""
+    config.check_table(len(levels), "cones levels")
+    ds = list(levels)
+    if not ds:
+        raise ValueError("empty d range")
+    rows = [{"d": r.d, "shape_count": str(r.shape_count),
+             "content_count": str(r.content_count),
+             "types_check": r.types_ok, "multiplicity_check": r.multiplicity_ok}
+            for r in duality_rows(p, ds, config)]
+    fits = {}
+    if len(ds) >= 2:
+        for label, deg, key in (("types", p - 1, "shape_count"),
+                                ("multiplicity", comb(p, 2), "content_count")):
+            samples = [(r["d"], int(r[key])) for r in rows]
+            if len(samples) >= deg + 2:
+                fit = fit_leading_coefficient(samples, deg)
+                fits[label] = {"degree": deg, "estimate": str(fit.estimate),
+                               "relative_change": str(fit.relative_change)}
+    consistent = all(r["types_check"] and r["multiplicity_check"]
+                     for r in rows)
+    payload = {"command": "cones", "parameters": {"p": p, "d_values": ds},
+               "rows": rows, "fits": fits, "consistent": consistent}
+    csv_rows = [["d", "shape_count", "content_count",
+                 "types_check", "multiplicity_check"]]
+    csv_rows += [[str(r["d"]), r["shape_count"], r["content_count"],
+                  str(r["types_check"]).lower(), str(r["multiplicity_check"]).lower()]
+                 for r in rows]
+    for label, fit in sorted(fits.items()):
+        csv_rows.append([f"fit_{label}_degree_{fit['degree']}",
+                         fit["estimate"], fit["relative_change"], "", ""])
+    return payload, csv_rows

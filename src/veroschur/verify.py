@@ -11,9 +11,12 @@ ratio with its theoretical limit: `EXPERIMENTS` names them, `ratio_counts`
 runs one, and `ratio_check` builds every ratio verdict, those of the
 ratios suite and that of `verify ratios --theorem`.
 
-A suite imports the layers it runs beyond characters and partitions
-(koszul, constructions, cones) when it runs, so that a `verify` process
-loads only what its suite uses.
+A suite imports the layers it runs beyond characters and partitions when
+it runs, so that a `verify` process loads only what its suite uses: the
+ratios suite only the rules of syzygy (each of its specs is on them),
+raicu and green also koszul's basis search and intrank, kostka-cone
+cones, and the other four constructions.  `run_suite` takes the values of
+the `verify` command line and builds its payload.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _verdict(name: str, failures: Sequence[str], ok_detail: str) -> Check:
 # ratio experiments: each gives its two exact counts at one level d
 
 def _syzygy_share(params: dict, d: int, config: RunConfig) -> tuple[int, int]:
-    from veroschur.koszul import KoszulSpec, syzygy_decompose
+    from veroschur.syzygy import KoszulSpec, syzygy_decompose
 
     p = params["p"]
     num = total_multiplicity(syzygy_decompose(KoszulSpec(p, 1, 0, d, p + 1),
@@ -190,7 +193,7 @@ def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
 
 
 def suite_raicu(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
-    from veroschur.koszul import (KoszulSpec, raicu_predicted_kp0,
+    from veroschur.syzygy import (KoszulSpec, raicu_predicted_kp0,
                                   syzygy_decompose)
 
     out = []
@@ -209,8 +212,8 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     # every row runs the basis search, not syzygy_decompose, which answers
     # on-rule specs by green_vanishing_predicted and the strand's Euler
     # characteristic: the rows test those rules, so they must not use them
-    from veroschur.koszul import (KoszulSpec, cohomology_table,
-                                  green_vanishing_predicted)
+    from veroschur.koszul import cohomology_table
+    from veroschur.syzygy import KoszulSpec, green_vanishing_predicted
 
     def search(spec: KoszulSpec) -> SchurExpansion:
         return schur_decompose(cohomology_table(spec, config), config)
@@ -372,25 +375,50 @@ SUITES = {
 }
 
 
+def _parse_partition(text: str) -> tuple[int, ...]:
+    """A partition written as comma-separated parts, e.g. '2,1'."""
+    try:
+        parts = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--mu must be comma-separated integers, "
+                         f"got {text!r}") from None
+    if any(v < 1 for v in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError(f"--mu must have positive, weakly decreasing parts, "
+                         f"got {text!r}")
+    return parts
+
+
 def run_suite(name: str, config: RunConfig = DEFAULT_CONFIG,
-              theorem: str | None = None, parameters: dict | None = None,
+              theorem: str | None = None, p: int | None = None,
+              b: int | None = None, mu: str | None = None,
               d_max: int | None = None) -> dict:
+    """The payload of `verify name`, or of one ratio experiment with
+    theorem: p, b, mu (its parts written as on the command line, '2,1')
+    and d_max are the experiment's, and each needs theorem."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))}")
-    if theorem is not None:
+    if theorem is None:
+        given = [flag for flag, value in (("-p", p), ("-b", b), ("--mu", mu),
+                                          ("--d-max", d_max))
+                 if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: requires --theorem")
+        checks = SUITES[name](config)
+    else:
+        values = {"p": p, "b": b,
+                  "mu": None if mu is None else _parse_partition(mu)}
+        parameters = {key: value for key, value in values.items()
+                      if value is not None}
         if name != "ratios":
             raise ValueError("--theorem only applies to the ratios suite")
         if d_max is None:
             d_max = 20
         if d_max < 1:
             raise ValueError(f"--d-max must be at least 1, got {d_max}")
-        parameters = parameters or {}
         checks = [ratio_check(f"{theorem} {parameters} at d={d_max}",
                               theorem, parameters, (d_max,), Fraction(1, 10),
                               config, gap=False)]
-    else:
-        checks = SUITES[name](config)
     return {
         "suite": name,
         "seed": config.seed,

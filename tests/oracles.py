@@ -27,9 +27,10 @@ from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
                              offdiag_pairs)
 from veroschur.config import DEFAULT_CONFIG, FORMATS, Record, RunConfig
 from veroschur.intrank import SparseVec
-from veroschur.koszul import KoszulBlock, KoszulSpec
+from veroschur.koszul import KoszulBlock
 from veroschur.partitions import (Partition, dominates, normalize, part,
                                   partitions_of, vectors_in_box)
+from veroschur.syzygy import KoszulSpec
 
 
 # ---------------------------------------------------------------------------

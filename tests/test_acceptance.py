@@ -20,10 +20,10 @@ from veroschur.constructions import (almost_triplet_census,
                                      staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
-from veroschur.koszul import (KoszulSpec, cohomology_table,
-                              green_vanishing_predicted, raicu_predicted_kp0,
-                              syzygy_decompose)
+from veroschur.koszul import cohomology_table
 from veroschur.partitions import count_partitions, part, partitions_of
+from veroschur.syzygy import (KoszulSpec, green_vanishing_predicted,
+                              raicu_predicted_kp0, syzygy_decompose)
 from veroschur.verify import ratio_counts, run_suite
 
 from oracles import content_points_as_matrices, kostka, moment_map

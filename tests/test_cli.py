@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veroschur
-from veroschur.cli import COMMANDS, COMMON, main, parse_args
+from veroschur.cli import COMMANDS, COMMON, _json, main, parse_args
 from veroschur.verify import EXPERIMENTS, SUITES
 
 from oracles import argparse_args
@@ -100,9 +100,9 @@ def test_negative_strand_multiplicity_is_an_internal_error(monkeypatch,
                                                            capsys):
     # (-1)^p times the Euler characteristic of strand p + 1 is K_{p,1} on
     # the rule, so a negative multiplicity in it is a fault of the program
-    from veroschur import koszul
-    right = koszul.strand_euler_characteristic
-    monkeypatch.setattr(koszul, "strand_euler_characteristic",
+    from veroschur import syzygy
+    right = syzygy.strand_euler_characteristic
+    monkeypatch.setattr(syzygy, "strand_euler_characteristic",
                         lambda *args: {(3, 1): 1, **right(*args)})
     code, out, err = run_cli(capsys, "syzygy", "-p", "1", "-q", "1", "-d", "2",
                              "-n", "2")
@@ -392,6 +392,39 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+# every kind of value a payload may hold, with text drawn from all of
+# Unicode: quotes, backslashes, control characters, astral characters and
+# lone surrogates
+JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\\n\r\t\b\f\x00\x1f\x7f\ud800\U0001d11e'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**80, 10**80) | JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_is_the_stdlib_encoding(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_unencodable_payload_is_an_internal_error(monkeypatch, capsys):
+    # payloads hold no floats and only str keys: either is a fault of the
+    # program (exit 4) with a one-line message
+    from veroschur import cli
+    right = cli._expansion_payload
+    monkeypatch.setattr(cli, "_expansion_payload",
+                        lambda e: {**right(e), "ratio": 0.5})
+    code, out, err = run_cli(capsys, "decompose", "sym", "-p", "1", "-d", "1",
+                             "--format", "json")
+    assert code == 4 and out == ""
+    assert err == ("internal error: TypeError: Object of type float is not "
+                   "JSON serializable\n")
+    with pytest.raises(TypeError):
+        _json({1: "one"})
+
+
 def test_broken_decomposition_is_an_internal_error(monkeypatch, capsys):
     # a Newton term off by one leaves a sum that m does not divide: a fault
     # of the program (exit 4), not a usage error (exit 2)
@@ -533,7 +566,7 @@ def test_green_prediction_enters_the_verdict(monkeypatch, capsys):
     # a vanishing the classical bound does not predict fails its check
     # (exit 1) instead of tripping an assert
     from veroschur.verify import run_suite
-    monkeypatch.setattr("veroschur.koszul.green_vanishing_predicted",
+    monkeypatch.setattr("veroschur.syzygy.green_vanishing_predicted",
                         lambda p, q, d: False)
     checks = run_suite("green")["checks"]
     vanishing = [c for c in checks if c["name"].startswith("green vanishing")]
@@ -570,21 +603,23 @@ def test_verify_choices_are_the_suites():
     assert list(COMMANDS["verify"][2]["suite"][0]) == sorted(SUITES)
 
 
-# one small command per subcommand, and three verify runs, with the
-# veroschur modules beyond veroschur, config, characters and partitions
-# that it may load
+# one small command per subcommand, an off-rule syzygy (the twisted bench
+# slot) and three verify runs, with the veroschur modules beyond
+# veroschur, config, characters and partitions that it may load
 ENTRY_POINT_RUNS = [
     pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"],
                  set(), id="decompose"),
     pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
-                 {"koszul", "intrank"}, id="syzygy"),
+                 {"syzygy"}, id="syzygy"),
+    pytest.param(["syzygy", "-p", "2", "-q", "0", "-b", "1", "-d", "6", "-n",
+                  "3"], {"syzygy", "koszul", "intrank"}, id="syzygy-search"),
     pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
                  {"cones"}, id="cones"),
     pytest.param(["verify", "newell"], {"constructions", "verify"},
                  id="verify"),
     pytest.param(["verify", "staircase"], {"constructions", "verify"},
                  id="verify-staircase"),
-    pytest.param(["verify", "ratios"], {"intrank", "koszul", "verify"},
+    pytest.param(["verify", "ratios"], {"syzygy", "verify"},
                  id="verify-ratios"),
     pytest.param(["verify", "ratios", "--theorem", "sym-vs-wedge", "-p", "3",
                   "--d-max", "18"], {"verify"}, id="verify-theorem"),
@@ -594,9 +629,11 @@ ENTRY_POINT_RUNS = [
 @pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS)
 def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     """`python -m veroschur.cli` prints what main() prints, and each
-    subcommand imports only the modules it runs: no `dataclasses`,
-    `inspect`, `argparse`, `gettext` or `locale` (they cost every fresh
-    process milliseconds), and no `csv` when the format is json.
+    command imports only the modules its route runs: a syzygy spec on
+    Green's rules loads syzygy and no basis search (koszul, intrank), and
+    no run loads `json`, `dataclasses`, `inspect`, `argparse`, `gettext` or
+    `locale` (each costs every fresh process milliseconds), or `csv` when
+    the format is json.
 
     -X importtime reports every module the child imports on stderr and
     leaves stdout alone; the CLI itself runs as __main__, so it is not
@@ -617,8 +654,8 @@ def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
         {"veroschur", "veroschur.config", "veroschur.characters",
          "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
-    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext",
-                         "locale", "csv"}
+    assert not loaded & {"json", "dataclasses", "inspect", "argparse",
+                         "gettext", "locale", "csv"}
 
 
 def _arguments(command: str) -> dict[str, tuple]:

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from veroschur import koszul
+from veroschur import koszul, syzygy
 from veroschur.characters import (NotACharacter, schur_decompose,
                                   total_multiplicity, wedge_power_sym)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.intrank import rank_sparse
-from veroschur.koszul import (KoszulSpec, _levels, _weights, block_at_weight,
-                              build_blocks, cohomology_table,
-                              green_vanishing_predicted,
+from veroschur.koszul import (_levels, _weights, block_at_weight,
+                              build_blocks, cohomology_table)
+from veroschur.partitions import partitions_of, vectors_in_box
+from veroschur.syzygy import (KoszulSpec, green_vanishing_predicted,
                               raicu_predicted_kp0, strand_euler_characteristic,
                               syzygy_decompose)
-from veroschur.partitions import partitions_of, vectors_in_box
 
 from oracles import (blocks_by_product, char_sym_sym, compose, dense,
                      element_differential, elements_at_weight, is_zero,
@@ -639,12 +639,12 @@ def test_linear_strand_trips_the_plethysm_caps(monkeypatch):
 def test_strand_checks_its_dimension(monkeypatch):
     # a product that breaks the strand's dimension is not a character (a
     # negative multiplicity is test_cli's internal-error case)
-    product = koszul._power_product
+    product = syzygy._power_product
 
     def one_more(*args):
         (lam, c), *rest = product(*args).items()
         return dict([(lam, c + 1), *rest])
 
-    monkeypatch.setattr(koszul, "_power_product", one_more)
+    monkeypatch.setattr(syzygy, "_power_product", one_more)
     with pytest.raises(NotACharacter, match="strand dimension"):
         syzygy_decompose(KoszulSpec(1, 1, 0, 2, 2))

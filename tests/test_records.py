@@ -10,7 +10,8 @@ from veroschur.characters import NotACharacter, SchurExpansion, WeightTable
 from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
-from veroschur.koszul import KoszulBlock, KoszulSpec
+from veroschur.koszul import KoszulBlock
+from veroschur.syzygy import KoszulSpec
 from veroschur.verify import Check
 
 from oracles import RowContentMatrix
