@@ -176,7 +176,7 @@ def test_verify_json_deterministic(capsys):
     assert first == second
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "decompose", "tensor", "-p", "2", "-d", "4",
                            "--max-entries", "3")
     assert code == 3
@@ -252,6 +252,13 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "verify", "ratios", "--d-max", "5")
     assert code == 2
     assert err == "error: --d-max: requires --theorem\n"
+    # a process started with stdout closed has sys.stdout None: failing
+    # to write the output is an output failure, as a full disk is
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (("decompose", "sym", "-p", "2", "-d", "2", "--format",
+                  "json"), ("--help",)):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "error: stdout is closed\n"), argv
 
 
 def test_zero_variables_rejected(capsys):
@@ -603,12 +610,27 @@ def test_verify_choices_are_the_suites():
     assert list(COMMANDS["verify"][2]["suite"][0]) == sorted(SUITES)
 
 
+def _child(args: list[str], env: dict | None = None, **kwargs):
+    """A fresh interpreter run with `args`, the package on its path."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(veroschur.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          timeout=120, **kwargs)
+
+
 # one small command per subcommand, an off-rule syzygy (the twisted bench
-# slot) and three verify runs, with the veroschur modules beyond
-# veroschur, config, characters and partitions that it may load
+# slot), three verify runs, a usage error and a tripped cap, with the
+# veroschur modules beyond veroschur, config, characters and partitions
+# that it may load
 ENTRY_POINT_RUNS = [
     pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"],
                  set(), id="decompose"),
+    pytest.param(["decompose", "bogus", "-p", "1", "-d", "1"], set(),
+                 id="usage-error"),
+    pytest.param(["decompose", "sym", "-p", "6", "-d", "2", "-n", "9",
+                  "--max-entries", "10"], set(), id="cap"),
     pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
                  {"syzygy"}, id="syzygy"),
     pytest.param(["syzygy", "-p", "2", "-q", "0", "-b", "1", "-d", "6", "-n",
@@ -628,34 +650,100 @@ ENTRY_POINT_RUNS = [
 
 @pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS)
 def test_entry_point_loads_only_its_layer(argv, layer, capsys):
-    """`python -m veroschur.cli` prints what main() prints, and each
-    command imports only the modules its route runs: a syzygy spec on
-    Green's rules loads syzygy and no basis search (koszul, intrank), and
-    no run loads `json`, `dataclasses`, `inspect`, `argparse`, `gettext` or
-    `locale` (each costs every fresh process milliseconds), or `csv` when
-    the format is json.
+    """`python -m veroschur.cli` prints what main() prints, on stdout and
+    stderr, and exits with its code, and each command imports only the
+    modules its route runs: a syzygy spec on Green's rules loads syzygy
+    and no basis search (koszul, intrank), and no run loads `json`,
+    `dataclasses`, `inspect`, `argparse`, `gettext` or `locale` (each
+    costs every fresh process milliseconds), or `csv` when the format is
+    json.
 
     -X importtime reports every module the child imports on stderr and
     leaves stdout alone; the CLI itself runs as __main__, so it is not
     among them."""
     argv = argv + ["--format", "json"]
-    env = dict(os.environ)
-    src = str(Path(veroschur.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "veroschur.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120)
+    child = _child(["-X", "importtime", "-m", "veroschur.cli", *argv],
+                   capture_output=True)
     code, out, err = run_cli(capsys, *argv)
-    assert (child.returncode, child.stdout) == (code, out)
-    loaded = {line.rsplit("|", 1)[1].strip()
-              for line in child.stderr.splitlines()
+    lines = child.stderr.splitlines(keepends=True)
+    own = "".join(line for line in lines
+                  if not line.startswith("import time:"))
+    assert (child.returncode, child.stdout, own) == (code, out, err)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in lines
               if line.startswith("import time:")}
     assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
         {"veroschur", "veroschur.config", "veroschur.characters",
          "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
     assert not loaded & {"json", "dataclasses", "inspect", "argparse",
                          "gettext", "locale", "csv"}
+
+
+SMALL = ["decompose", "sym", "-p", "2", "-d", "2", "--format", "json"]
+
+
+def test_profiled_process_prints_its_report(capsys):
+    # run() ends with sys.exit under a profiler, so cProfile prints its
+    # report after the output; os._exit would end the process first
+    _, out, _ = run_cli(capsys, *SMALL)
+    child = _child(["-m", "cProfile", "-m", "veroschur.cli", *SMALL],
+                   capture_output=True)
+    assert child.returncode == 0 and child.stdout.startswith(out)
+    assert "function calls" in child.stdout[len(out):]
+
+
+@pytest.mark.parametrize("flags, inspect", [(["-i"], {}),
+                                            ([], {"PYTHONINSPECT": "1"})],
+                         ids=["-i", "PYTHONINSPECT"])
+def test_inspected_process_opens_the_prompt(flags, inspect, capsys,
+                                            tmp_path):
+    # with -i or PYTHONINSPECT=1 (sys.flags.inspect) the prompt opens after
+    # run(); PYTHONINSPECT opens it only on a terminal, so stdin is one.
+    # The prompt's readline keeps its history in $HOME
+    _, out, _ = run_cli(capsys, *SMALL)
+    primary, terminal = os.openpty()
+    os.write(primary, b'print("after")\n\x04')
+    try:
+        child = _child([*flags, "-m", "veroschur.cli", *SMALL],
+                       env={**os.environ, "HOME": str(tmp_path), **inspect},
+                       stdin=terminal, capture_output=True)
+    finally:
+        os.close(terminal)
+        os.close(primary)
+    assert child.stdout == out + "after\n"
+
+
+def test_process_runs_the_exit_handlers(capsys):
+    # run() runs the handlers registered before it, as the interpreter's
+    # own exit would (the host's site, subprocess coverage)
+    _, out, _ = run_cli(capsys, *SMALL)
+    child = _child(["-c", "import atexit, runpy, sys; "
+                    "atexit.register(print, 'handler ran'); "
+                    f"sys.argv[1:] = {SMALL!r}; "
+                    "runpy.run_module('veroschur.cli', run_name='__main__', "
+                    "alter_sys=True)"], capture_output=True)
+    assert (child.returncode, child.stdout, child.stderr) == \
+        (0, out + "handler ran\n", "")
+
+
+def test_failed_output_exits_2():
+    # a process started with stdout closed fails in main and flushes
+    # nothing; a full disk fails in main when stdout is unbuffered and at
+    # run()'s flush when it is buffered, where the interpreter's own exit
+    # would print an "Exception ignored" report and exit 120
+    closed = _child(["-m", "veroschur.cli", *SMALL], stderr=subprocess.PIPE,
+                    preexec_fn=lambda: os.close(1))
+    assert (closed.returncode, closed.stderr) == \
+        (2, "error: stdout is closed\n")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            child = _child(["-m", "veroschur.cli", *SMALL],
+                           env={**env, **unbuffered}, stdout=full,
+                           stderr=subprocess.PIPE)
+        assert (child.returncode, child.stderr) == \
+            (2, "error: [Errno 28] No space left on device\n"), unbuffered
 
 
 def _arguments(command: str) -> dict[str, tuple]:

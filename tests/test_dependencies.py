@@ -47,7 +47,8 @@ def _top_level_defs(tree: ast.Module):
 
 def test_every_definition_is_reached_from_the_cli():
     # each top-level function and class in the package must be reachable
-    # from cli.main; a helper that only tests use belongs in tests/oracles.
+    # from an entry, cli.main (the library and tests) or cli.run (the
+    # process); a helper that only tests use belongs in tests/oracles.
     # References are followed by name alone (every Name and Attribute, to a
     # top-level definition of that name in any module), which can only
     # over-approximate what a command runs, never under-approximate it
@@ -60,8 +61,9 @@ def test_every_definition_is_reached_from_the_cli():
             if not isinstance(node, (ast.Assign, ast.AnnAssign)) and \
                     not (name.startswith("__") and name.endswith("__")):
                 checked.add((path.stem, name))
-    reached = {("cli", "main")}
-    todo = [node for module, node in by_name["main"] if module == "cli"]
+    reached = {("cli", "main"), ("cli", "run")}
+    todo = [node for module, name in reached
+            for where, node in by_name[name] if where == module]
     while todo:
         for sub in ast.walk(todo.pop()):
             if isinstance(sub, ast.Name):
@@ -75,7 +77,8 @@ def test_every_definition_is_reached_from_the_cli():
                     reached.add((module, ref))
                     todo.append(node)
     unreached = sorted(f"{module}.{name}" for module, name in checked - reached)
-    assert not unreached, f"not reachable from cli.main: {unreached}"
+    assert not unreached, f"not reachable from cli.main or cli.run: " \
+        f"{unreached}"
 
 
 # the functions in the package that call themselves, as module.outer.inner;
