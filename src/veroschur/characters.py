@@ -1,10 +1,11 @@
-"""Characters of polynomial GL_n representations and Schur decompositions.
+"""Schur expansions of polynomial GL_n representations: the plethysms
+and tensor powers of Sym^d, and the products they are built from.
 
-Characters are stored on dominant weights only (full Weyl orbits are
-redundant by symmetry); Weyl-orbit sizes are used whenever a dimension is
-needed.  No monomial is listed here: the Koszul module takes its wedge
-factors from partitions.vectors_in_box, and the plethysms below never
-build a weight table.
+An expansion is stored in the Schur basis, and no weight table is built
+here: the Koszul cohomology's weight table and its alternant
+decomposition live in veroschur.koszul, the only module that computes
+one.  No monomial is listed here either: the Koszul module takes its
+wedge factors from partitions.vectors_in_box.
 
 Symmetric and exterior plethysms and tensor powers of Sym^d are built in
 the Schur basis of GL_n by Newton's identity composed with h_d (Macdonald,
@@ -23,15 +24,12 @@ each division by m is checked to be exact, and the dimension of every
 power against its binomial closed form.  newton_powers returns the powers
 H_0..H_p, so the Koszul strands (syzygy.strand_euler_characteristic) run
 the same loop.
-
-schur_decompose turns a weight table (the Koszul cohomology) into Schur
-terms by the alternant formula.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, starmap
-from math import comb, factorial, prod
+from math import comb
 from operator import add, lt, sub
 from typing import Sequence
 
@@ -39,47 +37,11 @@ from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.partitions import (Partition, gl_dimension, normalize,
                                   vectors_in_box)
 
-Weight = tuple[int, ...]
-
 
 class NotACharacter(Exception):
-    """A computed character (a WeightTable or SchurExpansion) is malformed
-    or not a nonnegative sum of irreducible characters: a fault of the
-    program, not of its arguments."""
-
-
-def is_dominant(w: Sequence[int]) -> bool:
-    return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and (not w or w[-1] >= 0)
-
-
-def orbit_size(w: Sequence[int]) -> int:
-    """Size of the S_n orbit of the (dominant) weight w."""
-    runs: dict[int, int] = {}
-    for v in w:
-        runs[v] = runs.get(v, 0) + 1
-    size = factorial(len(w))
-    for c in runs.values():
-        size //= factorial(c)
-    return size
-
-
-class WeightTable(Record):
-    """Character data: dominant weight -> exact positive multiplicity."""
-
-    __slots__ = ("n", "degree", "entries")
-
-    def __init__(self, n: int, degree: int,
-                 entries: dict[Weight, int] | None = None) -> None:
-        entries = {} if entries is None else entries
-        for w, c in entries.items():
-            if len(w) != n or sum(w) != degree or not is_dominant(w):
-                raise NotACharacter(f"bad dominant weight {w} for degree {degree}")
-            if c <= 0:
-                raise NotACharacter(f"nonpositive entry at {w}")
-        self._freeze(n, degree, dict(sorted(entries.items(), reverse=True)))
-
-    def dimension(self) -> int:
-        return sum(c * orbit_size(w) for w, c in self.entries.items())
+    """A computed character (a koszul.WeightTable or a SchurExpansion) is
+    malformed or not a nonnegative sum of irreducible characters: a fault
+    of the program, not of its arguments."""
 
 
 class SchurExpansion(Record):
@@ -229,72 +191,6 @@ def sym_power_sym(p: int, d: int, n: int,
     """Schur decomposition of the p-th symmetric power of Sym^d(C^n),
     d >= 0: h_p[h_d]."""
     return SchurExpansion(n, p * d, newton_powers(p, d, n, False, config)[-1])
-
-
-def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:
-    """(sigma(i) - i for each i, sgn sigma) for every permutation sigma of
-    range(len(bounds)) with sigma(i) >= i - bounds[i].
-
-    Positions are assigned from the last to the first; a value already
-    used below the one chosen sits at a later position, so it is an
-    inversion.
-    """
-    n = len(bounds)
-    partial: list[tuple[Weight, int, int]] = [((), 0, 1)]
-    for i in range(n - 1, -1, -1):
-        grown = []
-        for offsets, used, sign in partial:
-            for j in range(i - bounds[i], n):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                flip = bin(used & (bit - 1)).count("1") % 2
-                grown.append(((j - i,) + offsets, used | bit,
-                              -sign if flip else sign))
-        partial = grown
-    return [(offsets, sign) for offsets, _, sign in partial]
-
-
-def schur_decompose(w: WeightTable,
-                    config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
-    """Decompose a character into Schur functors by the alternant formula.
-
-    Multiplying the character by the Vandermonde alternant a_delta gives
-    the sum of mult(lam) * a_{lam + delta}, so reading off the coefficient
-    of x^{lam + delta} yields
-
-        mult(lam) = sum over sigma of sgn(sigma) * m(lam + delta - sigma(delta)),
-
-    with delta = (n-1, ..., 0) and m the weight multiplicity, zero on
-    weights with a negative entry (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.3).  Only weights of the table can be highest weights.
-    The number of signed terms, prod_i (1 + min(lam_i, i)) per weight, is
-    checked against max_enum_nodes before any is evaluated.  Raises
-    NotACharacter on a negative multiplicity or a dimension mismatch.
-    """
-    # row i of lam + delta - sigma(delta) stays nonnegative iff
-    # sigma(i) >= i - lam_i; rows past the length of lam are then fixed
-    bounds = {lam: tuple(min(v, i) for i, v in enumerate(lam) if v)
-              for lam in w.entries}
-    config.check_nodes(sum(prod(v + 1 for v in b) for b in bounds.values()))
-    shifts: dict[tuple[int, ...], list[tuple[Weight, int]]] = {}
-    terms: dict[Partition, int] = {}
-    for lam, b in bounds.items():
-        if b not in shifts:
-            shifts[b] = _signed_offsets(b)
-        head, tail = lam[:len(b)], lam[len(b):]
-        mult = 0
-        for offsets, sign in shifts[b]:
-            mu = tuple(sorted(map(add, head, offsets), reverse=True)) + tail
-            mult += sign * w.entries.get(mu, 0)
-        if mult < 0:
-            raise NotACharacter(f"negative multiplicity {mult} at {lam}")
-        if mult:
-            terms[head] = mult
-    out = SchurExpansion(w.n, w.degree, terms)
-    if out.dimension() != w.dimension():
-        raise NotACharacter("dimension mismatch after decomposition")
-    return out
 
 
 def tensor_power_sym(p: int, d: int, n: int,

@@ -13,8 +13,9 @@ JSON, so no run imports `json`.  Of veroschur this module imports only
 `config` and `characters` (with `partitions`), the layer under every
 subcommand.  Each `cmd_*` imports the layer that builds its payload when
 it runs: `syzygy` (which imports the basis search of `koszul` only for a
-spec off Green's rules), `cones` or `verify`.  `_emit` imports `csv` only
-for csv output.
+spec off Green's rules), `cones` or `verify`.  The formats for people,
+pretty and csv output and the help text, live in `readable`, which
+`_emit` imports only for those formats and `parse_args` only for `-h`.
 
 The process entry is `run`, not `main`: after `main` it runs the exit
 handlers (`atexit`; the host's `site` registers one, and subprocess
@@ -23,16 +24,18 @@ ends the process with `os._exit`, skipping the interpreter's
 finalization, which clears every module and collects the whole heap for
 6-11 ms of every run.  A flush that fails is an output failure, exit 2,
 as a failed write inside `main` is.  Under a tracer or profiler (a trace
-or profile function, or a `sys.monitoring` tool) or with `-i` it ends
-with `sys.exit` instead, so the tool can write its report or the prompt
-can open.  `main` returns its code and ends nothing, for tests and
-library callers.
+or profile function, or a `sys.monitoring` tool) it ends with `sys.exit`
+instead, so the tool can write its report.  When the interactive prompt
+is to open after it (`-i`, or `PYTHONINSPECT` with a terminal on stdin)
+it returns, since under inspection the interpreter prints a `SystemExit`
+as a traceback; `PYTHONINSPECT` with no terminal opens no prompt, so that
+run ends with `os._exit` and `main`'s code.  `main` returns its code and
+ends nothing, for tests and library callers.
 """
 
 from __future__ import annotations
 
 import atexit
-import io
 import os
 import sys
 from types import SimpleNamespace
@@ -163,16 +166,10 @@ def _emit(payload: dict, fmt: str, out_path: str | None,
           csv_rows: list[list[str]] | None = None) -> None:
     if fmt == "json":
         text = _json(payload) + "\n"
-    elif fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows or _payload_as_rows(payload):
-            writer.writerow(row)
-        text = buf.getvalue()
     else:
-        text = _pretty(payload)
+        from veroschur.readable import render
+
+        text = render(payload, fmt, csv_rows, _json)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -184,45 +181,6 @@ def _write(text: str) -> None:
     if sys.stdout is None:  # started with stdout closed
         raise OSError("stdout is closed")
     sys.stdout.write(text)
-
-
-def _payload_as_rows(payload: dict) -> list[list[str]]:
-    if "terms" in payload:
-        rows = [["lambda", "mult"]]
-        rows += [[" ".join(map(str, t["lambda"])), t["mult"]]
-                 for t in payload["terms"]]
-        rows.append(["total_multiplicity", payload["total_multiplicity"]])
-        rows.append(["complexity", payload["complexity"]])
-        return rows
-    if "checks" in payload:
-        rows = [["check", "passed", "detail"]]
-        rows += [[c["name"], str(c["passed"]).lower(), c["detail"]]
-                 for c in payload["checks"]]
-        return rows
-    raise ValueError("no CSV rendering for this payload")
-
-
-def _pretty(payload: dict) -> str:
-    lines = []
-    if "terms" in payload:
-        header = payload.get("command", "decomposition")
-        lines.append(f"# {header}  n={payload['n']}  degree={payload['degree']}")
-        if payload.get("truncation"):
-            lines.append("# result is the length <= n truncation")
-        for t in payload["terms"]:
-            lam = "(" + ",".join(map(str, t["lambda"])) + ")"
-            lines.append(f"{lam:<30} {t['mult']}")
-        lines.append(f"N = {payload['total_multiplicity']}   "
-                     f"c = {payload['complexity']}")
-    elif "checks" in payload:
-        lines.append(f"# suite {payload['suite']}")
-        for c in payload["checks"]:
-            mark = "PASS" if c["passed"] else "FAIL"
-            lines.append(f"[{mark}] {c['name']}: {c['detail']}")
-        lines.append("PASSED" if payload["passed"] else "FAILED")
-    else:
-        lines.append(_json(payload))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_decompose(args: SimpleNamespace, cfg: RunConfig) -> int:
@@ -347,13 +305,9 @@ def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
 
 
 def _help(command: str | None) -> str:
-    rows = {name: spec[1] for name, spec in COMMANDS.items()}
-    if command:
-        rows = {name: "(required) " * arg[3] + arg[1] + (": " + ", ".join(
-            arg[0]) if isinstance(arg[0], tuple) else "")
-            for name, arg in {**COMMANDS[command][2], **COMMON}.items()}
-    return (f"usage: veroschur {command or 'COMMAND'} [ARGS]\n"
-            + "".join(f"  {name:<14}{text}\n" for name, text in rows.items()))
+    from veroschur.readable import help_text
+
+    return help_text(command, COMMANDS, COMMON)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace | str:
@@ -416,12 +370,18 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """main() as a process: exit handlers, flushed output, then os._exit
-    with main's code, or 2 if a flush fails; sys.exit when watched."""
+    with main's code, or 2 if a flush fails; sys.exit when watched, and a
+    plain return when the interactive prompt is to open."""
     code = main()
+    # the interpreter opens the prompt after the module under -i, or under
+    # PYTHONINSPECT when stdin is a terminal; there a SystemExit would be
+    # printed as a traceback, and with no prompt it would exit 1
+    if sys.flags.inspect and (sys.flags.interactive or os.isatty(0)):
+        return
     # from Python 3.12 cProfile is a sys.monitoring tool, not a profile
     # function
     monitoring = getattr(sys, "monitoring", None)
-    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or (
+    if sys.gettrace() or sys.getprofile() or (
             monitoring and any(map(monitoring.get_tool, range(6)))):
         sys.exit(code)
     atexit._run_exitfuncs()

@@ -28,10 +28,10 @@ from fractions import Fraction
 from math import comb, floor
 from typing import Iterable, NamedTuple, Sequence
 
-from veroschur.characters import (complexity, is_dominant, tensor_power_sym,
+from veroschur.characters import (complexity, tensor_power_sym,
                                   total_multiplicity)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import Partition, count_partitions, normalize
+from veroschur.partitions import Partition, is_dominant, normalize
 
 Functional = tuple[tuple[int, ...], int]  # coeffs . x + const >= 0 at level 1
 
@@ -262,6 +262,20 @@ def _count_points(rows: list[Functional], caps: list[int], config: RunConfig,
                     config.check_table(len(nxt), "lattice count layer states")
         forms, layer = nxt_forms, {(): total} if total else nxt
     return layer
+
+
+def count_partitions(n: int, max_parts: int | None = None) -> int:
+    """Exact partition count, optionally with at most max_parts parts."""
+    if n < 0:
+        return 0
+    # conjugation swaps "at most k parts" with "parts <= k"; count the
+    # latter by a table over part sizes
+    k = n if max_parts is None else min(max_parts, n)
+    ways = [1] + [0] * n
+    for v in range(1, k + 1):
+        for total in range(v, n + 1):
+            ways[total] += ways[total - v]
+    return ways[n]
 
 
 class DualityRow(NamedTuple):

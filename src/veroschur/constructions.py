@@ -21,8 +21,34 @@ from typing import NamedTuple, Sequence
 
 from veroschur.characters import sym_power_sym, wedge_power_sym
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import (Partition, add, conjugate, dominates,
-                                  length, normalize, part, partitions_of)
+from veroschur.partitions import (Partition, add, conjugate, normalize,
+                                  partitions_of)
+
+
+# ---------------------------------------------------------------------------
+# parts, length and dominance of partitions
+
+def part(lam: Sequence[int], i: int) -> int:
+    """i-th part (0-based), 0 beyond the stored length."""
+    return lam[i] if i < len(lam) else 0
+
+
+def length(lam: Sequence[int]) -> int:
+    """Number of nonzero parts."""
+    return len(normalize(lam))
+
+
+def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """Partial-sum dominance; requires equal sizes."""
+    lam, mu = normalize(lam), normalize(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: {lam} vs {mu}")
+    acc = 0
+    for i in range(max(len(lam), len(mu))):
+        acc += part(lam, i) - part(mu, i)
+        if acc < 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

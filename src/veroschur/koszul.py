@@ -1,5 +1,6 @@
-"""The Koszul complex of a Veronese embedding, block by weight, and its
-cohomology by exact ranks: the basis search.
+"""The Koszul complex of a Veronese embedding, block by weight, its
+cohomology by exact ranks (the basis search), and the cohomology's weight
+table with its Schur decomposition.
 
 The three-term complex for a veroschur.syzygy.KoszulSpec (p, q, b, d) is
 
@@ -46,18 +47,28 @@ Each map is stored as its rows, one per target element, filled in one
 pass over the sources.  The ranks are taken on those rows in the
 cohomology direction: the rows of d_out are reduced first, and their
 pivots clear rows of d_in (see veroschur.intrank).
+
+cohomology_table returns the cohomology's character as a WeightTable, its
+multiplicities on dominant weights, and schur_decompose turns that into
+Schur terms by the alternant formula.  No other route builds a weight
+table (the plethysms and the strand rules stay in the Schur basis), so
+both live here and only a process that runs the search compiles them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from math import factorial, prod
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
-from veroschur.characters import Weight, WeightTable
-from veroschur.config import DEFAULT_CONFIG, RunConfig
+from veroschur.characters import NotACharacter, SchurExpansion
+from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
 from veroschur.intrank import SparseVec, rank_sparse
-from veroschur.partitions import partitions_of, vectors_in_box
+from veroschur.partitions import (Partition, is_dominant, partitions_of,
+                                  vectors_in_box)
 from veroschur.syzygy import KoszulSpec
 
+Weight = tuple[int, ...]  # a torus weight, one exponent per variable
 Wedge = tuple[int, ...]  # increasing indices into the wedge factors
 Levels = tuple[list[Wedge], list[Wedge], list[Wedge]]  # left, middle, right
 
@@ -259,3 +270,99 @@ def cohomology_table(spec: KoszulSpec,
         if dim:
             entries[block.weight] = dim
     return WeightTable(spec.n, spec.total_degree, entries)
+
+
+def orbit_size(w: Sequence[int]) -> int:
+    """Size of the S_n orbit of the (dominant) weight w."""
+    runs: dict[int, int] = {}
+    for v in w:
+        runs[v] = runs.get(v, 0) + 1
+    size = factorial(len(w))
+    for c in runs.values():
+        size //= factorial(c)
+    return size
+
+
+class WeightTable(Record):
+    """Character data: dominant weight -> exact positive multiplicity."""
+
+    __slots__ = ("n", "degree", "entries")
+
+    def __init__(self, n: int, degree: int,
+                 entries: dict[Weight, int] | None = None) -> None:
+        entries = {} if entries is None else entries
+        for w, c in entries.items():
+            if len(w) != n or sum(w) != degree or not is_dominant(w):
+                raise NotACharacter(f"bad dominant weight {w} for degree {degree}")
+            if c <= 0:
+                raise NotACharacter(f"nonpositive entry at {w}")
+        self._freeze(n, degree, dict(sorted(entries.items(), reverse=True)))
+
+    def dimension(self) -> int:
+        return sum(c * orbit_size(w) for w, c in self.entries.items())
+
+
+def _signed_offsets(bounds: tuple[int, ...]) -> list[tuple[Weight, int]]:
+    """(sigma(i) - i for each i, sgn sigma) for every permutation sigma of
+    range(len(bounds)) with sigma(i) >= i - bounds[i].
+
+    Positions are assigned from the last to the first; a value already
+    used below the one chosen sits at a later position, so it is an
+    inversion.
+    """
+    n = len(bounds)
+    partial: list[tuple[Weight, int, int]] = [((), 0, 1)]
+    for i in range(n - 1, -1, -1):
+        grown = []
+        for offsets, used, sign in partial:
+            for j in range(i - bounds[i], n):
+                bit = 1 << j
+                if used & bit:
+                    continue
+                flip = bin(used & (bit - 1)).count("1") % 2
+                grown.append(((j - i,) + offsets, used | bit,
+                              -sign if flip else sign))
+        partial = grown
+    return [(offsets, sign) for offsets, _, sign in partial]
+
+
+def schur_decompose(w: WeightTable,
+                    config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Decompose a character into Schur functors by the alternant formula.
+
+    Multiplying the character by the Vandermonde alternant a_delta gives
+    the sum of mult(lam) * a_{lam + delta}, so reading off the coefficient
+    of x^{lam + delta} yields
+
+        mult(lam) = sum over sigma of sgn(sigma) * m(lam + delta - sigma(delta)),
+
+    with delta = (n-1, ..., 0) and m the weight multiplicity, zero on
+    weights with a negative entry (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3).  Only weights of the table can be highest weights.
+    The number of signed terms, prod_i (1 + min(lam_i, i)) per weight, is
+    checked against max_enum_nodes before any is evaluated.  Raises
+    NotACharacter on a negative multiplicity or a dimension mismatch.
+    """
+    # row i of lam + delta - sigma(delta) stays nonnegative iff
+    # sigma(i) >= i - lam_i; rows past the length of lam are then fixed
+    bounds = {lam: tuple(min(v, i) for i, v in enumerate(lam) if v)
+              for lam in w.entries}
+    config.check_nodes(sum(prod(v + 1 for v in b) for b in bounds.values()))
+    shifts: dict[tuple[int, ...], list[tuple[Weight, int]]] = {}
+    terms: dict[Partition, int] = {}
+    for lam, b in bounds.items():
+        if b not in shifts:
+            shifts[b] = _signed_offsets(b)
+        head, tail = lam[:len(b)], lam[len(b):]
+        mult = 0
+        for offsets, sign in shifts[b]:
+            mu = tuple(sorted(map(add, head, offsets), reverse=True)) + tail
+            mult += sign * w.entries.get(mu, 0)
+        if mult < 0:
+            raise NotACharacter(f"negative multiplicity {mult} at {lam}")
+        if mult:
+            terms[head] = mult
+    out = SchurExpansion(w.n, w.degree, terms)
+    if out.dimension() != w.dimension():
+        raise NotACharacter("dimension mismatch after decomposition")
+    return out

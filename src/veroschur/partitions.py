@@ -1,5 +1,8 @@
-"""Integer partitions: conjugation, dominance, vectors in a box, counts,
-and the hook-length dimension formulas.
+"""Integer partitions: the normal form, dominant weights, conjugation,
+sums, vectors in a box, the partitions of n, and the hook-length
+dimension formulas.  A helper with a single caller lives in that
+caller's module instead (dominance and parts in constructions, partition
+counts in cones), so a command compiles only the helpers it can reach.
 
 Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros; missing parts are treated as 0.  All counts are
@@ -8,7 +11,7 @@ exact Python integers.
 
 from __future__ import annotations
 
-from itertools import combinations, starmap
+from itertools import combinations, starmap, zip_longest
 from math import factorial, perm, prod
 from operator import gt, sub
 from typing import Iterator, Sequence
@@ -29,14 +32,11 @@ def normalize(parts: Sequence[int]) -> Partition:
     return p
 
 
-def length(lam: Sequence[int]) -> int:
-    """Number of nonzero parts."""
-    return len(normalize(lam))
-
-
-def part(lam: Sequence[int], i: int) -> int:
-    """i-th part (0-based), 0 beyond the stored length."""
-    return lam[i] if i < len(lam) else 0
+def is_dominant(w: Sequence[int]) -> bool:
+    """Whether the weight w is weakly decreasing and nonnegative, so a
+    partition padded with zeros."""
+    return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and \
+        (not w or w[-1] >= 0)
 
 
 def conjugate(lam: Sequence[int]) -> Partition:
@@ -48,21 +48,8 @@ def conjugate(lam: Sequence[int]) -> Partition:
 
 def add(lam: Sequence[int], mu: Sequence[int]) -> Partition:
     """Componentwise sum; valid whenever both inputs are partitions."""
-    k = max(len(lam), len(mu))
-    return normalize(tuple(part(lam, i) + part(mu, i) for i in range(k)))
-
-
-def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """Partial-sum dominance; requires equal sizes."""
-    lam, mu = normalize(lam), normalize(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: {lam} vs {mu}")
-    acc = 0
-    for i in range(max(len(lam), len(mu))):
-        acc += part(lam, i) - part(mu, i)
-        if acc < 0:
-            return False
-    return True
+    return normalize(tuple(a + b for a, b in zip_longest(lam, mu,
+                                                         fillvalue=0)))
 
 
 def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
@@ -124,20 +111,6 @@ def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
         left = slots - len(built)
         for v in range((rest + left - 1) // left, min(bound, rest) + 1):
             stack.append((rest - v, v, built + (v,)))
-
-
-def count_partitions(n: int, max_parts: int | None = None) -> int:
-    """Exact partition count, optionally with at most max_parts parts."""
-    if n < 0:
-        return 0
-    # conjugation swaps "at most k parts" with "parts <= k"; count the
-    # latter by a table over part sizes
-    k = n if max_parts is None else min(max_parts, n)
-    ways = [1] + [0] * n
-    for v in range(1, k + 1):
-        for total in range(v, n + 1):
-            ways[total] += ways[total - v]
-    return ways[n]
 
 
 def _hook_product(lam: Partition) -> int:

@@ -34,10 +34,9 @@ from __future__ import annotations
 from math import comb
 
 from veroschur.characters import (NotACharacter, SchurExpansion,
-                                  _power_product, newton_powers,
-                                  schur_decompose, sym_power_sym)
+                                  _power_product, newton_powers)
 from veroschur.config import DEFAULT_CONFIG, Record, RunConfig
-from veroschur.partitions import Partition, add, gl_dimension
+from veroschur.partitions import Partition, gl_dimension
 
 
 class KoszulSpec(Record):
@@ -136,7 +135,7 @@ def syzygy_decompose(spec: KoszulSpec,
                 if c < 0:
                     raise NotACharacter(f"negative multiplicity {c} at {lam}")
             return SchurExpansion(n, spec.total_degree, terms)
-    from veroschur.koszul import cohomology_table
+    from veroschur.koszul import cohomology_table, schur_decompose
 
     return schur_decompose(cohomology_table(spec, config), config)
 
@@ -145,18 +144,3 @@ def green_vanishing_predicted(p: int, q: int, d: int) -> bool:
     """Green's vanishing K_{p,q} = 0 for the untwisted case (b = 0): true
     when q >= 2 and d >= p (Green 1984)."""
     return q >= 2 and d >= p
-
-
-def raicu_predicted_kp0(p: int, d: int, n: int,
-                        config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
-    """Predicted decomposition of the (p+1)-st linear-strand kernel with
-    twist 1: the decomposition of Sym^{p+1} Sym^{d-1} with every term
-    shifted by a full column (1^{p+2})."""
-    if n < p + 2:
-        raise ValueError(f"need n >= {p + 2} to hold the shifted terms")
-    if d < 2:
-        raise ValueError("need d >= 2")
-    base = sym_power_sym(p + 1, d - 1, n, config)
-    column = (1,) * (p + 2)
-    shifted = {add(lam, column): c for lam, c in base.terms.items()}
-    return SchurExpansion(n, (p + 1) * d + 1, shifted)

@@ -15,8 +15,10 @@ A suite imports the layers it runs beyond characters and partitions when
 it runs, so that a `verify` process loads only what its suite uses: the
 ratios suite only the rules of syzygy (each of its specs is on them),
 raicu and green also koszul's basis search and intrank, kostka-cone
-cones, and the other four constructions.  `run_suite` takes the values of
-the `verify` command line and builds its payload.
+cones, and the other four constructions.  The raicu suite's column-shift
+prediction, `raicu_predicted_kp0`, lives here with its only caller.
+`run_suite` takes the values of the `verify` command line and builds its
+payload.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
-from veroschur.characters import (SchurExpansion, complexity, schur_decompose,
-                                  sym_power_sym, tensor_power_sym,
-                                  tensor_with_sym, total_multiplicity,
-                                  wedge_power_sym)
+from veroschur.characters import (SchurExpansion, complexity, sym_power_sym,
+                                  tensor_power_sym, tensor_with_sym,
+                                  total_multiplicity, wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, RunConfig
-from veroschur.partitions import normalize, partitions_of, sym_group_irrep_dim
+from veroschur.partitions import (add, normalize, partitions_of,
+                                  sym_group_irrep_dim)
 
 
 class Check(NamedTuple):
@@ -192,9 +194,23 @@ def suite_doubling(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
             for p in (1, 2, 3) for d in (1, 2, 3)]
 
 
+def raicu_predicted_kp0(p: int, d: int, n: int,
+                        config: RunConfig = DEFAULT_CONFIG) -> SchurExpansion:
+    """Predicted decomposition of the (p+1)-st linear-strand kernel with
+    twist 1: the decomposition of Sym^{p+1} Sym^{d-1} with every term
+    shifted by a full column (1^{p+2})."""
+    if n < p + 2:
+        raise ValueError(f"need n >= {p + 2} to hold the shifted terms")
+    if d < 2:
+        raise ValueError("need d >= 2")
+    base = sym_power_sym(p + 1, d - 1, n, config)
+    column = (1,) * (p + 2)
+    shifted = {add(lam, column): c for lam, c in base.terms.items()}
+    return SchurExpansion(n, (p + 1) * d + 1, shifted)
+
+
 def suite_raicu(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
-    from veroschur.syzygy import (KoszulSpec, raicu_predicted_kp0,
-                                  syzygy_decompose)
+    from veroschur.syzygy import KoszulSpec, syzygy_decompose
 
     out = []
     for p in (0, 1):
@@ -212,7 +228,7 @@ def suite_green(config: RunConfig = DEFAULT_CONFIG) -> list[Check]:
     # every row runs the basis search, not syzygy_decompose, which answers
     # on-rule specs by green_vanishing_predicted and the strand's Euler
     # characteristic: the rows test those rules, so they must not use them
-    from veroschur.koszul import cohomology_table
+    from veroschur.koszul import cohomology_table, schur_decompose
     from veroschur.syzygy import KoszulSpec, green_vanishing_predicted
 
     def search(spec: KoszulSpec) -> SchurExpansion:

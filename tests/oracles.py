@@ -19,16 +19,16 @@ from math import factorial, floor
 from operator import add, eq, le, lt
 from typing import Iterator, Sequence
 
-from veroschur.characters import (NotACharacter, SchurExpansion, Weight,
-                                  WeightTable, is_dominant)
+from veroschur.characters import NotACharacter, SchurExpansion
 from veroschur.cli import cmd_cones, cmd_decompose, cmd_syzygy, cmd_verify
 from veroschur.cones import (ConeCrossSection, _at_level, _content_form,
                              _count_points, content_cone_section,
                              offdiag_pairs)
 from veroschur.config import DEFAULT_CONFIG, FORMATS, Record, RunConfig
+from veroschur.constructions import dominates, part
 from veroschur.intrank import SparseVec
-from veroschur.koszul import KoszulBlock
-from veroschur.partitions import (Partition, dominates, normalize, part,
+from veroschur.koszul import KoszulBlock, Weight, WeightTable
+from veroschur.partitions import (Partition, is_dominant, normalize,
                                   partitions_of, vectors_in_box)
 from veroschur.syzygy import KoszulSpec
 

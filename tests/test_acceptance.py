@@ -8,23 +8,23 @@ calibration.
 import json
 from fractions import Fraction
 
-from veroschur.characters import (complexity, schur_decompose,
-                                  tensor_power_sym, tensor_with_sym,
-                                  total_multiplicity, wedge_power_sym)
-from veroschur.cones import (content_cone_section, lattice_count,
-                             moment_fibres, shape_cone_section)
+from veroschur.characters import (complexity, tensor_power_sym,
+                                  tensor_with_sym, total_multiplicity,
+                                  wedge_power_sym)
+from veroschur.cones import (content_cone_section, count_partitions,
+                             lattice_count, moment_fibres, shape_cone_section)
 from veroschur.config import RunConfig
 from veroschur.constructions import (almost_triplet_census,
                                      doubled_plethysm_check, newell_check,
-                                     sample_staircase_inputs,
+                                     part, sample_staircase_inputs,
                                      staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
-from veroschur.koszul import cohomology_table
-from veroschur.partitions import count_partitions, part, partitions_of
+from veroschur.koszul import cohomology_table, schur_decompose
+from veroschur.partitions import partitions_of
 from veroschur.syzygy import (KoszulSpec, green_vanishing_predicted,
-                              raicu_predicted_kp0, syzygy_decompose)
-from veroschur.verify import ratio_counts, run_suite
+                              syzygy_decompose)
+from veroschur.verify import raicu_predicted_kp0, ratio_counts, run_suite
 
 from oracles import content_points_as_matrices, kostka, moment_map
 

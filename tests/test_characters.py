@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from veroschur.characters import (NotACharacter, SchurExpansion, WeightTable,
-                                  _power_product, complexity, is_dominant,
-                                  orbit_size,
-                                  schur_decompose, sym_power_sym,
+from veroschur.characters import (NotACharacter, SchurExpansion,
+                                  _power_product, complexity, sym_power_sym,
                                   tensor_power_sym, tensor_with_sym,
                                   total_multiplicity, wedge_power_sym)
 from veroschur.config import DEFAULT_CONFIG, CapExceeded, RunConfig
-from veroschur.partitions import gl_dimension, partitions_of
+from veroschur.koszul import WeightTable, orbit_size, schur_decompose
+from veroschur.partitions import gl_dimension, is_dominant, partitions_of
 
 from oracles import (_alternant_product, _pieri_product, char_power_monomial,
                      char_sym_sym, char_tensor_sym, char_wedge_sym, kostka,

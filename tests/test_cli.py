@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -621,47 +622,69 @@ def _child(args: list[str], env: dict | None = None, **kwargs):
 
 
 # one small command per subcommand, an off-rule syzygy (the twisted bench
-# slot), three verify runs, a usage error and a tripped cap, with the
-# veroschur modules beyond veroschur, config, characters and partitions
-# that it may load
+# slot), three verify runs, a usage error and a tripped cap, all in json,
+# then pretty, csv and help runs; with the veroschur modules beyond
+# veroschur, config, characters and partitions that it may load, and its
+# compile budget: the syntax-tree nodes of cli.py and of every veroschur
+# module it loads, which a child compiles from source when no bytecode
+# cache is written.  Each budget is the count when the people formats and
+# the weight table left the modules every route loads, plus under 3 %
+JSON = ["--format", "json"]
 ENTRY_POINT_RUNS = [
-    pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"],
-                 set(), id="decompose"),
-    pytest.param(["decompose", "bogus", "-p", "1", "-d", "1"], set(),
-                 id="usage-error"),
+    pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2",
+                  *JSON], set(), 6_000, id="decompose"),
+    pytest.param(["decompose", "bogus", "-p", "1", "-d", "1", *JSON], set(),
+                 6_000, id="usage-error"),
     pytest.param(["decompose", "sym", "-p", "6", "-d", "2", "-n", "9",
-                  "--max-entries", "10"], set(), id="cap"),
-    pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2"],
-                 {"syzygy"}, id="syzygy"),
+                  "--max-entries", "10", *JSON], set(), 6_000, id="cap"),
+    pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2",
+                  *JSON], {"syzygy"}, 7_000, id="syzygy"),
     pytest.param(["syzygy", "-p", "2", "-q", "0", "-b", "1", "-d", "6", "-n",
-                  "3"], {"syzygy", "koszul", "intrank"}, id="syzygy-search"),
-    pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4"],
-                 {"cones"}, id="cones"),
-    pytest.param(["verify", "newell"], {"constructions", "verify"},
-                 id="verify"),
-    pytest.param(["verify", "staircase"], {"constructions", "verify"},
-                 id="verify-staircase"),
-    pytest.param(["verify", "ratios"], {"syzygy", "verify"},
+                  "3", *JSON], {"syzygy", "koszul", "intrank"}, 9_840,
+                 id="syzygy-search"),
+    pytest.param(["cones", "-p", "2", "--d-min", "1", "--d-max", "4", *JSON],
+                 {"cones"}, 9_270, id="cones"),
+    pytest.param(["verify", "newell", *JSON], {"constructions", "verify"},
+                 13_500, id="verify"),
+    pytest.param(["verify", "staircase", *JSON], {"constructions", "verify"},
+                 13_500, id="verify-staircase"),
+    pytest.param(["verify", "ratios", *JSON], {"syzygy", "verify"}, 10_660,
                  id="verify-ratios"),
     pytest.param(["verify", "ratios", "--theorem", "sym-vs-wedge", "-p", "3",
-                  "--d-max", "18"], {"verify"}, id="verify-theorem"),
+                  "--d-max", "18", *JSON], {"verify"}, 9_700,
+                 id="verify-theorem"),
+    pytest.param(["decompose", "wedge", "-p", "2", "-d", "2", "-n", "2"],
+                 {"readable"}, 6_750, id="pretty"),
+    pytest.param(["syzygy", "-p", "1", "-q", "1", "-d", "2", "-n", "2",
+                  "--format", "csv"], {"syzygy", "readable"}, 7_690,
+                 id="csv"),
+    pytest.param(["-h"], {"readable"}, 6_750, id="help"),
+    pytest.param(["syzygy", "-h"], {"readable"}, 6_750, id="command-help"),
 ]
 
 
-@pytest.mark.parametrize("argv, layer", ENTRY_POINT_RUNS)
-def test_entry_point_loads_only_its_layer(argv, layer, capsys):
+def _nodes(module: str) -> int:
+    """Syntax-tree nodes of a veroschur module's source."""
+    package = Path(veroschur.__file__).parent
+    name = "__init__" if module == "veroschur" else module.split(".")[1]
+    path = package / f"{name}.py"
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+@pytest.mark.parametrize("argv, layer, budget", ENTRY_POINT_RUNS)
+def test_entry_point_loads_only_its_layer(argv, layer, budget, capsys):
     """`python -m veroschur.cli` prints what main() prints, on stdout and
     stderr, and exits with its code, and each command imports only the
     modules its route runs: a syzygy spec on Green's rules loads syzygy
-    and no basis search (koszul, intrank), and no run loads `json`,
+    and no basis search (koszul, intrank), only pretty, csv and help load
+    the people formats (readable), and no run loads `json`,
     `dataclasses`, `inspect`, `argparse`, `gettext` or `locale` (each
-    costs every fresh process milliseconds), or `csv` when the format is
-    json.
+    costs every fresh process milliseconds), or `csv` unless the format is
+    csv.  What it loads stays within its compile budget.
 
     -X importtime reports every module the child imports on stderr and
     leaves stdout alone; the CLI itself runs as __main__, so it is not
     among them."""
-    argv = argv + ["--format", "json"]
     child = _child(["-X", "importtime", "-m", "veroschur.cli", *argv],
                    capture_output=True)
     code, out, err = run_cli(capsys, *argv)
@@ -671,11 +694,13 @@ def test_entry_point_loads_only_its_layer(argv, layer, capsys):
     assert (child.returncode, child.stdout, own) == (code, out, err)
     loaded = {line.rsplit("|", 1)[1].strip() for line in lines
               if line.startswith("import time:")}
-    assert {m for m in loaded if m.split(".")[0] == "veroschur"} == \
-        {"veroschur", "veroschur.config", "veroschur.characters",
-         "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
-    assert not loaded & {"json", "dataclasses", "inspect", "argparse",
-                         "gettext", "locale", "csv"}
+    ours = {m for m in loaded if m.split(".")[0] == "veroschur"}
+    assert ours == {"veroschur", "veroschur.config", "veroschur.characters",
+                    "veroschur.partitions"} | {f"veroschur.{m}" for m in layer}
+    banned = {"json", "dataclasses", "inspect", "argparse", "gettext",
+              "locale"} | ({"csv"} - set(argv))
+    assert not loaded & banned
+    assert _nodes("veroschur.cli") + sum(map(_nodes, ours)) <= budget
 
 
 SMALL = ["decompose", "sym", "-p", "2", "-d", "2", "--format", "json"]
@@ -698,7 +723,9 @@ def test_inspected_process_opens_the_prompt(flags, inspect, capsys,
                                             tmp_path):
     # with -i or PYTHONINSPECT=1 (sys.flags.inspect) the prompt opens after
     # run(); PYTHONINSPECT opens it only on a terminal, so stdin is one.
-    # The prompt's readline keeps its history in $HOME
+    # run() returns to it without a SystemExit, which the interpreter would
+    # print as a traceback.  The prompt's readline keeps its history in
+    # $HOME, and the prompt itself writes to stderr
     _, out, _ = run_cli(capsys, *SMALL)
     primary, terminal = os.openpty()
     os.write(primary, b'print("after")\n\x04')
@@ -710,6 +737,21 @@ def test_inspected_process_opens_the_prompt(flags, inspect, capsys,
         os.close(terminal)
         os.close(primary)
     assert child.stdout == out + "after\n"
+    assert "Traceback" not in child.stderr
+    assert "SystemExit" not in child.stderr
+
+
+def test_inspected_process_without_a_terminal_exits_with_mains_code(capsys):
+    # PYTHONINSPECT opens no prompt when stdin is not a terminal, so the
+    # process ends as an uninspected one: main's output and code, and
+    # nothing on stderr but main's own message
+    for argv in (SMALL, ["decompose", "bogus", "-p", "1", "-d", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        child = _child(["-m", "veroschur.cli", *argv],
+                       env={**os.environ, "PYTHONINSPECT": "1"},
+                       stdin=subprocess.DEVNULL, capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == \
+            (code, out, err), argv
 
 
 def test_process_runs_the_exit_handlers(capsys):

@@ -7,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veroschur import cones
-from veroschur.characters import (complexity, schur_decompose,
-                                  tensor_power_sym, total_multiplicity)
+from veroschur.characters import (complexity, tensor_power_sym,
+                                  total_multiplicity)
 from veroschur.cones import (_at_level, _count_points, _section,
-                             content_cone_section, duality_rows,
-                             fit_leading_coefficient, lattice_count,
-                             moment_fibres, shape_cone_section)
+                             content_cone_section, count_partitions,
+                             duality_rows, fit_leading_coefficient,
+                             lattice_count, moment_fibres, shape_cone_section)
 from veroschur.config import CapExceeded, RunConfig
-from veroschur.partitions import (count_partitions, normalize, part,
-                                  partitions_of)
+from veroschur.constructions import part
+from veroschur.koszul import schur_decompose
+from veroschur.partitions import normalize, partitions_of
 
 from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
                      content_points_as_matrices, enumerate_slice, kostka,

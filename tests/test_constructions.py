@@ -4,17 +4,19 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veroschur.characters import (schur_decompose, sym_power_sym,
-                                  total_multiplicity, wedge_power_sym)
+from veroschur.characters import (sym_power_sym, total_multiplicity,
+                                  wedge_power_sym)
 from veroschur.constructions import (_single_wedge, almost_triplet_census,
-                                     doubled_plethysm_check, first_strip_chain,
-                                     h0_projective, max_n_green, mold,
+                                     doubled_plethysm_check, dominates,
+                                     first_strip_chain, h0_projective,
+                                     max_n_green, mold,
                                      newell_check, remove_visible_boxes,
                                      sample_staircase_inputs,
                                      staircase_exponents, staircase_membership,
                                      twin_pattern_count_closed,
                                      twin_pattern_enumerate)
-from veroschur.partitions import dominates, partitions_of
+from veroschur.koszul import schur_decompose
+from veroschur.partitions import partitions_of
 from veroschur.verify import EXPERIMENTS, ratio_check, ratio_counts
 
 from oracles import (char_sym_sym, char_tensor_sym, char_wedge_sym,

@@ -7,16 +7,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veroschur import koszul, syzygy
-from veroschur.characters import (NotACharacter, schur_decompose,
-                                  total_multiplicity, wedge_power_sym)
+from veroschur.characters import (NotACharacter, total_multiplicity,
+                                  wedge_power_sym)
 from veroschur.config import CapExceeded, RunConfig
 from veroschur.intrank import rank_sparse
 from veroschur.koszul import (_levels, _weights, block_at_weight,
-                              build_blocks, cohomology_table)
+                              build_blocks, cohomology_table, schur_decompose)
 from veroschur.partitions import partitions_of, vectors_in_box
 from veroschur.syzygy import (KoszulSpec, green_vanishing_predicted,
-                              raicu_predicted_kp0, strand_euler_characteristic,
-                              syzygy_decompose)
+                              strand_euler_characteristic, syzygy_decompose)
+from veroschur.verify import raicu_predicted_kp0
 
 from oracles import (blocks_by_product, char_sym_sym, compose, dense,
                      element_differential, elements_at_weight, is_zero,

@@ -4,9 +4,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veroschur.partitions import (add, conjugate, count_partitions, dominates,
-                                  gl_dimension, normalize, partitions_of,
-                                  sym_group_irrep_dim, vectors_in_box)
+from veroschur.cones import count_partitions
+from veroschur.constructions import dominates
+from veroschur.partitions import (add, conjugate, gl_dimension, normalize,
+                                  partitions_of, sym_group_irrep_dim,
+                                  vectors_in_box)
 
 from oracles import (gl_dimension_weyl, horizontal_strips_down,
                      partitions_rec, pieri, pieri_rows, strips_down_rows)

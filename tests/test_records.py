@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from veroschur.characters import NotACharacter, SchurExpansion, WeightTable
+from veroschur.characters import NotACharacter, SchurExpansion
 from veroschur.cli import main
 from veroschur.config import DEFAULT_CONFIG, RunConfig
 from veroschur.cones import DualityRow, FitResult, shape_cone_section
-from veroschur.koszul import KoszulBlock
+from veroschur.koszul import KoszulBlock, WeightTable
 from veroschur.syzygy import KoszulSpec
 from veroschur.verify import Check
 

@@ -3,7 +3,8 @@ from itertools import permutations, product
 import pytest
 
 from veroschur.cones import offdiag_pairs
-from veroschur.partitions import dominates, partitions_of
+from veroschur.constructions import dominates
+from veroschur.partitions import partitions_of
 
 from oracles import (RowContentMatrix, Tableau, enumerate_ssyt,
                      horizontal_strips_down, kostka, matrix_to_tableau,
