@@ -16,14 +16,15 @@ Symmetric Functions and Hall Polynomials, I.2 (2.11) and I.8)
 
 with p_k[f](x) = f(x^k), so the p-th power takes p(p+1)/2 products and
 nothing is enumerated over the partitions of p.  Every product by
-p_k[h_d] is one walk over horizontal strips on the k-runner abacus of
-lam + delta (_power_product), and k = 1 is the Pieri rule, so the tensor
-power h_d^p is the chain of p such steps.  No product lists a term longer
-than n, which is exact because restricting to n variables is a ring map;
-each division by m is checked to be exact, and the dimension of every
-power against its binomial closed form.  newton_powers returns the powers
-H_0..H_p, so the Koszul strands (syzygy.strand_euler_characteristic) run
-the same loop.
+p_k[h_d] is one box walk per term lam (_power_product): for k = 1, the
+Pieri rule, over the horizontal strips on the rows of lam, and for
+k >= 2 over horizontal strips on the k-runner abacus of lam + delta.  The
+tensor power h_d^p is the chain of p Pieri steps.  No product lists a
+term longer than n, which is exact because restricting to n variables is
+a ring map; each division by m is checked to be exact, and the dimension
+of every power against its binomial closed form.  newton_powers returns
+the powers H_0..H_p, so the Koszul strands
+(syzygy.strand_euler_characteristic) run the same loop.
 """
 
 from __future__ import annotations
@@ -88,44 +89,51 @@ def _check_power_args(p: int, d: int, n: int) -> None:
 
 def _power_product(terms: dict[Partition, int], k: int, d: int, n: int,
                    config: RunConfig, held: int = 0) -> dict[Partition, int]:
-    """terms times p_k[h_d] over GL_n by horizontal strips on the k-abacus
-    (Macdonald I.1 Ex. 8; Lascoux, Leclerc and Thibon, J. Math. Phys. 38,
-    1997); k = 1 is the Pieri rule.
+    """terms times p_k[h_d] over GL_n: for k = 1 by the Pieri rule, for
+    k >= 2 by horizontal strips on the k-abacus (Macdonald I.1 Ex. 8;
+    Lascoux, Leclerc and Thibon, J. Math. Phys. 38, 1997).
 
-    The beads lam + delta sit on k runners by their residues mod k, listed
-    runner by runner, top bead first; a bead at k q + r has quotient q.  In
+    For k = 1, mu runs over the horizontal strips on lam, in decreasing lex
+    order: lam_i <= mu_i <= lam_{i-1} (mu_1 <= lam_1 + d) over the rows of
+    lam and at most one more, none past n.  For k >= 2 the beads
+    lam + delta sit on k runners by their residues mod k, listed runner by
+    runner, top bead first; a bead at k q + r has quotient q.  In
     s_lam p_k[h_d] = sum over beta of a_{lam + delta + k beta} / a_delta
     (Macdonald I.3) the shifts that make two beads of a runner meet or pass
     cancel in pairs, and the rest raise the quotients of each runner by a
     horizontal strip, d steps in all: a bead up to one below the bead above
     it, a top bead by up to d.  mu is the sorted positions minus delta, and
     the sign is the parity of the inversions of the positions, runner by
-    runner, before the move plus after it; with one runner the beads keep
-    their order, so it is +.  No term is longer than n, and one lam gives
-    each mu at most once.  The terms, on top of the held ones, are checked
-    against the cap after each lam, so a product that outgrows it stops
-    within one lam's strips past the cap."""
-    delta = range(n - 1, -1, -1)
+    runner, before the move plus after it.  No term is longer than n, and
+    one lam gives each mu at most once.  The terms, on top of the held
+    ones, are checked against the cap after each lam, so a product that
+    outgrows it stops within one lam's strips past the cap."""
     out: dict[Partition, int] = {}
+    delta = range(n - 1, -1, -1)
     for lam, c in terms.items():
-        beads = list(map(add, lam + (0,) * (n - len(lam)), delta))
-        if k > 1:
+        if k == 1:
+            lo = (lam + (0,))[:n]
+            for mu in vectors_in_box(lo, (lo[0] + d,) + lo[:-1], sum(lo) + d):
+                if not mu[-1]:  # the new row stayed empty
+                    mu = mu[:-1]
+                out[mu] = out.get(mu, 0) + c
+        else:
+            beads = list(map(add, lam + (0,) * (n - len(lam)), delta))
             beads.sort(key=lambda b: b % k)  # stable: runners stay top first
             residues = [b % k for b in beads]
             before = sum(starmap(lt, combinations(beads, 2)))
-        lo = [b // k for b in beads]
-        hi = [lo[i - 1] - 1 if i and (beads[i - 1] - b) % k == 0 else q + d
-              for i, (b, q) in enumerate(zip(beads, lo))]
-        for v in vectors_in_box(lo, hi, sum(lo) + d):
-            signed = c
-            if k > 1:
+            lo = [b // k for b in beads]
+            hi = [lo[i - 1] - 1 if i and (beads[i - 1] - b) % k == 0
+                  else q + d for i, (b, q) in enumerate(zip(beads, lo))]
+            for v in vectors_in_box(lo, hi, sum(lo) + d):
                 v = [k * q + r for q, r in zip(v, residues)]
+                signed = c
                 if (before + sum(starmap(lt, combinations(v, 2)))) % 2:
                     signed = -c
                 v.sort(reverse=True)
-            mu = tuple(map(sub, v, delta))
-            mu = mu[:n - mu.count(0)]  # a partition, so its zeros trail
-            out[mu] = out.get(mu, 0) + signed
+                mu = tuple(map(sub, v, delta))
+                mu = mu[:n - mu.count(0)]  # a partition, so its zeros trail
+                out[mu] = out.get(mu, 0) + signed
         config.check_table(held + len(out), "Schur terms")
     return {mu: c for mu, c in out.items() if c}
 

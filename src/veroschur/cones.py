@@ -25,7 +25,8 @@ output from those rows and the leading-coefficient fits.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from veroschur.characters import (complexity, tensor_power_sym,
@@ -50,18 +51,19 @@ class ConeCrossSection(NamedTuple):
     interior_point: tuple[Fraction, ...]
     upper_bounds: tuple[Fraction, ...]
 
-    def evaluate(self, x: Sequence[Fraction]) -> list[Fraction]:
-        return [sum(c * v for c, v in zip(coeffs, x)) + const
-                for coeffs, const in self.inequalities]
-
 
 def _section(label: str, ineqs: list[Functional],
              interior: tuple[Fraction, ...],
              bounds: tuple[Fraction, ...]) -> ConeCrossSection:
-    cone = ConeCrossSection(label, tuple(ineqs), interior, bounds)
-    if any(s <= 0 for s in cone.evaluate(interior)):
+    """The section, once every slack at the interior point is checked
+    positive in integers: the point scaled by the lcm of its denominators
+    against each constant scaled the same."""
+    scale = lcm(*(x.denominator for x in interior))
+    point = [x.numerator * (scale // x.denominator) for x in interior]
+    if any(sum(map(mul, coeffs, point)) + const * scale <= 0
+           for coeffs, const in ineqs):
         raise ValueError(f"interior point fails strictly for {label}")
-    return cone
+    return ConeCrossSection(label, tuple(ineqs), interior, bounds)
 
 
 def shape_cone_section(p: int) -> ConeCrossSection:
@@ -170,7 +172,7 @@ def _at_level(cone: ConeCrossSection,
     """The slice's rows and per-coordinate caps scaled to the level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    caps = [int(floor(u * level)) for u in cone.upper_bounds]
+    caps = [u.numerator * level // u.denominator for u in cone.upper_bounds]
     rows = [(coeffs, const * level) for coeffs, const in cone.inequalities]
     return rows, caps
 
@@ -196,6 +198,10 @@ def _count_points(rows: list[Functional], caps: list[int], config: RunConfig,
     # a constant row holds or fails at every point alike
     layer = {} if any(const < 0 for c, const in rows if not any(c)) else {(): 1}
     forms: list[tuple[int, ...]] = []  # the key's prefix forms at level k
+    # each row's positive tail: the most that the coordinates after x_k add
+    # to it, each at its cap; a level takes its own coordinate's term off
+    tails = [sum(c * cap for c, cap in zip(coeffs, caps) if c > 0)
+             for coeffs, _ in rows]
     nodes = 0
     for k in range(len(caps)):
         slot = {form: i for i, form in enumerate(forms)}
@@ -205,13 +211,14 @@ def _count_points(rows: list[Functional], caps: list[int], config: RunConfig,
         # a row with a zero coefficient and a nonzero prefix form needs no
         # check: the level that last moved its form left its slack >= 0
         checks: dict[tuple[int, int], int] = {}
-        for coeffs, const in rows:
+        for r, (coeffs, const) in enumerate(rows):
+            a = coeffs[k]
+            if a > 0:
+                tails[r] -= a * caps[k]
             # a row past its last coordinate holds
             if not any(coeffs[k:]):
                 continue
-            a = coeffs[k]
-            base = const + sum(c * caps[j] for j, c in enumerate(coeffs)
-                               if j > k and c > 0)
+            base = const + tails[r]
             s = slot.get(coeffs[:k], zero)
             if s != zero:
                 if a and base < checks.get((s, a), base + 1):

@@ -1,8 +1,9 @@
 """Integer partitions: the normal form, dominant weights, conjugation,
-sums, vectors in a box, the partitions of n, and the hook-length
-dimension formulas.  A helper with a single caller lives in that
-caller's module instead (dominance and parts in constructions, partition
-counts in cones), so a command compiles only the helpers it can reach.
+sums, vectors in a box (by an odometer walk, not a recursion), the
+partitions of n (by a stack walk), and the hook-length dimension
+formulas.  A helper with a single caller lives in that caller's module
+instead (dominance and parts in constructions, partition counts in
+cones), so a command compiles only the helpers it can reach.
 
 Partitions are plain tuples of weakly decreasing positive integers, stored
 without trailing zeros; missing parts are treated as 0.  All counts are
@@ -55,42 +56,60 @@ def add(lam: Sequence[int], mu: Sequence[int]) -> Partition:
 def vectors_in_box(lo: Sequence[int], hi: Sequence[int],
                    total: int) -> list[tuple[int, ...]]:
     """Integer vectors v with lo <= v <= hi and sum(v) == total, in
-    decreasing lexicographic order, by a recursion as deep as its free
+    decreasing lexicographic order, by an odometer over the free
     coordinates, those with lo < hi; the fixed ones are copied from lo, and
     a box with some lo > hi is empty.
 
     Each free coordinate runs only over values that the later ones, between
-    their bounds, can still complete to total, so no branch dies.
+    their bounds, can still complete to total, so no branch dies: the walk
+    sets the free coordinates in turn, each at its largest such value and
+    the last one to the rest, then backs up to the deepest one that can
+    still go down by one, lowers it, and sets the ones after it again.  It
+    holds one vector and no stack, whatever the number of free coordinates.
     Horizontal strips (Macdonald I.5) lie between interlacing bounds; the
     Koszul wedge factors are the vectors of degree d under a weight.
     """
     if any(map(gt, lo, hi)):
         return []
-    free = [i for i, (a, b) in enumerate(zip(lo, hi)) if a < b]
-    ceil = [0] * (len(free) + 1)  # room left in the free coordinates from j
-    for j in range(len(free) - 1, -1, -1):
-        ceil[j] = ceil[j + 1] + hi[free[j]] - lo[free[j]]
-    out: list[tuple[int, ...]] = []
+    widths = list(map(sub, hi, lo))
+    left = total - sum(lo)  # what the free coordinates from j on take
+    room = sum(widths)
+    if not 0 <= left <= room:
+        return []
     built = list(lo)
-    last = len(free) - 1
-
-    def rec(j: int, rest: int) -> None:
-        i = free[j]
-        if j == last:  # the earlier ones left it room for exactly rest
-            built[i] = lo[i] + rest
-            out.append(tuple(built))
-            return
-        for v in range(min(hi[i], lo[i] + rest),
-                       max(lo[i], lo[i] + rest - ceil[j + 1]) - 1, -1):
-            built[i] = v
-            rec(j + 1, rest - v + lo[i])
-
-    rest = total - sum(lo)
+    free = []  # each free coordinate but the last, with the room after it
+    for i, w in enumerate(widths):
+        if w:
+            room -= w
+            free.append((i, room))
     if not free:
-        return [tuple(lo)] if rest == 0 else []
-    if 0 <= rest <= ceil[0]:
-        rec(0, rest)
-    return out
+        return [tuple(built)]
+    last, _ = free.pop()  # takes what the earlier ones leave it
+    depth = len(free)
+    out: list[tuple[int, ...]] = []
+    j = 0
+    while True:
+        while j < depth:
+            i, _ = free[j]
+            v = min(widths[i], left)
+            built[i] += v
+            left -= v
+            j += 1
+        built[last] = lo[last] + left
+        out.append(tuple(built))
+        j -= 1
+        while j >= 0:
+            i, room = free[j]
+            if built[i] > lo[i] and left < room:
+                break
+            left += built[i] - lo[i]
+            built[i] = lo[i]
+            j -= 1
+        else:
+            return out
+        built[i] -= 1
+        left += 1
+        j += 1
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:

@@ -16,7 +16,7 @@ from functools import cache
 from itertools import (combinations, combinations_with_replacement, starmap,
                        takewhile)
 from math import factorial, floor
-from operator import add, eq, le, lt
+from operator import add, eq, gt, le, lt
 from typing import Iterator, Sequence
 
 from veroschur.characters import NotACharacter, SchurExpansion
@@ -75,6 +75,42 @@ def monomials(degree: int, n: int) -> tuple[Weight, ...]:
     for first in range(degree, -1, -1):
         out.extend((first,) + rest for rest in monomials(degree - first, n - 1))
     return tuple(out)
+
+
+def vectors_in_box_rec(lo: Sequence[int], hi: Sequence[int],
+                       total: int) -> list[tuple[int, ...]]:
+    """Integer vectors v with lo <= v <= hi and sum(v) == total, in
+    decreasing lexicographic order, by a recursion as deep as the free
+    coordinates: the walk that the odometer of partitions.vectors_in_box
+    replaced.  Each free coordinate runs only over values that the later
+    ones can still complete to total."""
+    if any(map(gt, lo, hi)):
+        return []
+    free = [i for i, (a, b) in enumerate(zip(lo, hi)) if a < b]
+    ceil = [0] * (len(free) + 1)  # room left in the free coordinates from j
+    for j in range(len(free) - 1, -1, -1):
+        ceil[j] = ceil[j + 1] + hi[free[j]] - lo[free[j]]
+    out: list[tuple[int, ...]] = []
+    built = list(lo)
+    last = len(free) - 1
+
+    def rec(j: int, rest: int) -> None:
+        i = free[j]
+        if j == last:  # the earlier ones left it room for exactly rest
+            built[i] = lo[i] + rest
+            out.append(tuple(built))
+            return
+        for v in range(min(hi[i], lo[i] + rest),
+                       max(lo[i], lo[i] + rest - ceil[j + 1]) - 1, -1):
+            built[i] = v
+            rec(j + 1, rest - v + lo[i])
+
+    rest = total - sum(lo)
+    if not free:
+        return [tuple(lo)] if rest == 0 else []
+    if 0 <= rest <= ceil[0]:
+        rec(0, rest)
+    return out
 
 
 def pieri(lam: Sequence[int], b: int) -> tuple[Partition, ...]:
@@ -965,6 +1001,13 @@ def simplex_max(objective: Sequence[Fraction],
         if bv < n:
             x[bv] = tab[i][total]
     return tab[m][total], tuple(x)
+
+
+def evaluate(cone: ConeCrossSection, x: Sequence[Fraction]) -> list[Fraction]:
+    """Each inequality's slack at the point x, in Fractions: the check
+    that cones._section makes in integers."""
+    return [sum(c * v for c, v in zip(coeffs, x)) + const
+            for coeffs, const in cone.inequalities]
 
 
 def enumerate_slice(cone: ConeCrossSection,

@@ -389,10 +389,15 @@ def signed_products(draw):
 @example(({(): 1}, 2, 3, 4))                   # lam = ()
 @example(({(2, 1): 2, (1, 1, 1): -1}, 5, 3, 3))  # k > n: one bead a runner
 @example(({(3, 1): 1, (2, 2): -1}, 1, 2, 2))   # Pieri with truncation
+@example(({(3, 2, 1): 1, (2, 2, 2): -1}, 1, 3, 3))  # Pieri, len(lam) == n
+@example(({(3, 3, 3, 1): 2, (2, 2): 1}, 1, 2, 6))   # Pieri, fixed rows
+@example(({(): 1}, 1, 4, 3))                   # Pieri on lam = ()
+@example(({(2, 1): 1, (3,): -2}, 1, 0, 3))     # Pieri, d = 0: the terms
 def test_power_product_matches_pieri_and_alternant(case):
-    # horizontal strips on the k-abacus against the two rules they
-    # replaced, on signed sums of terms, so cancellation between the
-    # products of different lam shows too
+    # horizontal strips on the rows of lam (k = 1) and on the k-abacus
+    # (k >= 2) against the two rules they replaced, on signed sums of
+    # terms, so cancellation between the products of different lam shows
+    # too
     terms, k, d, n = case
     got = _power_product(terms, k, d, n, DEFAULT_CONFIG)
     if k == 1:

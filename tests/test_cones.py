@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +19,9 @@ from veroschur.koszul import schur_decompose
 from veroschur.partitions import normalize, partitions_of
 
 from oracles import (RowContentMatrix, Unbounded, char_tensor_sym,
-                     content_points_as_matrices, enumerate_slice, kostka,
-                     matrix_to_tableau, moment_fibre_count, moment_map,
-                     row_major_count, simplex_max, slice_maxima)
+                     content_points_as_matrices, enumerate_slice, evaluate,
+                     kostka, matrix_to_tableau, moment_fibre_count,
+                     moment_map, row_major_count, simplex_max, slice_maxima)
 
 
 def test_shape_cone_small():
@@ -46,11 +46,52 @@ def test_level_zero_is_origin():
 def test_interior_points_are_strict():
     for p in (1, 2, 3, 4, 5):
         for cone in (shape_cone_section(p), content_cone_section(p)):
-            slacks = cone.evaluate(cone.interior_point)
+            slacks = evaluate(cone, cone.interior_point)
             assert all(s > 0 for s in slacks), cone.label
     # a point on the boundary certifies nothing
     with pytest.raises(ValueError, match="interior point fails"):
         _section("ray", [((1,), 0)], (Fraction(0),), (Fraction(1),))
+
+
+@st.composite
+def small_sections(draw):
+    """A drawn section of up to three coordinates: up to four integer rows,
+    a Fraction point and Fraction caps, with the point on some row's
+    boundary when that row's slack there is an integer."""
+    dim = draw(st.integers(0, 3))
+    fractions = st.builds(Fraction, st.integers(-6, 12), st.integers(1, 6))
+    point = tuple(draw(st.lists(fractions, min_size=dim, max_size=dim)))
+    bounds = tuple(draw(st.lists(fractions, min_size=dim, max_size=dim)))
+    coeffs = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    rows = draw(st.lists(st.tuples(coeffs.map(tuple), st.integers(-4, 4)),
+                         max_size=4))
+    if rows and draw(st.booleans()):
+        coeffs, _ = rows[0]
+        lead = sum(c * v for c, v in zip(coeffs, point))
+        if lead.denominator == 1:
+            rows[0] = (coeffs, -int(lead))
+    return rows, point, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_sections(), st.integers(0, 40))
+@example(([((1,), 0)], (Fraction(0),), (Fraction(1),)), 3)  # zero slack
+@example(([((2, -1), 0), ((0, 1), 0)], (Fraction(1, 2), Fraction(1)),
+          (Fraction(7, 3), Fraction(-5, 2))), 7)  # zero slack off the lattice
+@example(([], (), ()), 0)
+def test_integer_certificate_matches_the_fractions(case, level):
+    # the section's interior check in integers raises exactly when some
+    # Fraction slack is <= 0, and the caps at a level are floor(u * level)
+    rows, point, bounds = case
+    cone = cones.ConeCrossSection("drawn", tuple(rows), point, bounds)
+    if any(s <= 0 for s in evaluate(cone, point)):
+        with pytest.raises(ValueError, match="interior point fails"):
+            _section("drawn", rows, point, bounds)
+    else:
+        assert _section("drawn", rows, point, bounds) == cone
+    scaled, caps = _at_level(cone, level)
+    assert caps == [floor(u * level) for u in bounds]
+    assert scaled == [(coeffs, const * level) for coeffs, const in rows]
 
 
 def test_inequalities_are_integers():

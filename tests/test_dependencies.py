@@ -83,16 +83,15 @@ def test_every_definition_is_reached_from_the_cli():
 
 # the functions in the package that call themselves, as module.outer.inner;
 # each recursion is as deep as some input, so a new one is added here on
-# purpose or not at all.  These three stay: vectors_in_box is hot, and its
-# depth is its free coordinates; _levels.extend is as deep as p + 1, and an
-# explicit stack for it is no shorter and holds either every sibling's
-# candidate list or a frame per child, where a level-by-level loop would
-# hold every inner node of the search; cli._json is as deep as the payload
-# nests, at most four levels, which the command fixes and p·d does not
+# purpose or not at all.  These two stay: _levels.extend is as deep as
+# p + 1, and an explicit stack for it is no shorter and holds either every
+# sibling's candidate list or a frame per child, where a level-by-level
+# loop would hold every inner node of the search; cli._json is as deep as
+# the payload nests, at most four levels, which the command fixes and p·d
+# does not
 RECURSIVE = {
     "cli._json",
     "koszul._levels.extend",
-    "partitions.vectors_in_box.rec",
 }
 
 

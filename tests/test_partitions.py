@@ -11,7 +11,8 @@ from veroschur.partitions import (add, conjugate, gl_dimension, normalize,
                                   vectors_in_box)
 
 from oracles import (gl_dimension_weyl, horizontal_strips_down,
-                     partitions_rec, pieri, pieri_rows, strips_down_rows)
+                     partitions_rec, pieri, pieri_rows, strips_down_rows,
+                     vectors_in_box_rec)
 
 
 def partitions_upto(n):
@@ -118,6 +119,28 @@ def test_vectors_in_box_matches_filtered_product(case):
     expected = sorted((v for v in product(*ranges) if sum(v) == total),
                       reverse=True)
     assert vectors_in_box(lo, hi, total) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 8), min_size=n, max_size=n),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    st.integers(-2, 26))))
+def test_vectors_in_box_matches_the_recursion(case):
+    # the odometer walk against the recursion it replaced, on boxes too
+    # wide for the filtered product, with fixed coordinates between the
+    # free ones; widths are drawn, so lo <= hi here
+    lo, widths, shift = case
+    hi = [a + w for a, w in zip(lo, widths)]
+    total = sum(lo) + shift
+    assert vectors_in_box(lo, hi, total) == vectors_in_box_rec(lo, hi, total)
+
+
+def test_vectors_in_box_is_not_as_deep_as_its_free_coordinates():
+    # 5,000 free coordinates: a recursion over them would pass the
+    # interpreter's recursion limit
+    assert vectors_in_box((0,) * 5000, (1,) * 5000, 0) == [(0,) * 5000]
+    assert vectors_in_box((0,) * 5000, (1,) * 5000, 5000) == [(1,) * 5000]
 
 
 @settings(max_examples=300, deadline=None)
